@@ -5,7 +5,7 @@
 //! `p`-slide re-runs the DP on cached cells (§V.B "instantaneous
 //! interaction"); the lazy backend stores `O(|S|·|T|·|X|)` prefix sums
 //! and pays `O(|X|)` per cell query. This bench quantifies both sides of
-//! that trade so the `--memory auto` heuristic has numbers behind it:
+//! that trade so the session's 1 GiB size rule has numbers behind it:
 //! build time (where lazy wins by skipping |T|² work), aggregation
 //! latency (where dense wins by a constant factor), and bytes resident
 //! (where lazy's linear growth is the whole point).

@@ -38,7 +38,6 @@ fn session(model: &MicroModel, fp: u64, slices: usize, dir: &std::path::Path) ->
         SessionConfig {
             n_slices: slices,
             metric: Metric::States,
-            memory: MemoryMode::Auto,
             ..SessionConfig::default()
         },
     )

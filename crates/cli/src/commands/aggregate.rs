@@ -20,14 +20,14 @@ ocelotl aggregate <trace|model.omm> [options]
 
 Compute the hierarchy-and-order-consistent partition maximizing
 pIC = p*gain - (1-p)*loss (the paper's Algorithm 1) and print its summary.
+The gain/loss cube is sized by the problem: the DP reads the dense
+O(|S||T|^2) matrices while they fit in 1 GiB, and evaluates cells from
+O(|S||T||X|) prefix sums beyond (same answers either way).
 
 OPTIONS:
     --slices N       time slices of the microscopic model (default 30)
     --p F            trade-off parameter in [0, 1] (default 0.5)
     --metric M       states | density (default states)
-    --memory M       gain/loss cube backend: dense | lazy | auto (default
-                     auto: dense while the O(|S||T|^2) matrices fit in 1 GiB,
-                     lazy beyond - O(|S||T||X|) memory, O(|X|) per query)
     --cache DIR      persist session artifacts (.ocube/.opart) under DIR so
                      the next invocation is warm (default: OCELOTL_CACHE_DIR)
     --no-cache       disable artifact caching even if the env var is set
@@ -230,42 +230,6 @@ mod tests {
         assert!(content.starts_with("node\tfirst_slice"));
         std::fs::remove_file(&p).ok();
         std::fs::remove_file(&tsv).ok();
-    }
-
-    #[test]
-    fn memory_backends_agree_line_for_line() {
-        let p = fixture_trace("agg-mem");
-        let dense = run_ok(format!(
-            "{} --slices 10 --p 0.4 --memory dense --list 5",
-            p.display()
-        ));
-        let lazy = run_ok(format!(
-            "{} --slices 10 --p 0.4 --memory lazy --list 5",
-            p.display()
-        ));
-        assert!(dense.contains("memory:      dense"), "{dense}");
-        assert!(lazy.contains("memory:      lazy"), "{lazy}");
-        // Everything except the backend line must match exactly.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("memory:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&dense), strip(&lazy));
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn unknown_memory_mode_rejected() {
-        let p = fixture_trace("agg-badmem");
-        let tokens: Vec<String> = format!("{} --memory hologram", p.display())
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let mut out = Vec::new();
-        assert!(matches!(run(&tokens, &mut out), Err(CliError::Usage(_))));
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]

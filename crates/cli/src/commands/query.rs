@@ -21,7 +21,7 @@ trace path as visible to the *server*; <kind> is one of:
     render-overview | stats | reslice
 
 OPTIONS (per kind, matching the direct commands):
-    --slices N --metric M --memory M          session parameters
+    --slices N --metric M                     session parameters
     --p F --coarse --compare --diff-p F       aggregate
     --resolution F                            significant | sweep | pvalues
     --steps N                                 sweep

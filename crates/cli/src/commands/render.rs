@@ -27,7 +27,6 @@ OPTIONS:
     --slices N       time slices of the microscopic model (default 30)
     --p F            trade-off parameter in [0, 1] (default 0.5)
     --metric M       states | density (default states)
-    --memory M       gain/loss cube backend: dense | lazy | auto (default auto)
     --cache DIR      persist session artifacts so the next run is warm
                      (default: OCELOTL_CACHE_DIR); --no-cache disables
     --cache-keep N   artifacts kept per trace and kind before GC (default 4)

@@ -21,7 +21,6 @@ aggregation levels plus embedded overviews at representative strengths.
 OPTIONS:
     --slices N       time slices of the microscopic model (default 30)
     --metric M       states | density (default states)
-    --memory M       gain/loss cube backend: dense | lazy | auto (default auto)
     --cache DIR      persist session artifacts so the next run is warm
                      (default: OCELOTL_CACHE_DIR); --no-cache disables
     --cache-keep N   artifacts kept per trace and kind before GC (default 4)

@@ -25,9 +25,12 @@
 //! * **Bounded builds with admission control.** Cold session builds
 //!   (ingest + cube + table) run outside every pool lock under a build
 //!   budget of `--workers` permits. Concurrent requests for the *same*
-//!   cold trace coalesce onto one in-flight build; requests for other
-//!   cold traces beyond the budget are refused with a typed `busy` error
-//!   instead of queueing unboundedly — warm reads are never affected.
+//!   cold trace coalesce onto one in-flight build. A request for another
+//!   cold trace beyond the budget waits when its own connection holds a
+//!   permit (the pipeline window bounds that wait, and reply bytes never
+//!   depend on the permit count); when other connections hold every
+//!   permit it is refused with a typed `busy` error instead of queueing
+//!   unboundedly — warm reads are never affected.
 //! * **Connection pipelining.** [`serve_lines`] reads ahead (up to
 //!   [`PIPELINE_DEPTH`] requests), executes independent requests
 //!   concurrently, and emits replies strictly in request order, so the
@@ -41,7 +44,7 @@
 //! `ocelotl-format::json`):
 //!
 //! ```text
-//! → {"v":1,"trace":"/data/run.btf","config":{"slices":30,"metric":"states","memory":"auto"},"request":{"kind":"aggregate",...}}
+//! → {"v":1,"trace":"/data/run.btf","config":{"slices":30,"metric":"states"},"request":{"kind":"aggregate",...}}
 //! ← {"v":1,"reply":{...}}            (or {"v":1,"error":{...}})
 //! ```
 
@@ -50,11 +53,11 @@ use crate::helpers::{build_session_with_workers, cache_dir, session_config};
 use crate::CliError;
 use ocelotl::core::query::{AnalysisReply, AnalysisRequest, QueryEngine, QueryError, WatchReply};
 use ocelotl::core::{LiveEvent, SessionConfig};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 const HELP: &str = "\
@@ -70,8 +73,10 @@ OPTIONS:
     --socket PATH    Unix domain socket to bind instead of TCP
     --sessions N     warm sessions kept (LRU-evicted beyond, default 8)
     --workers N      cold session builds allowed in flight (default
-                     min(cores, sessions)); beyond the budget requests
-                     get a typed `busy' error instead of queueing
+                     min(cores, sessions)); beyond the budget a request
+                     waits for its own connection's builds, and gets a
+                     typed `busy' error when other connections hold
+                     every permit
     --cache DIR      persist session artifacts (.ocube/.opart) under DIR
                      (default: OCELOTL_CACHE_DIR); --no-cache disables
     --cache-keep N   artifacts kept per trace and kind before GC
@@ -129,12 +134,15 @@ impl Default for ServeOptions {
     }
 }
 
-/// Pool identity of one warm engine: trace identity and session
-/// parameters. `n_slices` is deliberately **not** part of the key: a
-/// `--slices` change re-slices the pooled session's resident hi-res model
-/// in memory instead of admitting (and cold-ingesting) a separate
-/// session.
-type PoolKey = (PathBuf, &'static str, &'static str);
+/// Pool identity of one warm engine: trace identity and metric.
+/// `n_slices` is deliberately **not** part of the key: a `--slices`
+/// change re-slices the pooled session's resident hi-res model in memory
+/// instead of admitting (and cold-ingesting) a separate session.
+type PoolKey = (PathBuf, &'static str);
+
+/// Identity of one client connection (its pipeline window); every bare
+/// [`ServerState::handle_line`] call is a connection of its own.
+type ConnId = u64;
 
 /// One pooled warm engine behind its own lock. The pool hands out `Arc`s
 /// of this — execution happens entirely outside the pool mutex, and an
@@ -196,13 +204,16 @@ struct Pool {
 /// Shared state of one running server.
 pub struct ServerState {
     pool: Mutex<Pool>,
-    /// Keys with a cold build in flight (the admission budget). Guarded
-    /// separately from the pool so warm lookups never wait on builders.
-    builds: Mutex<HashSet<PoolKey>>,
+    /// Keys with a cold build in flight, each with the connection that
+    /// holds its permit (the admission budget). Guarded separately from
+    /// the pool so warm lookups never wait on builders.
+    builds: Mutex<BTreeMap<PoolKey, ConnId>>,
     /// Signaled whenever a build finishes (coalesced waiters re-check).
     builds_done: Condvar,
     builds_started: AtomicUsize,
     busy_rejections: AtomicUsize,
+    build_waits: AtomicUsize,
+    next_conn: AtomicU64,
     /// Published live sessions, addressable by the advertised name in a
     /// wire request's `trace` field. Held only for lookup/registration —
     /// never across model work.
@@ -232,23 +243,41 @@ impl ServerState {
                 entries: Vec::new(),
                 clock: 0,
             }),
-            builds: Mutex::new(HashSet::new()),
+            builds: Mutex::new(BTreeMap::new()),
             builds_done: Condvar::new(),
             builds_started: AtomicUsize::new(0),
             busy_rejections: AtomicUsize::new(0),
+            build_waits: AtomicUsize::new(0),
+            next_conn: AtomicU64::new(0),
             live: Mutex::new(Vec::new()),
             opts,
         }
     }
 
     /// Execute one wire-request line, producing exactly one reply line
-    /// (errors included — this function never fails).
+    /// (errors included — this function never fails). The line counts as
+    /// a connection of its own.
     pub fn handle_line(&self, line: &str) -> String {
-        let result = self.try_handle(line);
+        self.handle_on(line, self.open_connection())
+    }
+
+    /// A fresh connection identity.
+    fn open_connection(&self) -> ConnId {
+        self.next_conn.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// [`ServerState::handle_line`] for a request inside connection
+    /// `conn`'s pipeline window.
+    fn handle_on(&self, line: &str, conn: ConnId) -> String {
+        let result = self.try_handle(line, conn);
         ocelotl::format::encode_reply(&result)
     }
 
-    fn try_handle(&self, line: &str) -> Result<ocelotl::core::query::AnalysisReply, QueryError> {
+    fn try_handle(
+        &self,
+        line: &str,
+        conn: ConnId,
+    ) -> Result<ocelotl::core::query::AnalysisReply, QueryError> {
         let (trace, mut config, request) = ocelotl::format::decode_wire_request(line)?;
         // Published live sessions shadow the filesystem: their advertised
         // names are served from the in-memory feed, never from disk.
@@ -263,9 +292,9 @@ impl ServerState {
         // spellings shares one warm session.
         let canonical = std::fs::canonicalize(&path).unwrap_or(path);
         config.cache_keep = self.opts.cache_keep;
-        let key = (canonical, config.metric.tag(), config.memory.tag());
+        let key = (canonical, config.metric.tag());
         let stamp = file_stamp(&key.0);
-        let slot = self.admit(&key, stamp, config)?;
+        let slot = self.admit(&key, stamp, config, conn)?;
 
         // Fast path: the pooled session already sits at this request's
         // (full-grid) resolution — answer under the slot's *read* lock,
@@ -309,13 +338,16 @@ impl ServerState {
 
     /// Find the warm slot for `key`, or cold-build one under the
     /// admission budget. Requests racing on the same cold key coalesce
-    /// onto the one in-flight build; distinct cold keys beyond the
-    /// `--workers` budget are refused with [`QueryError::Busy`].
+    /// onto the one in-flight build. A distinct cold key beyond the
+    /// `--workers` budget waits while connection `conn` itself holds a
+    /// permit, and is refused with [`QueryError::Busy`] when only other
+    /// connections do.
     fn admit(
         &self,
         key: &PoolKey,
         stamp: FileStamp,
         config: SessionConfig,
+        conn: ConnId,
     ) -> Result<Arc<SessionSlot>, QueryError> {
         loop {
             {
@@ -336,13 +368,19 @@ impl ServerState {
                 }
             }
             let mut builds = lock_clean(&self.builds);
-            if builds.contains(key) {
-                // Same key already building: wait for it and re-check the
-                // pool instead of racing a duplicate ingest.
+            // Wait and re-check the pool when the same key is already
+            // building (no duplicate ingest), or when the budget is spent
+            // and a permit is this connection's own: that build runs
+            // within the connection's bounded pipeline window and frees a
+            // permit when done, so the reply never depends on how many
+            // permits the box has.
+            let exhausted = builds.len() >= self.opts.workers.max(1);
+            if builds.contains_key(key) || (exhausted && builds.values().any(|&c| c == conn)) {
+                self.build_waits.fetch_add(1, Ordering::SeqCst);
                 drop(wait_clean(&self.builds_done, builds));
                 continue;
             }
-            if builds.len() >= self.opts.workers.max(1) {
+            if exhausted {
                 self.busy_rejections.fetch_add(1, Ordering::SeqCst);
                 return Err(QueryError::Busy(format!(
                     "cold-build budget exhausted ({} of {} workers busy); retry shortly",
@@ -350,7 +388,7 @@ impl ServerState {
                     self.opts.workers.max(1)
                 )));
             }
-            builds.insert(key.clone());
+            builds.insert(key.clone(), conn);
             break;
         }
         // Build outside every lock. The permit is released (and waiters
@@ -424,6 +462,12 @@ impl ServerState {
     /// exhausted.
     pub fn busy_rejections(&self) -> usize {
         self.busy_rejections.load(Ordering::SeqCst)
+    }
+
+    /// Times a request waited for an in-flight build: one of the same
+    /// key, or, with the budget spent, one its own connection started.
+    pub fn build_waits(&self) -> usize {
+        self.build_waits.load(Ordering::SeqCst)
     }
 
     /// Publish a live session under `name`: wire requests whose `trace`
@@ -963,7 +1007,9 @@ impl OrderedWriter<'_> {
 /// requests may execute in either order (each wire request is
 /// self-contained — it carries its own trace and config — so this is
 /// observable only through server-side session state such as which
-/// request pays a cold build).
+/// request pays a cold build). The window is one connection to the
+/// build budget: a cold build it needs while its own builds hold every
+/// permit waits for one instead of answering `busy`.
 pub fn serve_lines(
     state: &ServerState,
     reader: impl BufRead,
@@ -977,6 +1023,7 @@ pub fn serve_lines(
     });
     let in_flight = Mutex::new(0usize);
     let drained = Condvar::new();
+    let conn = state.open_connection();
     let mut read_err = None;
     std::thread::scope(|scope| {
         let (ordered, in_flight, drained) = (&ordered, &in_flight, &drained);
@@ -1025,7 +1072,7 @@ pub fn serve_lines(
             let my_seq = seq;
             seq += 1;
             scope.spawn(move || {
-                let reply = state.handle_line(&line);
+                let reply = state.handle_on(&line, conn);
                 lock_clean(ordered).complete(my_seq, reply);
                 *lock_clean(in_flight) -= 1;
                 drained.notify_all();
@@ -1127,7 +1174,7 @@ mod tests {
     use super::*;
     use crate::helpers::fixture_trace;
     use ocelotl::core::query::AnalysisRequest;
-    use ocelotl::core::{MemoryMode, SessionConfig};
+    use ocelotl::core::{Metric, SessionConfig};
 
     fn wire(trace: &std::path::Path, slices: usize, req: &AnalysisRequest) -> String {
         ocelotl::format::encode_wire_request(
@@ -1172,31 +1219,29 @@ mod tests {
 
     #[test]
     fn pool_is_lru_bounded() {
-        let p = fixture_trace("serve-lru");
+        let traces = [fixture_trace("serve-lru-1"), fixture_trace("serve-lru-2")];
         let state = ServerState::new(ServeOptions {
             max_sessions: 2,
             ..ServeOptions::default()
         });
         let req = AnalysisRequest::Describe;
-        // Slicing no longer keys the pool; metric × memory combinations do.
-        for (metric, memory) in [
-            (ocelotl::core::Metric::States, MemoryMode::Dense),
-            (ocelotl::core::Metric::States, MemoryMode::Lazy),
-            (ocelotl::core::Metric::Density, MemoryMode::Dense),
-            (ocelotl::core::Metric::Density, MemoryMode::Lazy),
-        ] {
-            let config = SessionConfig {
-                n_slices: 10,
-                metric,
-                memory,
-                ..SessionConfig::default()
-            };
-            let line =
-                ocelotl::format::encode_wire_request(&p.display().to_string(), &config, &req);
-            state.handle_line(&line);
+        // Slicing no longer keys the pool; trace × metric combinations do.
+        for p in &traces {
+            for metric in [Metric::States, Metric::Density] {
+                let config = SessionConfig {
+                    n_slices: 10,
+                    metric,
+                    ..SessionConfig::default()
+                };
+                let line =
+                    ocelotl::format::encode_wire_request(&p.display().to_string(), &config, &req);
+                state.handle_line(&line);
+            }
         }
         assert_eq!(state.pooled_sessions(), 2, "evicted down to the cap");
-        std::fs::remove_file(&p).ok();
+        for p in &traces {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]
@@ -1220,18 +1265,16 @@ mod tests {
         let before = state.handle_line(&line);
 
         // Hold the slot the way an in-flight request would…
-        let key = (
-            std::fs::canonicalize(&p).unwrap(),
-            config.metric.tag(),
-            config.memory.tag(),
-        );
-        let slot = state.admit(&key, file_stamp(&key.0), config).unwrap();
+        let key = (std::fs::canonicalize(&p).unwrap(), config.metric.tag());
+        let slot = state
+            .admit(&key, file_stamp(&key.0), config, state.open_connection())
+            .unwrap();
         let guard = slot.engine.read().unwrap();
 
-        // …then force an eviction (capacity 1, different memory mode).
+        // …then force an eviction (capacity 1, different metric).
         let other = SessionConfig {
             n_slices: 10,
-            memory: MemoryMode::Lazy,
+            metric: Metric::Density,
             ..SessionConfig::default()
         };
         state.handle_line(&ocelotl::format::encode_wire_request(
@@ -1292,14 +1335,12 @@ mod tests {
             workers: 1,
             ..ServeOptions::default()
         });
-        // Occupy the single build permit directly (deterministic: no
-        // timing dependence on how long a real build takes).
-        let key1 = (
-            std::fs::canonicalize(&p1).unwrap(),
-            ocelotl::core::Metric::States.tag(),
-            MemoryMode::Auto.tag(),
-        );
-        state.builds.lock().unwrap().insert(key1.clone());
+        // Occupy the single build permit directly, as another connection
+        // (deterministic: no timing dependence on how long a real build
+        // takes).
+        let key1 = (std::fs::canonicalize(&p1).unwrap(), Metric::States.tag());
+        let other = state.open_connection();
+        state.builds.lock().unwrap().insert(key1.clone(), other);
         assert_eq!(state.builds_in_flight(), 1);
 
         // A *different* cold key beyond the budget is refused, typed.
@@ -1314,6 +1355,39 @@ mod tests {
         state.builds_done.notify_all();
         let reply = state.handle_line(&wire(&p2, 10, &AnalysisRequest::Describe));
         assert!(reply.contains("\"reply\""), "{reply}");
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p2).ok();
+    }
+
+    #[test]
+    fn cold_build_inside_a_pipeline_window_waits_for_its_own_permit() {
+        let p1 = fixture_trace("serve-own-1");
+        let p2 = fixture_trace("serve-own-2");
+        let state = ServerState::new(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        });
+        // The single permit is held by a build of connection `conn`.
+        let key1 = (std::fs::canonicalize(&p1).unwrap(), Metric::States.tag());
+        let conn = state.open_connection();
+        state.builds.lock().unwrap().insert(key1.clone(), conn);
+        let line = wire(&p2, 10, &AnalysisRequest::Describe);
+        let reply = std::thread::scope(|scope| {
+            // A second cold build in the same window waits…
+            let waiter = scope.spawn(|| state.handle_on(&line, conn));
+            while state.build_waits() == 0 {
+                std::thread::yield_now();
+            }
+            // …while another connection is refused.
+            assert!(state.handle_line(&line).contains("\"busy\""));
+            // The waiter counted its wait under the build lock, so it is
+            // parked on the condvar by the time this lock is taken.
+            state.builds.lock().unwrap().remove(&key1);
+            state.builds_done.notify_all();
+            waiter.join().unwrap()
+        });
+        assert!(reply.contains("\"reply\""), "{reply}");
+        assert_eq!(state.busy_rejections(), 1, "only the other connection");
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
     }

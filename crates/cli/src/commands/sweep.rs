@@ -33,7 +33,6 @@ OPTIONS:
                      first ingest every re-slice is served from the resident
                      hi-res model (or warm artifacts), zero extra disk passes
     --metric M       states | density (default states)
-    --memory M       gain/loss cube backend: dense | lazy | auto (default auto)
     --cache DIR      persist session artifacts so the next run is warm
                      (default: OCELOTL_CACHE_DIR); --no-cache disables
     --cache-keep N   artifacts kept per trace and kind before GC (default 4)

@@ -7,7 +7,7 @@
 //! ## Session & caching workflow
 //!
 //! All analysis commands share the option set `--slices`, `--metric`,
-//! `--memory`, `--cache DIR` and `--no-cache`, parsed here by
+//! `--cache DIR` and `--no-cache`, parsed here by
 //! [`open_session`]. When a cache directory is configured (the flag, or
 //! the `OCELOTL_CACHE_DIR` environment variable), the session persists its
 //! expensive intermediates (`.ocube` cube prefix sums, `.opart` partition
@@ -324,10 +324,9 @@ impl ModelSource for FileSource {
 
 /// Option keys shared by every session-routed command; splice into each
 /// command's `expect_known` list.
-pub const SESSION_OPTS: [&str; 7] = [
+pub const SESSION_OPTS: [&str; 6] = [
     "slices",
     "metric",
-    "memory",
     "cache",
     "no-cache",
     "cache-keep",
@@ -355,13 +354,11 @@ pub fn parse_window(args: &Args) -> Result<Option<(f64, f64)>, CliError> {
 }
 
 /// Parse the shared session options into a [`SessionConfig`]
-/// (`--slices`, `--metric`, `--memory`, `--cache-keep` /
-/// `OCELOTL_CACHE_KEEP`).
+/// (`--slices`, `--metric`, `--cache-keep` / `OCELOTL_CACHE_KEEP`).
 pub fn session_config(args: &Args) -> Result<SessionConfig, CliError> {
     let mut config = SessionConfig {
         n_slices: args.get_or("slices", 30)?,
         metric: args.get_or("metric", Metric::States)?,
-        memory: args.get_or("memory", ocelotl::core::MemoryMode::Auto)?,
         ..SessionConfig::default()
     };
     config.cache_keep = match args.get("cache-keep")? {
@@ -383,8 +380,8 @@ pub fn session_config(args: &Args) -> Result<SessionConfig, CliError> {
 }
 
 /// Build the `AnalysisSession` every analysis command runs on, from the
-/// shared options (`--slices`, `--metric`, `--memory`, `--cache DIR`,
-/// `--no-cache`, `--cache-keep N`). Caching is enabled by `--cache DIR`
+/// shared options (`--slices`, `--metric`, `--cache DIR`, `--no-cache`,
+/// `--cache-keep N`). Caching is enabled by `--cache DIR`
 /// or the `OCELOTL_CACHE_DIR` environment variable; `--no-cache` wins
 /// over both.
 pub fn open_session(args: &Args, path: &Path) -> Result<AnalysisSession, CliError> {
@@ -538,25 +535,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_reports_requested_cube_mode() {
+    fn engine_reports_the_backend_its_size_calls_for() {
         use ocelotl::core::query::{AnalysisReply, AnalysisRequest};
-        let src = fixture_trace("cube-modes");
-        for (mode, expect) in [("dense", "dense"), ("lazy", "lazy"), ("auto", "dense")] {
-            let args = Args::parse(&[
-                "--slices".into(),
-                "8".into(),
-                "--memory".into(),
-                mode.into(),
-            ])
-            .unwrap();
-            let mut engine = open_engine(&args, &src).unwrap();
-            let AnalysisReply::Describe(d) = engine.execute(&AnalysisRequest::Describe).unwrap()
-            else {
-                panic!()
-            };
-            // Tiny model: auto must stay dense.
-            assert_eq!(d.backend, expect, "{mode}");
-        }
+        let src = fixture_trace("cube-backend");
+        let args = Args::parse(&["--slices".into(), "8".into()]).unwrap();
+        let mut engine = open_engine(&args, &src).unwrap();
+        let AnalysisReply::Describe(d) = engine.execute(&AnalysisRequest::Describe).unwrap() else {
+            panic!()
+        };
+        // Tiny model: the dense matrices fit the size bound.
+        assert_eq!(d.backend, "dense");
         std::fs::remove_file(&src).ok();
     }
 

@@ -1,6 +1,8 @@
 //! Wire-protocol byte regression: replay a checked-in transcript of
 //! request lines through a real server over one pipelined connection and
-//! demand the recorded reply bytes, exactly.
+//! demand the recorded reply bytes, exactly — once with the default
+//! cold-build budget and once with a single worker, so the bytes cannot
+//! depend on the core count.
 //!
 //! The transcript pins the *serialized* protocol — field order, float
 //! formatting, error envelopes — so an accidental encoding change fails
@@ -177,12 +179,23 @@ fn wire_replies_match_the_recorded_transcript() {
         .map(|l| l.replace("$TRACE", trace.to_str().unwrap()))
         .collect();
 
-    let server = spawn_tcp("127.0.0.1:0", ServeOptions::default()).unwrap();
-    let addr = server.address();
-    let replies = roundtrip_many(&addr, &wires).unwrap();
-    server.stop();
+    let replay = |opts: ServeOptions| {
+        let server = spawn_tcp("127.0.0.1:0", opts).unwrap();
+        let replies = roundtrip_many(&server.address(), &wires).unwrap();
+        server.stop();
+        replies
+    };
+    let replies = replay(ServeOptions::default());
+    let one_worker = replay(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
     std::fs::remove_file(&trace).ok();
     assert_eq!(replies.len(), recorded.len(), "one reply line per request");
+    assert_eq!(
+        one_worker, replies,
+        "reply bytes must not depend on the cold-build budget"
+    );
 
     if std::env::var_os("OCELOTL_BLESS").is_some() {
         let mut out = String::from(

@@ -20,12 +20,17 @@
 //! Both backends are built from the same [`CubeCore`] and evaluate cells
 //! with the same arithmetic in the same order, so their answers are
 //! **bit-identical** — a property the equivalence test-suite pins down.
-//! Pick at runtime with [`CubeBackend`] / [`MemoryMode`].
+//! The session never makes the user choose: its [`SessionCube`] keeps the
+//! prefix sums and lets the first DP build the dense matrices when they
+//! fit under [`DENSE_LIMIT_BYTES`].
 
+use crate::dp::{aggregate, CutTree, DpConfig};
 use crate::measures::{xlog2x, AreaSums};
+use crate::pvalues::{significant_partitions, PEntry};
 use crate::tri::TriMatrix;
 use ocelotl_trace::{Hierarchy, LeafId, MicroModel, NodeId, StateId, StateRegistry, TimeGrid};
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Uniform query interface over the aggregation inputs.
 ///
@@ -668,177 +673,143 @@ impl QualityCube for LazyCube {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime backend selection
+// The session's cube: sized by the problem
 // ---------------------------------------------------------------------------
 
-/// Default ceiling for the auto heuristic: if the dense matrices would
-/// exceed this many bytes, [`MemoryMode::Auto`] picks the lazy backend.
-pub const AUTO_DENSE_LIMIT_BYTES: usize = 1 << 30; // 1 GiB
+/// Ceiling on the dense matrices: while [`dense_matrix_bytes`] stays at or
+/// under this many bytes, the first DP over a [`SessionCube`]
+/// materializes them; above it the DP runs on the prefix sums.
+pub const DENSE_LIMIT_BYTES: usize = 1 << 30; // 1 GiB
 
-/// The `auto` sizing heuristic, as the single shared function: dense while
-/// the `O(|S|·|T|²)` triangular matrices fit under
-/// [`AUTO_DENSE_LIMIT_BYTES`], lazy beyond. Everything that needs the
-/// decision — [`MemoryMode::resolve`], [`CubeBackend::build`], the
-/// [`crate::session::AnalysisSession`] — routes through here, so the 1 GiB
-/// policy lives in exactly one place.
-pub fn choose_auto_backend(n_nodes: usize, n_slices: usize) -> MemoryMode {
-    if dense_matrix_bytes(n_nodes, n_slices) > AUTO_DENSE_LIMIT_BYTES {
-        MemoryMode::Lazy
+/// Whether the dense matrices of a `|S|`-node, `|T|`-slice problem fit
+/// under `limit` bytes.
+fn dense_fits(n_nodes: usize, n_slices: usize, limit: usize) -> bool {
+    dense_matrix_bytes(n_nodes, n_slices) <= limit
+}
+
+/// The backend tag and byte footprint replies report for a problem size:
+/// `("dense", triangular matrices + one prefix array)` while the matrices
+/// fit under [`DENSE_LIMIT_BYTES`], `("lazy", two prefix arrays)` beyond.
+/// A pure function of the problem, never a measurement of what happens to
+/// be resident, so cold, warm, CLI and server replies agree byte for byte.
+pub fn backend_footprint(n_nodes: usize, n_slices: usize, n_states: usize) -> (&'static str, u64) {
+    let prefix = n_nodes * n_states * (n_slices + 1) * std::mem::size_of::<f64>();
+    let (tag, bytes) = if dense_fits(n_nodes, n_slices, DENSE_LIMIT_BYTES) {
+        ("dense", dense_matrix_bytes(n_nodes, n_slices) + prefix)
     } else {
-        MemoryMode::Dense
-    }
+        ("lazy", 2 * prefix)
+    };
+    (tag, bytes as u64)
 }
 
-/// How to choose the cube backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoryMode {
-    /// Decide from the problem size: dense while the matrices fit under
-    /// [`AUTO_DENSE_LIMIT_BYTES`], lazy beyond.
-    #[default]
-    Auto,
-    /// Always precompute the triangular matrices.
-    Dense,
-    /// Never materialize matrices; evaluate cells on demand.
-    Lazy,
+/// The quality cube of an [`AnalysisSession`](crate::AnalysisSession): the
+/// prefix sums answer every cell query, and the first DP materializes the
+/// paper's dense matrices exactly once — when they fit under the size
+/// bound ([`DENSE_LIMIT_BYTES`]); above it the DP runs on the prefix sums.
+/// Memoized answers, dimension queries and renders of stored partitions
+/// therefore never pay the `O(|S|·|T|²)` build.
+///
+/// The matrices sit behind a [`OnceLock`], so concurrent `&self` readers
+/// need no extra lock: racing first DPs block on the one initializer.
+/// Both kernels evaluate cells bit-identically, so which one ran is
+/// invisible in the answers.
+#[derive(Debug)]
+pub struct SessionCube {
+    lazy: LazyCube,
+    dense: OnceLock<Option<DenseCube>>,
+    dense_limit: usize,
 }
 
-impl MemoryMode {
-    /// Resolve the mode for a concrete problem size (delegates to
-    /// [`choose_auto_backend`]).
-    pub fn resolve(self, n_nodes: usize, n_slices: usize) -> MemoryMode {
-        match self {
-            MemoryMode::Auto => choose_auto_backend(n_nodes, n_slices),
-            fixed => fixed,
+impl SessionCube {
+    /// Wrap prefix sums; matrices within `dense_limit` bytes are built by
+    /// the first DP.
+    pub(crate) fn new(core: CubeCore, dense_limit: usize) -> Self {
+        Self {
+            lazy: LazyCube::from_core(core),
+            dense: OnceLock::new(),
+            dense_limit,
         }
     }
 
-    /// Stable tag used in artifact keys and CLI output.
-    pub fn tag(self) -> &'static str {
-        match self {
-            MemoryMode::Auto => "auto",
-            MemoryMode::Dense => "dense",
-            MemoryMode::Lazy => "lazy",
+    /// The prefix sums every query is answered from.
+    pub(crate) fn core(&self) -> &CubeCore {
+        self.lazy.core()
+    }
+
+    /// The dense matrices, if a DP already materialized them (never
+    /// builds).
+    pub(crate) fn dense_if_built(&self) -> Option<&DenseCube> {
+        self.dense.get().and_then(Option::as_ref)
+    }
+
+    /// The DP kernel: the dense matrices (built on first use) while they
+    /// fit the size bound, `None` when the DP must run on the prefix sums.
+    /// The kernel takes its own copy of the prefix sums, `O(|S|·|T|·|X|)`
+    /// next to the `O(|S|·|T|²)` matrices, so it stays a plain
+    /// [`DenseCube`].
+    fn dense(&self) -> Option<&DenseCube> {
+        self.dense
+            .get_or_init(|| {
+                let core = self.lazy.core();
+                dense_fits(core.hierarchy().len(), core.n_slices(), self.dense_limit)
+                    .then(|| DenseCube::from_core(core.clone()))
+            })
+            .as_ref()
+    }
+
+    /// Algorithm 1 at trade-off `p`, monomorphized on whichever kernel the
+    /// size bound picks.
+    pub(crate) fn aggregate(&self, p: f64, config: &DpConfig) -> CutTree {
+        match self.dense() {
+            Some(dense) => aggregate(dense, p, config),
+            None => aggregate(&self.lazy, p, config),
         }
+    }
+
+    /// The significant-`p` enumeration, on the same kernel choice as
+    /// [`SessionCube::aggregate`].
+    pub(crate) fn significant_partitions(&self, config: &DpConfig, resolution: f64) -> Vec<PEntry> {
+        match self.dense() {
+            Some(dense) => significant_partitions(dense, config, resolution),
+            None => significant_partitions(&self.lazy, config, resolution),
+        }
+    }
+
+    /// Drop the dense matrices, keeping the prefix sums (a parked
+    /// pipeline's cube; the next DP rebuilds them).
+    pub(crate) fn release_dense(&mut self) {
+        self.dense = OnceLock::new();
     }
 }
 
-impl std::str::FromStr for MemoryMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(MemoryMode::Auto),
-            "dense" => Ok(MemoryMode::Dense),
-            "lazy" => Ok(MemoryMode::Lazy),
-            other => Err(format!("unknown memory mode {other:?} (auto|dense|lazy)")),
-        }
-    }
-}
-
-/// Runtime-chosen backend (what the CLI's `--memory` flag constructs).
-#[derive(Debug, Clone)]
-pub enum CubeBackend {
-    /// Precomputed triangular matrices.
-    Dense(DenseCube),
-    /// On-demand evaluation from prefix sums.
-    Lazy(LazyCube),
-}
-
-impl CubeBackend {
-    /// Build from a model under the given mode ([`MemoryMode::Auto`]
-    /// sizes the dense matrices first and falls back to lazy above
-    /// [`AUTO_DENSE_LIMIT_BYTES`]).
-    pub fn build(model: &MicroModel, mode: MemoryMode) -> Self {
-        Self::from_core(CubeCore::build(model), mode)
-    }
-
-    /// Build from an existing core (the warm path: a core deserialized
-    /// from an `.ocube` artifact skips the model entirely). The same
-    /// [`choose_auto_backend`] heuristic applies for [`MemoryMode::Auto`].
-    pub fn from_core(core: CubeCore, mode: MemoryMode) -> Self {
-        let resolved = mode.resolve(core.hierarchy().len(), core.n_slices());
-        match resolved {
-            MemoryMode::Dense => CubeBackend::Dense(DenseCube::from_core(core)),
-            MemoryMode::Lazy => CubeBackend::Lazy(LazyCube::from_core(core)),
-            MemoryMode::Auto => unreachable!("resolve() returns a fixed mode"),
-        }
-    }
-
-    /// Which backend was chosen.
-    pub fn mode(&self) -> MemoryMode {
-        match self {
-            CubeBackend::Dense(_) => MemoryMode::Dense,
-            CubeBackend::Lazy(_) => MemoryMode::Lazy,
-        }
-    }
-
-    /// The shared prefix-sum substrate (the dense backend's core has its
-    /// info sums discarded; see [`CubeCore::has_info_sums`]).
-    pub fn core(&self) -> &CubeCore {
-        match self {
-            CubeBackend::Dense(c) => c.core(),
-            CubeBackend::Lazy(c) => c.core(),
-        }
-    }
-}
-
-impl QualityCube for CubeBackend {
+impl QualityCube for SessionCube {
     fn hierarchy(&self) -> &Hierarchy {
-        match self {
-            CubeBackend::Dense(c) => c.hierarchy(),
-            CubeBackend::Lazy(c) => c.hierarchy(),
-        }
+        self.lazy.hierarchy()
     }
     fn states(&self) -> &StateRegistry {
-        match self {
-            CubeBackend::Dense(c) => c.states(),
-            CubeBackend::Lazy(c) => c.states(),
-        }
+        self.lazy.states()
     }
     fn n_slices(&self) -> usize {
-        match self {
-            CubeBackend::Dense(c) => c.n_slices(),
-            CubeBackend::Lazy(c) => c.n_slices(),
-        }
+        self.lazy.n_slices()
     }
     fn slice_duration(&self) -> f64 {
-        match self {
-            CubeBackend::Dense(c) => c.slice_duration(),
-            CubeBackend::Lazy(c) => c.slice_duration(),
-        }
+        self.lazy.slice_duration()
     }
-    #[inline]
     fn gain(&self, node: NodeId, i: usize, j: usize) -> f64 {
-        match self {
-            CubeBackend::Dense(c) => c.gain(node, i, j),
-            CubeBackend::Lazy(c) => c.gain(node, i, j),
-        }
+        self.lazy.gain(node, i, j)
     }
-    #[inline]
     fn loss(&self, node: NodeId, i: usize, j: usize) -> f64 {
-        match self {
-            CubeBackend::Dense(c) => c.loss(node, i, j),
-            CubeBackend::Lazy(c) => c.loss(node, i, j),
-        }
+        self.lazy.loss(node, i, j)
     }
-    #[inline]
     fn gain_loss(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
-        match self {
-            CubeBackend::Dense(c) => (c.gain(node, i, j), c.loss(node, i, j)),
-            CubeBackend::Lazy(c) => c.gain_loss(node, i, j),
-        }
+        self.lazy.gain_loss(node, i, j)
     }
     fn rho_aggregate(&self, node: NodeId, x: StateId, i: usize, j: usize) -> f64 {
-        match self {
-            CubeBackend::Dense(c) => c.rho_aggregate(node, x, i, j),
-            CubeBackend::Lazy(c) => c.rho_aggregate(node, x, i, j),
-        }
+        self.lazy.rho_aggregate(node, x, i, j)
     }
+    /// Resident bytes: the prefix sums plus the matrices once built.
     fn memory_bytes(&self) -> usize {
-        match self {
-            CubeBackend::Dense(c) => c.memory_bytes(),
-            CubeBackend::Lazy(c) => c.memory_bytes(),
-        }
+        self.lazy.memory_bytes() + self.dense_if_built().map_or(0, DenseCube::memory_bytes)
     }
 }
 
@@ -887,45 +858,16 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_picks_by_size() {
-        // 21 nodes × 20 slices is tiny → dense.
-        let small = fig3_model();
+    fn backend_footprint_follows_the_size_bound() {
+        // 7 nodes × 10 slices × 2 states: 2·7·55 matrix cells plus one
+        // 7·2·11 prefix array, in f64s.
+        assert_eq!(backend_footprint(7, 10, 2), ("dense", 7392));
+        let (big_nodes, big_slices) = (2000, 4096);
+        assert!(dense_matrix_bytes(big_nodes, big_slices) > DENSE_LIMIT_BYTES);
+        let prefix = (big_nodes * 3 * (big_slices + 1) * 8) as u64;
         assert_eq!(
-            CubeBackend::build(&small, MemoryMode::Auto).mode(),
-            MemoryMode::Dense
+            backend_footprint(big_nodes, big_slices, 3),
+            ("lazy", 2 * prefix)
         );
-        // Estimate for a big problem crosses the limit → lazy.
-        let big_nodes = 2000;
-        let big_slices = 4096;
-        assert!(dense_matrix_bytes(big_nodes, big_slices) > AUTO_DENSE_LIMIT_BYTES);
-        assert_eq!(
-            MemoryMode::Auto.resolve(big_nodes, big_slices),
-            MemoryMode::Lazy
-        );
-        assert_eq!(
-            MemoryMode::Dense.resolve(big_nodes, big_slices),
-            MemoryMode::Dense
-        );
-    }
-
-    #[test]
-    fn memory_mode_parses() {
-        assert_eq!("auto".parse::<MemoryMode>().unwrap(), MemoryMode::Auto);
-        assert_eq!("dense".parse::<MemoryMode>().unwrap(), MemoryMode::Dense);
-        assert_eq!("lazy".parse::<MemoryMode>().unwrap(), MemoryMode::Lazy);
-        assert!("x".parse::<MemoryMode>().is_err());
-    }
-
-    #[test]
-    fn backend_enum_dispatches() {
-        let m = fig3_model();
-        let dense = CubeBackend::build(&m, MemoryMode::Dense);
-        let lazy = CubeBackend::build(&m, MemoryMode::Lazy);
-        let root = m.hierarchy().root();
-        assert_eq!(dense.gain(root, 0, 19), lazy.gain(root, 0, 19));
-        assert_eq!(dense.loss(root, 3, 11), lazy.loss(root, 3, 11));
-        assert!(matches!(dense, CubeBackend::Dense(_)));
-        assert!(matches!(lazy, CubeBackend::Lazy(_)));
-        assert!(lazy.memory_bytes() < dense.memory_bytes());
     }
 }

@@ -161,90 +161,61 @@ impl CutTree {
     }
 }
 
+/// One node's solved DP: cut, pIC and aggregate-count matrices.
+type NodeResult = (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>);
+
 /// Run Algorithm 1 on any quality cube for trade-off `p`.
 pub fn aggregate<C: QualityCube>(input: &C, p: f64, config: &DpConfig) -> CutTree {
     assert!((0.0..=1.0).contains(&p), "p must lie in [0, 1], got {p}");
-    let h = input.hierarchy();
-    let n_nodes = h.len();
-    let n_slices = input.n_slices();
+    let n_nodes = input.hierarchy().len();
+    // Results land in per-node OnceLocks: each node is written exactly
+    // once, after its children.
+    let solved: Vec<OnceLock<NodeResult>> = (0..n_nodes).map(|_| OnceLock::new()).collect();
+    solve(input.hierarchy().root(), input, p, config, &solved);
 
-    type NodeResult = (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>);
-
-    if config.parallel {
-        // Children of a node are independent subproblems: solve them with a
-        // parallel fork–join recursion. Results land in per-node OnceLocks
-        // (each node is written exactly once, after its children).
-        let solved: Vec<OnceLock<NodeResult>> = (0..n_nodes).map(|_| OnceLock::new()).collect();
-
-        fn solve<C: QualityCube>(
-            node: NodeId,
-            input: &C,
-            p: f64,
-            config: &DpConfig,
-            solved: &[OnceLock<NodeResult>],
-        ) {
-            let children = input.hierarchy().children(node);
-            children
-                .par_iter()
-                .for_each(|&c| solve(c, input, p, config, solved));
-            let child_results: Vec<&NodeResult> = children
-                .iter()
-                .map(|c| solved[c.index()].get().expect("child solved"))
-                .collect();
-            let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
-            let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
-            let result = solve_node(input, node, p, config, &child_pics, &child_counts);
-            solved[node.index()].set(result).expect("node solved once");
-        }
-
-        solve(h.root(), input, p, config, &solved);
-
-        let mut cuts = Vec::with_capacity(n_nodes);
-        let mut pic = Vec::with_capacity(n_nodes);
-        let mut counts = Vec::with_capacity(n_nodes);
-        for cell in solved {
-            let (c, q, n) = cell.into_inner().unwrap();
-            cuts.push(c);
-            pic.push(q);
-            counts.push(n);
-        }
-        CutTree {
-            p,
-            cuts,
-            pic,
-            counts,
-            n_slices,
-        }
-    } else {
-        let mut results: Vec<Option<NodeResult>> = vec![None; n_nodes];
-        for &node in h.post_order() {
-            let child_results: Vec<_> = h
-                .children(node)
-                .iter()
-                .map(|c| results[c.index()].as_ref().expect("post-order"))
-                .collect();
-            let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
-            let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
-            let result = solve_node(input, node, p, config, &child_pics, &child_counts);
-            results[node.index()] = Some(result);
-        }
-        let mut cuts = Vec::with_capacity(n_nodes);
-        let mut pic = Vec::with_capacity(n_nodes);
-        let mut counts = Vec::with_capacity(n_nodes);
-        for cell in results {
-            let (c, q, n) = cell.unwrap();
-            cuts.push(c);
-            pic.push(q);
-            counts.push(n);
-        }
-        CutTree {
-            p,
-            cuts,
-            pic,
-            counts,
-            n_slices,
-        }
+    let mut cuts = Vec::with_capacity(n_nodes);
+    let mut pic = Vec::with_capacity(n_nodes);
+    let mut counts = Vec::with_capacity(n_nodes);
+    for cell in solved {
+        let (c, q, n) = cell.into_inner().expect("every node solved");
+        cuts.push(c);
+        pic.push(q);
+        counts.push(n);
     }
+    CutTree {
+        p,
+        cuts,
+        pic,
+        counts,
+        n_slices: input.n_slices(),
+    }
+}
+
+/// Solve `node`'s subtree, children first. Children of a node are
+/// independent subproblems: [`DpConfig::parallel`] forks them across the
+/// pool, otherwise they run in order.
+fn solve<C: QualityCube>(
+    node: NodeId,
+    input: &C,
+    p: f64,
+    config: &DpConfig,
+    solved: &[OnceLock<NodeResult>],
+) {
+    let children = input.hierarchy().children(node);
+    let visit = |&c: &NodeId| solve(c, input, p, config, solved);
+    if config.parallel {
+        children.par_iter().for_each(visit);
+    } else {
+        children.iter().for_each(visit);
+    }
+    let child_results: Vec<&NodeResult> = children
+        .iter()
+        .map(|c| solved[c.index()].get().expect("child solved"))
+        .collect();
+    let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
+    let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
+    let result = solve_node(input, node, p, config, &child_pics, &child_counts);
+    solved[node.index()].set(result).expect("node solved once");
 }
 
 /// Convenience wrapper with default configuration.
@@ -264,7 +235,7 @@ fn solve_node<C: QualityCube>(
     config: &DpConfig,
     child_pics: &[&TriMatrix<f64>],
     child_counts: &[&TriMatrix<u32>],
-) -> (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>) {
+) -> NodeResult {
     let n = input.n_slices();
     let eps = config.epsilon;
     let coarse = config.prefer_coarse_ties;

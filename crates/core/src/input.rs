@@ -24,8 +24,9 @@
 //! drops from quadratic to **linear** in `|T|`, at the price of an
 //! `O(|X|)` loop per query. Rule of thumb: stay dense while
 //! [`dense_matrix_bytes`](crate::cube::dense_matrix_bytes) fits your RAM
-//! budget (the CLI's `--memory auto` uses a 1 GiB default), go lazy
-//! beyond. Both backends answer bit-identically — see the
+//! budget, go lazy beyond — the session's
+//! [`SessionCube`](crate::SessionCube) applies exactly that rule with a
+//! 1 GiB bound. Both backends answer bit-identically — see the
 //! `backend_equivalence` test suite.
 
 pub use crate::cube::DenseCube;
@@ -36,7 +37,7 @@ pub use crate::cube::DenseCube;
 /// in existing code, docs, and the paper-facing API is exactly
 /// [`DenseCube`]. Prefer writing new consumers against the
 /// [`QualityCube`](crate::QualityCube) trait so they also accept
-/// [`LazyCube`](crate::LazyCube) and [`CubeBackend`](crate::CubeBackend).
+/// [`LazyCube`](crate::LazyCube) and [`SessionCube`](crate::SessionCube).
 pub type AggregationInput = DenseCube;
 
 #[cfg(test)]

@@ -29,7 +29,8 @@
 //! - [`cube`] — the [`QualityCube`] abstraction over `gain`/`loss` access,
 //!   with the precomputed [`DenseCube`] (`O(|S||T|²)` memory, `O(1)`
 //!   queries) and the on-demand [`LazyCube`] (`O(|S||T||X|)` memory,
-//!   `O(|X|)` queries) backends;
+//!   `O(|X|)` queries) backends, and the session's [`SessionCube`] that
+//!   picks between them by size;
 //! - [`input`] — the historical [`AggregationInput`] name (= dense cube)
 //!   and the dense/lazy trade-off discussion;
 //! - [`dp`] — Algorithm 1, the `O(|S||T|³)` spatiotemporal optimizer
@@ -76,8 +77,8 @@ pub use analysis::{
     compare_partitions, mutual_information, total_mutual_information, PartitionComparison,
 };
 pub use cube::{
-    choose_auto_backend, dense_matrix_bytes, CubeBackend, CubeCore, DenseCube, LazyCube,
-    MemoryMode, QualityCube, AUTO_DENSE_LIMIT_BYTES,
+    backend_footprint, dense_matrix_bytes, CubeCore, DenseCube, LazyCube, QualityCube, SessionCube,
+    DENSE_LIMIT_BYTES,
 };
 pub use dp::{aggregate, aggregate_default, Cut, CutTree, DpConfig};
 pub use hires::{

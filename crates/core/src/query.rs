@@ -49,7 +49,7 @@
 //! ```
 
 use crate::analysis::compare_partitions;
-use crate::cube::{CubeBackend, MemoryMode, QualityCube};
+use crate::cube::{backend_footprint, QualityCube};
 use crate::inspect::{area_at, inspect_area};
 use crate::onedim::product_aggregation;
 use crate::partition::Partition;
@@ -377,9 +377,9 @@ pub struct DescribeReply {
     pub hierarchy_depth: u64,
     /// State names, in registry order.
     pub states: Vec<String>,
-    /// The gain/loss backend this session's configuration *resolves* to
-    /// for this problem size (`dense` / `lazy`; `auto` resolved). A tag,
-    /// not a measurement — `Describe` never builds the cube.
+    /// The gain/loss backend this problem size calls for (`dense` /
+    /// `lazy`, see [`backend_footprint`]). A tag, not a measurement —
+    /// `Describe` never builds the cube.
     pub backend: String,
 }
 
@@ -472,9 +472,11 @@ pub struct AggregateReply {
     pub coarse: bool,
     /// Model dimensions and extent.
     pub shape: ModelShape,
-    /// Gain/loss cube backend tag (`dense` / `lazy`).
+    /// Gain/loss cube backend tag (`dense` / `lazy`) for this problem
+    /// size.
     pub backend: String,
-    /// Resident bytes of the cube.
+    /// Bytes that backend occupies at this problem size (a pure function
+    /// of the shape, see [`backend_footprint`]).
     pub backend_bytes: u64,
     /// Partition quality.
     pub summary: PartitionSummary,
@@ -1150,28 +1152,15 @@ impl QueryEngine {
         ))
     }
 
-    fn backend_info(cube: &CubeBackend) -> (String, u64) {
-        let tag = match cube.mode() {
-            MemoryMode::Dense => "dense",
-            MemoryMode::Lazy => "lazy",
-            MemoryMode::Auto => unreachable!("a built cube has a fixed mode"),
-        };
-        (tag.to_string(), cube.memory_bytes() as u64)
-    }
-
     fn describe_shared(&self) -> Shared<DescribeReply> {
         let shape = self.shape_shared()?;
         let (hierarchy_nodes, hierarchy_depth, states) = self.hierarchy_info_shared()?;
-        // The backend is *resolved*, not built: Describe must stay
-        // O(model) (it is the `describe` preprocessing command's reply),
-        // and the tag must not depend on what earlier queries happened to
+        // The backend is sized, not built: Describe must stay O(model)
+        // (it is the `describe` preprocessing command's reply), and the
+        // tag must not depend on what earlier queries happened to
         // materialize in this session.
-        let backend = self
-            .session
-            .config()
-            .memory
-            .resolve(hierarchy_nodes, shape.n_slices)
-            .tag()
+        let backend = backend_footprint(hierarchy_nodes, shape.n_slices, shape.n_states)
+            .0
             .to_string();
         Ok(DescribeReply {
             shape,
@@ -1250,7 +1239,8 @@ impl QueryEngine {
 
         let cube = ready(self.session.cube_if_built())?;
         let q = quality(cube, &partition);
-        let (backend, backend_bytes) = Self::backend_info(cube);
+        let (backend, backend_bytes) =
+            backend_footprint(cube.hierarchy().len(), cube.n_slices(), cube.n_states());
         let diff = diffed.map(|(p2, other)| {
             let c = compare_partitions(cube.hierarchy(), cube.n_slices(), &partition, &other);
             DiffReply {
@@ -1270,7 +1260,7 @@ impl QueryEngine {
             p,
             coarse,
             shape,
-            backend,
+            backend: backend.to_string(),
             backend_bytes,
             summary: PartitionSummary {
                 n_areas: partition.len(),

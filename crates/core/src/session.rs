@@ -8,9 +8,9 @@
 //! [`AnalysisSession`] owns the staged pipeline
 //!
 //! ```text
-//! trace ──► MicroModel ──► CubeCore ──► CubeBackend ──► partition(p)
-//!            (slice)       (prefix      (dense/lazy)      (Algorithm 1)
-//!                           sums)                       ──► significant-p table
+//! trace ──► MicroModel ──► CubeCore ──► partition(p)      (Algorithm 1)
+//!            (slice)       (prefix    ──► significant-p table
+//!                           sums)
 //! ```
 //!
 //! with two levels of memoization:
@@ -23,24 +23,29 @@
 //!    (`.ocube`) and the partition table (`.opart`). A session that finds
 //!    both artifacts never touches the trace at all.
 //!
+//! The prefix sums answer every cell query; the first DP on a pipeline
+//! materializes the paper's dense gain/loss matrices (when they fit the
+//! size bound, see [`SessionCube`]), so memoized answers never pay for
+//! them.
+//!
 //! Artifacts are **content-addressed**: the session key is a 64-bit FNV-1a
 //! hash over the trace fingerprint (a hash of the raw trace bytes) and the
-//! pipeline parameters (slice count, metric, memory mode). Changing any of
-//! them changes the key, so stale artifacts can never be served — the disk
+//! pipeline parameters (slice count, metric). Changing any of them
+//! changes the key, so stale artifacts can never be served — the disk
 //! store additionally garbage-collects artifacts left behind under old
 //! keys (see `ocelotl-format`'s `DiskStore`).
 //!
 //! Warm answers are **bit-identical** to cold ones: `.ocube` stores the
-//! prefix sums as exact IEEE-754 bit patterns and every backend evaluates
+//! prefix sums as exact IEEE-754 bit patterns and both DP kernels evaluate
 //! cells through the same [`CubeCore::eval_cell`], while `.opart` stores
 //! partitions exactly; cached partitions are only served for *exactly* the
 //! `(p, tie-breaking)` query that produced them.
 
-use crate::cube::{CubeBackend, CubeCore, MemoryMode};
-use crate::dp::{aggregate, DpConfig};
+use crate::cube::{CubeCore, SessionCube, DENSE_LIMIT_BYTES};
+use crate::dp::DpConfig;
 use crate::hires::{AppendOutcome, HiResModel, LiveEvent};
 use crate::partition::Partition;
-use crate::pvalues::{significant_partitions, PEntry};
+use crate::pvalues::PEntry;
 use ocelotl_trace::{event_density_auto, MicroModel, TimeGrid, Trace};
 use std::collections::HashMap;
 use std::fmt;
@@ -184,8 +189,6 @@ pub struct SessionConfig {
     pub n_slices: usize,
     /// Which microscopic metric to aggregate.
     pub metric: Metric,
-    /// Requested gain/loss cube backend.
-    pub memory: MemoryMode,
     /// Artifact-store GC retention (keys kept per stem and kind). This is
     /// operational policy, not content: it does **not** participate in
     /// [`SessionConfig::key`], so changing it never invalidates artifacts.
@@ -197,16 +200,15 @@ impl Default for SessionConfig {
         Self {
             n_slices: 30,
             metric: Metric::States,
-            memory: MemoryMode::Auto,
             cache_keep: DEFAULT_CACHE_KEEP,
         }
     }
 }
 
 impl SessionConfig {
-    /// Artifact key: hash of (trace fingerprint, slicing params, metric,
-    /// backend). Any change to the inputs or parameters changes the key,
-    /// which is what makes stale cache hits impossible. Retention
+    /// Artifact key: hash of (trace fingerprint, slicing params, metric).
+    /// Any change to the inputs or parameters changes the key, which is
+    /// what makes stale cache hits impossible. Retention
     /// (`cache_keep`) is deliberately excluded — it changes how many old
     /// keys survive, never which bytes a key resolves to.
     pub fn key(&self, trace_fingerprint: u64) -> u64 {
@@ -214,7 +216,6 @@ impl SessionConfig {
         h = fnv1a(h, &trace_fingerprint.to_le_bytes());
         h = fnv1a(h, &(self.n_slices as u64).to_le_bytes());
         h = fnv1a(h, self.metric.tag().as_bytes());
-        h = fnv1a(h, self.memory.tag().as_bytes());
         h
     }
 }
@@ -427,7 +428,8 @@ pub struct PointEntry {
 }
 
 /// A complete significant-levels enumeration (see
-/// [`significant_partitions`]) at one dichotomy resolution.
+/// [`significant_partitions`](crate::pvalues::significant_partitions))
+/// at one dichotomy resolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignificantSet {
     /// The dichotomy resolution the set was computed at.
@@ -593,7 +595,7 @@ pub struct ResliceWindow {
 struct Derived {
     key: OnceLock<u64>,
     model: Option<MicroModel>,
-    cube: Option<CubeBackend>,
+    cube: Option<SessionCube>,
     cube_source: Option<CubeSource>,
     table: RwLock<Option<PartitionTable>>,
 }
@@ -636,6 +638,10 @@ pub struct AnalysisSession {
     /// sources that report no stats are not asked again and again.
     stats_probed: bool,
     dp_runs: AtomicUsize,
+    /// Size bound for the dense matrices of every cube this session
+    /// builds ([`DENSE_LIMIT_BYTES`]; tests lower it to force the
+    /// prefix-sum DP).
+    dense_limit: usize,
     /// Live sessions own their (appendable) hi-res grid and never fall
     /// back to a trace read; see [`AnalysisSession::live`].
     live: bool,
@@ -663,6 +669,7 @@ impl AnalysisSession {
             source_reads: 0,
             stats_probed: false,
             dp_runs: AtomicUsize::new(0),
+            dense_limit: DENSE_LIMIT_BYTES,
             live: false,
             live_events: 0,
             generation: 0,
@@ -1003,11 +1010,11 @@ impl AnalysisSession {
     /// Switch the session to a new slicing resolution, optionally zooming
     /// into a time window (snapped to the hi-res grid).
     ///
-    /// The old resolution's derived model and partition-table memos are
-    /// parked, not discarded: switching back re-serves cached partitions
-    /// with zero DP runs and zero reads (the cube — the memory-heavy
-    /// stage — is released on park and rebuilt from the parked model or
-    /// a warm `.ocube` on demand). The
+    /// The old resolution's derived model, cube prefix sums and
+    /// partition-table memos are parked, not discarded: switching back
+    /// re-serves cached partitions with zero DP runs, zero reads and no
+    /// cube rebuild (only the dense matrices — the memory-heavy part — are
+    /// released on park; the next DP rebuilds them). The
     /// new resolution's model is derived from the resident [`HiResModel`]
     /// with **zero trace reads** whenever the hi-res grid
     /// [`serves`](HiResModel::serves) it (or a warm `.omicro`/`.ocube`
@@ -1104,14 +1111,13 @@ impl AnalysisSession {
             // restoring it could silently serve a different time range, so
             // windowed pipelines are re-derived (cheap, in-memory) instead.
             if self.window.is_none() {
-                // The cube is the memory-heavy stage (a dense backend can
-                // be O(|S||T|²), up to a GiB): parked pipelines keep the
-                // model and the partition-table memos (so cached queries
-                // stay zero-DP) but release the cube — it rebuilds
-                // deterministically from the parked model, or reloads
-                // from a warm `.ocube`, on revisit.
-                old.cube = None;
-                old.cube_source = None;
+                // The dense matrices are the memory-heavy part (up to a
+                // GiB): parked pipelines keep the model, the prefix sums
+                // and the partition-table memos (so cached queries stay
+                // zero-DP and rebuild nothing) but release the matrices.
+                if let Some(cube) = old.cube.as_mut() {
+                    cube.release_dense();
+                }
                 self.parked.push((active_key, old));
                 if self.parked.len() > PARKED_KEEP {
                     self.parked.remove(0);
@@ -1139,8 +1145,7 @@ impl AnalysisSession {
             let key = self.key()?;
             let store = self.store.as_ref().unwrap();
             if let Some(core) = store.load_cube(key) {
-                self.active.cube = Some(CubeBackend::from_core(core, self.config.memory));
-                self.active.cube_source = Some(CubeSource::Warm);
+                self.install_cube(core, CubeSource::Warm);
                 return Ok(());
             }
         }
@@ -1150,20 +1155,25 @@ impl AnalysisSession {
             let key = self.key()?;
             self.store.as_ref().unwrap().store_cube(key, &core);
         }
-        self.active.cube = Some(CubeBackend::from_core(core, self.config.memory));
-        self.active.cube_source = Some(CubeSource::Cold);
+        self.install_cube(core, CubeSource::Cold);
         Ok(())
     }
 
-    /// The gain/loss quality cube (built or loaded on first use).
-    pub fn cube(&mut self) -> Result<&CubeBackend, SessionError> {
+    fn install_cube(&mut self, core: CubeCore, source: CubeSource) {
+        self.active.cube = Some(SessionCube::new(core, self.dense_limit));
+        self.active.cube_source = Some(source);
+    }
+
+    /// The gain/loss quality cube (its prefix sums built or loaded on
+    /// first use; the dense matrices wait for the first DP).
+    pub fn cube(&mut self) -> Result<&SessionCube, SessionError> {
         self.ensure_cube()?;
         Ok(self.active.cube.as_ref().unwrap())
     }
 
     /// The cube, only if a previous call already materialized it — never
     /// triggers a build or a store lookup.
-    pub fn cube_if_built(&self) -> Option<&CubeBackend> {
+    pub fn cube_if_built(&self) -> Option<&SessionCube> {
         self.active.cube.as_ref()
     }
 
@@ -1177,12 +1187,11 @@ impl AnalysisSession {
     /// miss or a store-less session. Lets dimension-only queries
     /// (`Describe`, `Stats`) answer warm without a trace read and cold
     /// without paying for a cube they do not need.
-    pub fn try_warm_cube(&mut self) -> Result<Option<&CubeBackend>, SessionError> {
+    pub fn try_warm_cube(&mut self) -> Result<Option<&SessionCube>, SessionError> {
         if self.active.cube.is_none() && self.store_active() {
             let key = self.key()?;
             if let Some(core) = self.store.as_ref().unwrap().load_cube(key) {
-                self.active.cube = Some(CubeBackend::from_core(core, self.config.memory));
-                self.active.cube_source = Some(CubeSource::Warm);
+                self.install_cube(core, CubeSource::Warm);
             }
         }
         Ok(self.active.cube.as_ref())
@@ -1190,7 +1199,7 @@ impl AnalysisSession {
 
     /// Both the model and the cube (for queries that genuinely need raw
     /// microscopic data next to the cube, like the §III.D baselines).
-    pub fn model_and_cube(&mut self) -> Result<(&MicroModel, &CubeBackend), SessionError> {
+    pub fn model_and_cube(&mut self) -> Result<(&MicroModel, &SessionCube), SessionError> {
         self.ensure_cube()?;
         self.ensure_model()?;
         Ok((
@@ -1350,8 +1359,7 @@ impl AnalysisSession {
         let Some(cube) = self.active.cube.as_ref() else {
             return Ok(None);
         };
-        let tree = aggregate(cube, p, &self.dp_config(coarse));
-        let partition = tree.partition(cube);
+        let partition = cube.aggregate(p, &self.dp_config(coarse)).partition(cube);
         self.dp_runs.fetch_add(1, Ordering::Relaxed);
         self.active
             .table
@@ -1404,7 +1412,7 @@ impl AnalysisSession {
         let Some(cube) = self.active.cube.as_ref() else {
             return Ok(None);
         };
-        let entries = significant_partitions(cube, &DpConfig::default(), resolution);
+        let entries = cube.significant_partitions(&DpConfig::default(), resolution);
         self.dp_runs.fetch_add(1, Ordering::Relaxed);
         self.active
             .table
@@ -1580,38 +1588,31 @@ mod tests {
             }
             .key(7)
         );
-        assert_ne!(
-            k0,
-            SessionConfig {
-                memory: MemoryMode::Lazy,
-                ..base
-            }
-            .key(7)
-        );
         // And it is deterministic.
         assert_eq!(k0, SessionConfig::default().key(7));
+    }
+
+    /// An `Arc<MemoryStore>` shared across sessions.
+    struct Shared(std::sync::Arc<MemoryStore>);
+
+    impl ArtifactStore for Shared {
+        fn load_cube(&self, key: u64) -> Option<CubeCore> {
+            self.0.load_cube(key)
+        }
+        fn store_cube(&self, key: u64, core: &CubeCore) -> bool {
+            self.0.store_cube(key, core)
+        }
+        fn load_partitions(&self, key: u64) -> Option<PartitionTable> {
+            self.0.load_partitions(key)
+        }
+        fn store_partitions(&self, key: u64, table: &PartitionTable) -> bool {
+            self.0.store_partitions(key, table)
+        }
     }
 
     #[test]
     fn memory_store_warms_a_second_session() {
         use std::sync::Arc;
-        // Arc<MemoryStore> shared across sessions.
-        struct Shared(Arc<MemoryStore>);
-        impl ArtifactStore for Shared {
-            fn load_cube(&self, key: u64) -> Option<CubeCore> {
-                self.0.load_cube(key)
-            }
-            fn store_cube(&self, key: u64, core: &CubeCore) -> bool {
-                self.0.store_cube(key, core)
-            }
-            fn load_partitions(&self, key: u64) -> Option<PartitionTable> {
-                self.0.load_partitions(key)
-            }
-            fn store_partitions(&self, key: u64, table: &PartitionTable) -> bool {
-                self.0.store_partitions(key, table)
-            }
-        }
-
         let store = Arc::new(MemoryStore::new());
         let model = random_model(&[3, 2, 2], 11, 3, 99);
 
@@ -1637,6 +1638,134 @@ mod tests {
             assert_eq!(a.p_low.to_bits(), b.p_low.to_bits());
             assert_eq!(a.p_high.to_bits(), b.p_high.to_bits());
         }
+    }
+
+    /// A hi-res-capable source that reports ingestion telemetry, so every
+    /// query kind and both `--slices` values of the dyadic family have a
+    /// warm path.
+    struct HiResSource(HiResModel);
+
+    impl ModelSource for HiResSource {
+        fn fingerprint(&self) -> Result<u64, SessionError> {
+            Ok(64)
+        }
+        fn model(&self, n_slices: usize, _metric: Metric) -> Result<MicroModel, SessionError> {
+            self.0
+                .derive(n_slices)
+                .ok_or_else(|| SessionError::source("resolution outside the hi-res family"))
+        }
+        fn hi_res_with_stats(
+            &self,
+            _n_slices: usize,
+            _metric: Metric,
+        ) -> Result<Option<(HiResModel, Option<IngestStats>)>, SessionError> {
+            let stats = IngestStats {
+                fingerprint: 64,
+                bytes_read: 0,
+                intervals: 0,
+                points: 0,
+                peak_bytes: 0,
+                mode: "single-pass".into(),
+                format: "btf".into(),
+                gzip: false,
+                shards: Vec::new(),
+                chunks_total: 0,
+                chunks_read: 0,
+                bytes_skipped: 0,
+            };
+            Ok(Some((self.0.clone(), Some(stats))))
+        }
+    }
+
+    #[test]
+    fn only_a_dp_builds_the_dense_matrices() {
+        use crate::query::{AnalysisRequest, QueryEngine};
+        use std::sync::Arc;
+        let hi = HiResModel::new(Metric::States, random_model(&[2, 3], 4096, 2, 17));
+        let store = Arc::new(MemoryStore::new());
+        let open = |n_slices| {
+            AnalysisSession::new(
+                HiResSource(hi.clone()),
+                SessionConfig {
+                    n_slices,
+                    ..SessionConfig::default()
+                },
+            )
+            .with_store(Shared(store.clone()))
+        };
+
+        // A cold pass memoizes every answer below into the store.
+        let mut cold = open(64);
+        let at_64 = cold.partition_at(0.5, false).unwrap();
+        let levels = cold.significant(1e-2).unwrap();
+        cold.reslice(128, None).unwrap();
+        cold.partition_at(0.5, false).unwrap();
+
+        // A warm engine answers all of them without a DP, so it never
+        // builds the matrices — not even across a 64→128→64 reslice.
+        let mut warm = QueryEngine::new(open(64));
+        let no_dense = |e: &QueryEngine| {
+            e.session()
+                .cube_if_built()
+                .is_none_or(|c| c.dense_if_built().is_none())
+        };
+        let aggregate = AnalysisRequest::Aggregate {
+            p: 0.5,
+            coarse: false,
+            compare: false,
+            diff_p: None,
+        };
+        let level = levels.last().unwrap();
+        for request in [
+            aggregate.clone(),
+            AnalysisRequest::Describe,
+            AnalysisRequest::Stats,
+            AnalysisRequest::RenderOverview {
+                p: level.p_low,
+                coarse: false,
+                min_rows: 0.0,
+                level_resolution: Some(1e-2),
+            },
+            AnalysisRequest::Reslice {
+                n_slices: 128,
+                range: None,
+            },
+            aggregate.clone(),
+            AnalysisRequest::Reslice {
+                n_slices: 64,
+                range: None,
+            },
+            aggregate,
+        ] {
+            warm.execute(&request).unwrap();
+            assert!(no_dense(&warm), "{} built dense matrices", request.kind());
+        }
+        assert_eq!(warm.session().dp_runs(), 0);
+
+        // After prepare, the first shared DP answers and builds the
+        // matrices; the next one reuses them.
+        let mut session = warm.into_session();
+        session.prepare().unwrap();
+        let fresh = session.partition_shared(0.3, false).unwrap().unwrap();
+        let dense = session.cube_if_built().unwrap().dense_if_built().unwrap();
+        session.partition_shared(0.7, false).unwrap().unwrap();
+        let again = session.cube_if_built().unwrap().dense_if_built().unwrap();
+        assert!(std::ptr::eq(dense, again), "the matrices are built once");
+        assert_eq!(session.dp_runs(), 2);
+
+        // Above the size bound the DP runs on the prefix sums: same bits.
+        let mut bounded = AnalysisSession::new(
+            HiResSource(hi.clone()),
+            SessionConfig {
+                n_slices: 64,
+                ..SessionConfig::default()
+            },
+        );
+        bounded.dense_limit = 0;
+        assert_eq!(bounded.partition_at(0.5, false).unwrap(), at_64);
+        assert_eq!(bounded.partition_at(0.3, false).unwrap(), fresh);
+        assert_eq!(bounded.significant(1e-2).unwrap(), levels);
+        assert!(bounded.cube_if_built().unwrap().dense_if_built().is_none());
     }
 
     #[test]
@@ -1773,8 +1902,8 @@ mod tests {
     fn table_lookup_is_exact() {
         let mut t = PartitionTable::default();
         let m = fig3_model();
-        let cube = CubeBackend::build(&m, MemoryMode::Dense);
-        let part = aggregate(&cube, 0.5, &DpConfig::default()).partition(&cube);
+        let cube = crate::cube::DenseCube::build(&m);
+        let part = crate::dp::aggregate(&cube, 0.5, &DpConfig::default()).partition(&cube);
         t.insert_point(0.5, false, part.clone());
         assert_eq!(t.lookup(0.5, false), Some(&part));
         assert_eq!(t.lookup(0.5, true), None, "tie-breaking must match");

@@ -4,8 +4,8 @@
 //! per-node prefix sums of a [`CubeCore`], i.e. everything any quality-cube
 //! backend (dense or lazy) needs to answer `gain`/`loss` queries. A warm
 //! analysis session deserializes an `.ocube` and skips trace reading,
-//! microscopic description *and* prefix-sum construction — only backend
-//! materialization (for `--memory dense`) and the DP itself remain.
+//! microscopic description *and* prefix-sum construction — only the DP
+//! (with the dense matrices it builds on first use) remains.
 //!
 //! Values are stored as raw IEEE-754 bit patterns, so a reloaded cube
 //! answers every query **bit-identically** to the cube it was saved from

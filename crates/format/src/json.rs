@@ -28,7 +28,7 @@ use ocelotl_core::query::{
     PValuesReply, PartitionSummary, QueryError, ResliceReply, SignificantReply, StatsReply,
     SweepPoint, SweepReply, WatchReply, PROTOCOL_VERSION,
 };
-use ocelotl_core::{MemoryMode, Metric, SessionConfig, VisualMark};
+use ocelotl_core::{Metric, SessionConfig, VisualMark};
 
 // ---------------------------------------------------------------------------
 // Generic JSON values
@@ -1161,22 +1161,16 @@ fn config_to_json(config: &SessionConfig) -> Json {
     obj(vec![
         ("slices", int(config.n_slices)),
         ("metric", strv(config.metric.tag())),
-        ("memory", strv(config.memory.tag())),
     ])
 }
 
+/// Unknown config fields are ignored, so request lines from older clients
+/// (which also sent a `memory` backend choice) still parse.
 fn config_from_json(j: &Json) -> Result<SessionConfig, QueryError> {
     let metric: Metric = as_str(j, "metric")?.parse().map_err(|e: String| bad(e))?;
-    let memory: MemoryMode = match as_str(j, "memory")? {
-        "dense" => MemoryMode::Dense,
-        "lazy" => MemoryMode::Lazy,
-        "auto" => MemoryMode::Auto,
-        other => return Err(bad(format!("unknown memory mode {other:?}"))),
-    };
     Ok(SessionConfig {
         n_slices: as_usize(j, "slices")?,
         metric,
-        memory,
         ..SessionConfig::default()
     })
 }
@@ -1356,7 +1350,6 @@ mod tests {
         let config = SessionConfig {
             n_slices: 64,
             metric: Metric::Density,
-            memory: MemoryMode::Lazy,
             ..SessionConfig::default()
         };
         let req = AnalysisRequest::Aggregate {
@@ -1370,6 +1363,13 @@ mod tests {
         assert_eq!(trace, "/tmp/trace.btf");
         assert_eq!(cfg, config);
         assert_eq!(back, req);
+        // Older clients also sent a backend choice; it is ignored.
+        let legacy = line.replace(
+            "\"metric\":\"density\"",
+            "\"metric\":\"density\",\"memory\":\"lazy\"",
+        );
+        assert_ne!(legacy, line);
+        assert_eq!(decode_wire_request(&legacy).unwrap(), (trace, cfg, back));
     }
 
     #[test]

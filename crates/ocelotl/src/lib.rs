@@ -72,10 +72,10 @@
 //! let partition = aggregate_default(&input, 0.5).partition(&input);
 //! assert!(partition.validate(model.hierarchy(), 30).is_ok());
 //!
-//! // For big grids, pick the gain/loss backend by memory budget instead:
-//! // `MemoryMode::Auto` keeps the paper's dense O(|S||T|²) matrices while
-//! // they fit and switches to O(|S||T||X|) lazy evaluation beyond.
-//! let cube = CubeBackend::build(&model, MemoryMode::Auto);
+//! // Grids too big for the paper's dense O(|S||T|²) matrices evaluate
+//! // cells on demand from O(|S||T||X|) prefix sums — the same bits (an
+//! // `AnalysisSession` picks between the two by size on its own).
+//! let cube = LazyCube::build(&model);
 //! let same = aggregate_default(&cube, 0.5).partition(&cube);
 //! assert_eq!(partition, same);
 //! ```
@@ -99,9 +99,9 @@ pub mod prelude {
     pub use ocelotl_core::query::{AnalysisReply, AnalysisRequest, QueryEngine, QueryError};
     pub use ocelotl_core::{
         aggregate, aggregate_default, product_aggregation, quality, significant_partitions,
-        AggregationInput, AnalysisSession, Area, ArtifactStore, CubeBackend, CubeSource, Cut,
-        CutTree, DenseCube, DpConfig, IngestStats, LazyCube, MemoryMode, Metric, ModelSource,
-        OwnedSource, Partition, QualityCube, SessionConfig, SessionError,
+        AggregationInput, AnalysisSession, Area, ArtifactStore, CubeSource, Cut, CutTree,
+        DenseCube, DpConfig, IngestStats, LazyCube, Metric, ModelSource, OwnedSource, Partition,
+        QualityCube, SessionConfig, SessionCube, SessionError,
     };
     pub use ocelotl_mpisim::{CaseId, Platform, Scenario};
     pub use ocelotl_trace::{

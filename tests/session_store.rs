@@ -57,7 +57,6 @@ fn session_for(
         SessionConfig {
             n_slices,
             metric: Metric::States,
-            memory: MemoryMode::Auto,
             ..SessionConfig::default()
         },
     )
@@ -99,7 +98,7 @@ fn ocube_roundtrip_at_nontrivial_hierarchy() {
 #[test]
 fn opart_roundtrip_at_nontrivial_hierarchy() {
     let model = random_model(&[3, 2, 2], 11, 3, 3141);
-    let cube = CubeBackend::build(&model, MemoryMode::Dense);
+    let cube = DenseCube::build(&model);
     let entries = significant_partitions(&cube, &DpConfig::default(), 1e-2);
     let mut table = PartitionTable {
         significant: Some(SignificantSet {
@@ -501,7 +500,6 @@ fn memory_store_gives_in_process_warmth() {
     let config = SessionConfig {
         n_slices: 16,
         metric: Metric::States,
-        memory: MemoryMode::Auto,
         ..SessionConfig::default()
     };
     let mut a =
