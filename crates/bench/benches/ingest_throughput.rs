@@ -10,7 +10,7 @@
 //! 2. ingests it **materialized**: `read_trace` (O(|events|) memory) then
 //!    `MicroModel::from_trace`;
 //! 3. ingests it **streaming**: `read_model` (O(model) memory, fingerprint
-//!    fused into the same pass);
+//!    hashed beside the decode on the same pool);
 //! 4. checks the two models agree and emits one `BENCH {...}` line per
 //!    size, plus a machine-readable `BENCH_ingest.json` (path override:
 //!    `BENCH_INGEST_JSON`) for CI artifacts.

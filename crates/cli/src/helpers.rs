@@ -158,9 +158,9 @@ fn ingest_options(workers: usize) -> ocelotl::format::IngestOptions {
 }
 
 /// The file-backed [`ModelSource`]: streams the model straight from the
-/// file and computes the content fingerprint in the same disk pass. A
-/// fingerprint obtained as a by-product of a model build is cached, so a
-/// store-less session costs exactly one read of the trace; only a
+/// file and computes the content fingerprint beside the decode, on the
+/// same ingest pool. A fingerprint obtained as a by-product of a model
+/// build is cached, so a store-less session costs one ingest; only a
 /// warm-capable session (artifact store attached, which must key before
 /// deciding whether to read at all) pays a separate raw hash pass.
 pub struct FileSource {

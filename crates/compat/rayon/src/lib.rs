@@ -1,25 +1,31 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The workspace builds without network access, so the data-parallel
-//! subset the aggregation engine uses — `into_par_iter().map().collect()`,
-//! `par_iter().for_each()`, and `par_chunks().fold().reduce()` — is
+//! subset it uses — `into_par_iter().map().collect()`,
+//! `par_iter().for_each()`, `par_chunks().fold().reduce()` and
+//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(..)` — is
 //! reimplemented here on `std::thread::scope`. Semantics match rayon for
 //! that subset: `map`/`collect` preserve input order, `fold` produces one
 //! accumulator per worker, `reduce` combines them deterministically
 //! (worker order), and panics propagate to the caller.
 //!
-//! Unlike rayon there is no work-stealing pool: each combinator evaluates
-//! eagerly by splitting its input into contiguous slabs over scoped
-//! threads. A global token budget bounds the total number of live worker
-//! threads so nested parallelism (the DP's fork–join over hierarchy
-//! siblings) degrades to sequential execution instead of spawning one
-//! thread per tree node.
+//! Unlike rayon there is no resident pool: each combinator spawns scoped
+//! threads for its own duration. `map` hands items out one at a time from
+//! a shared queue (a slow item never strands the rest behind it); `fold`
+//! splits its input into contiguous slabs, so its accumulators do not
+//! depend on timing. Every spawned worker holds one **token**, and a
+//! worker gives its token back as soon as the queue is empty, so nested
+//! parallelism still running (the DP's fork–join over hierarchy siblings,
+//! a model sink's flush inside an ingest task) can use it. Tokens come
+//! from a global budget, or — inside [`ThreadPool::install`] — from that
+//! pool's own budget, which caps the call at the pool's thread count.
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Items of the canonical prelude, mirroring `rayon::prelude`.
 pub mod prelude {
@@ -75,12 +81,15 @@ fn configured_threads() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
+fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+}
+
 fn budget() -> &'static AtomicUsize {
     BUDGET.get_or_init(|| {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let tokens = tokens_for(configured_threads(), cores);
+        let tokens = tokens_for(configured_threads(), cores());
         CAPACITY.store(tokens, Ordering::Release);
         AtomicUsize::new(tokens)
     })
@@ -126,15 +135,11 @@ pub fn max_threads() -> usize {
     if BUDGET.get().is_some() {
         return CAPACITY.load(Ordering::Acquire) + 1;
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    tokens_for(configured_threads(), cores) + 1
+    tokens_for(configured_threads(), cores()) + 1
 }
 
-/// Try to take up to `want` worker tokens; returns how many were granted.
-fn acquire_workers(want: usize) -> usize {
-    let b = budget();
+/// Take up to `want` tokens from `b`; returns how many were granted.
+fn take(b: &AtomicUsize, want: usize) -> usize {
     let mut cur = b.load(Ordering::Relaxed);
     loop {
         let take = want.min(cur);
@@ -148,6 +153,11 @@ fn acquire_workers(want: usize) -> usize {
     }
 }
 
+/// Try to take up to `want` global worker tokens.
+fn acquire_workers(want: usize) -> usize {
+    take(budget(), want)
+}
+
 fn release_workers(n: usize) {
     if n > 0 {
         // Pay down any capacity-shrink debt before refilling the pool.
@@ -158,22 +168,58 @@ fn release_workers(n: usize) {
     }
 }
 
-/// RAII handle on acquired worker tokens: releasing on `Drop` keeps the
-/// budget intact even when a worker panic unwinds through the caller
-/// (e.g. under `#[should_panic]` or `catch_unwind`), so later parallel
-/// work is not silently degraded to sequential execution.
-struct WorkerTokens(usize);
+/// Token budget of one [`ThreadPool`]: `num_threads − 1` worker tokens.
+type PoolTokens = Arc<AtomicUsize>;
 
-impl WorkerTokens {
-    fn acquire(want: usize) -> Self {
-        Self(acquire_workers(want))
+thread_local! {
+    /// The pool whose `install` this thread runs inside, if any.
+    static POOL: RefCell<Option<PoolTokens>> = const { RefCell::new(None) };
+}
+
+fn current_pool() -> Option<PoolTokens> {
+    POOL.with(|p| p.borrow().clone())
+}
+
+/// Run `op` with `pool` as this thread's token source, restoring the
+/// previous source afterwards (also when `op` unwinds).
+fn with_pool<R>(pool: Option<PoolTokens>, op: impl FnOnce() -> R) -> R {
+    struct Restore(Option<PoolTokens>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            POOL.with(|p| *p.borrow_mut() = prev);
+        }
+    }
+    let _restore = Restore(POOL.with(|p| p.replace(pool)));
+    op()
+}
+
+/// One checked-out worker token. Returning it on `Drop` keeps the budget
+/// intact even when a worker panic unwinds through the caller (e.g. under
+/// `#[should_panic]` or `catch_unwind`), so later parallel work is not
+/// silently degraded to sequential execution.
+struct Token(Option<PoolTokens>);
+
+impl Drop for Token {
+    fn drop(&mut self) {
+        match &self.0 {
+            Some(pool) => {
+                pool.fetch_add(1, Ordering::AcqRel);
+            }
+            None => release_workers(1),
+        }
     }
 }
 
-impl Drop for WorkerTokens {
-    fn drop(&mut self) {
-        release_workers(self.0);
-    }
+/// Check out up to `want` tokens from this thread's pool, or from the
+/// global budget outside any pool.
+fn acquire(want: usize) -> Vec<Token> {
+    let pool = current_pool();
+    let got = match &pool {
+        Some(p) => take(p, want),
+        None => acquire_workers(want),
+    };
+    (0..got).map(|_| Token(pool.clone())).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -197,37 +243,51 @@ fn slabs<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Order-preserving parallel map over owned items.
+/// Order-preserving parallel map over owned items. The caller's thread
+/// and one worker per acquired token pull items from a shared queue; a
+/// worker returns its token as soon as the queue is empty.
 fn run_map<T, R, F>(items: Vec<T>, f: &F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if items.len() <= 1 {
+    let tokens = acquire(items.len().saturating_sub(1));
+    if tokens.is_empty() {
         return items.into_iter().map(f).collect();
     }
-    let tokens = WorkerTokens::acquire(items.len() - 1);
-    if tokens.0 == 0 {
-        return items.into_iter().map(f).collect();
-    }
-    let mut parts = slabs(items, tokens.0 + 1);
-    // The caller's thread keeps the first slab; workers get the rest.
-    let own = parts.remove(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = |token: Option<Token>| {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else { break };
+            done.push((i, f(item)));
+        }
+        drop(token);
+        done
+    };
+    let drain = &drain;
+    let pool = current_pool();
+    let mut done = std::thread::scope(|s| {
+        let handles: Vec<_> = tokens
             .into_iter()
-            .map(|slab| s.spawn(move || slab.into_iter().map(f).collect::<Vec<R>>()))
+            .map(|token| {
+                let pool = pool.clone();
+                s.spawn(move || with_pool(pool, || drain(Some(token))))
+            })
             .collect();
-        let mut out: Vec<R> = own.into_iter().map(f).collect();
+        let mut done = drain(None);
         for h in handles {
             match h.join() {
-                Ok(part) => out.extend(part),
+                Ok(part) => done.extend(part),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        out
-    })
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Parallel fold: one accumulator per slab, in slab order.
@@ -241,15 +301,24 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let tokens = WorkerTokens::acquire(items.len().saturating_sub(1));
-    let mut parts = slabs(items, tokens.0 + 1);
+    let tokens = acquire(items.len() - 1);
+    let mut parts = slabs(items, tokens.len() + 1);
     let own = parts.remove(0);
     let fold_slab = |slab: Vec<T>| slab.into_iter().fold(init(), f);
     let fold_slab = &fold_slab;
+    let pool = current_pool();
     std::thread::scope(|s| {
         let handles: Vec<_> = parts
             .into_iter()
-            .map(|slab| s.spawn(move || fold_slab(slab)))
+            .zip(tokens)
+            .map(|(slab, token)| {
+                let pool = pool.clone();
+                s.spawn(move || {
+                    let acc = with_pool(pool, || fold_slab(slab));
+                    drop(token);
+                    acc
+                })
+            })
             .collect();
         let mut accs = vec![fold_slab(own)];
         for h in handles {
@@ -260,6 +329,73 @@ where
         }
         accs
     })
+}
+
+// ---------------------------------------------------------------------------
+// Thread pools
+// ---------------------------------------------------------------------------
+
+/// Configures a [`ThreadPool`] (`rayon::ThreadPoolBuilder`).
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder with the default size (one thread per available core).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Total threads of the pool, the installing thread included; `0`
+    /// means one per available core.
+    pub fn num_threads(mut self, n: usize) -> Self {
+        self.num_threads = n;
+        self
+    }
+
+    /// Create the pool. The stand-in spawns no resident threads, so this
+    /// never fails.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = if self.num_threads > 0 {
+            self.num_threads
+        } else {
+            cores()
+        };
+        Ok(ThreadPool {
+            tokens: Arc::new(AtomicUsize::new(threads - 1)),
+        })
+    }
+}
+
+/// Why [`ThreadPoolBuilder::build`] failed (`rayon::ThreadPoolBuildError`).
+#[derive(Debug)]
+pub struct ThreadPoolBuildError;
+
+impl std::fmt::Display for ThreadPoolBuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the thread pool could not be built")
+    }
+}
+
+/// A bounded executor (`rayon::ThreadPool`): parallel work run inside
+/// [`ThreadPool::install`], nested work included, uses at most
+/// `num_threads` threads, drawn from the pool's own tokens instead of the
+/// global budget.
+#[derive(Debug)]
+pub struct ThreadPool {
+    tokens: PoolTokens,
+}
+
+impl ThreadPool {
+    /// Run `op` inside the pool.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        with_pool(Some(Arc::clone(&self.tokens)), op)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -556,6 +692,58 @@ mod tests {
         assert_eq!(super::tokens_for(Some(4), 8), 3);
         // Unset: two tokens per core.
         assert_eq!(super::tokens_for(None, 8), 16);
+    }
+
+    #[test]
+    fn install_caps_concurrency_at_the_pool_size() {
+        use std::sync::atomic::AtomicUsize;
+        let active = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let out: Vec<usize> = pool.install(|| {
+            (0usize..16)
+                .into_par_iter()
+                .map(|i| {
+                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    // Nested work inside the pool draws on the same tokens.
+                    let inner: usize = (0usize..4).into_par_iter().map(|j| j + i).sum();
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    active.fetch_sub(1, Ordering::SeqCst);
+                    inner
+                })
+                .collect()
+        });
+        assert_eq!(out, (0..16).map(|i| 4 * i + 6).collect::<Vec<_>>());
+        assert!(peak.load(Ordering::SeqCst) <= 2, "pool of 2 ran wider");
+        assert_eq!(
+            pool.tokens.load(Ordering::SeqCst),
+            1,
+            "every token returned"
+        );
+    }
+
+    #[test]
+    fn a_one_thread_pool_runs_on_the_caller() {
+        let me = std::thread::current().id();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let ids: Vec<_> = pool.install(|| {
+            (0usize..8)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect()
+        });
+        assert!(ids.iter().all(|&id| id == me));
+        assert!(
+            super::current_pool().is_none(),
+            "install restores the context"
+        );
     }
 
     #[test]

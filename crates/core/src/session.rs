@@ -232,9 +232,10 @@ impl SessionConfig {
 /// paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Content hash of the trace bytes (equals `hash_file`).
+    /// Content hash of the trace bytes (equals `hash_trace_input`).
     pub fingerprint: u64,
-    /// Total bytes read from disk (both passes for two-pass ingestion).
+    /// Total bytes read from disk: the fingerprint's reads, extent scans
+    /// and decodes.
     pub bytes_read: u64,
     /// Interval records decoded.
     pub intervals: u64,

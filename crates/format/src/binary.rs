@@ -354,6 +354,41 @@ pub(crate) struct BinaryPlan {
     pub(crate) points_start: u64,
 }
 
+impl BinaryPlan {
+    /// `true` when either record region holds a record.
+    pub(crate) fn has_records(&self) -> bool {
+        (self.n_intervals, self.n_points) != (0, 0)
+    }
+
+    /// Bytes of both record regions; an error when the record counts
+    /// cannot fit in a `file_len`-byte file.
+    pub(crate) fn body_bytes(&self, file_len: u64) -> Result<u64> {
+        let iv = self.n_intervals.checked_mul(INTERVAL_RECORD_BYTES as u64);
+        let pt = self.n_points.checked_mul(POINT_RECORD_BYTES as u64);
+        let body = iv.zip(pt).and_then(|(iv, pt)| iv.checked_add(pt));
+        let fits = body.filter(|&body| body <= file_len);
+        fits.ok_or_else(|| FormatError::parse("record counts exceed the file size", None))
+    }
+
+    /// `(offset, count)` of shard `k` of `s` in the interval region and in
+    /// the point region: both are cut at equal record fractions. Requires
+    /// [`BinaryPlan::body_bytes`] to have accepted the counts.
+    pub(crate) fn shard(&self, k: u64, s: u64) -> [(u64, u64); 2] {
+        let cut = |n: u64, at: u64, width: usize| {
+            let first = n * k / s;
+            (at + first * width as u64, n * (k + 1) / s - first)
+        };
+        [
+            cut(
+                self.n_intervals,
+                self.intervals_start,
+                INTERVAL_RECORD_BYTES,
+            ),
+            cut(self.n_points, self.points_start, POINT_RECORD_BYTES),
+        ]
+    }
+}
+
 /// Parse the BTF header and locate both record regions. The reader is left
 /// positioned at the first point record.
 pub(crate) fn plan_binary<R: BufRead + Seek>(mut r: R) -> Result<BinaryPlan> {

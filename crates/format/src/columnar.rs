@@ -189,6 +189,10 @@ impl ChunkInfo {
     }
 }
 
+/// One decode group of [`ColumnarPlan::select`]: `(index, entry)` of each
+/// chunk it reads, in index order.
+pub(crate) type ChunkGroup = Vec<(u64, ChunkInfo)>;
+
 /// Parsed OCTF layout: the frozen [`StreamHeader`] plus the footer chunk
 /// index — everything predicate pushdown plans against, read from the
 /// header and footer alone (no chunk bytes touched).
@@ -236,6 +240,35 @@ impl ColumnarPlan {
     pub fn raw_equivalent_bytes(&self) -> u64 {
         let (iv, pt) = self.records();
         iv * INTERVAL_RECORD_BYTES as u64 + pt * POINT_RECORD_BYTES as u64
+    }
+
+    /// Cut the chunks `keep` accepts into `n_groups` contiguous groups
+    /// balanced by cumulative payload — a pure function of the index, so
+    /// one group is the forward decode and any grouping merges
+    /// deterministically. Returns each group's kept chunks as `(index,
+    /// entry)`, then which point kinds (send, recv, marker) and how many
+    /// stored bytes the chunks `keep` rejects carry.
+    pub(crate) fn select(
+        &self,
+        n_groups: usize,
+        keep: impl Fn(&ChunkInfo) -> bool,
+    ) -> (Vec<ChunkGroup>, [bool; 3], u64) {
+        let total = self.total_payload().max(1);
+        let mut groups = vec![Vec::new(); n_groups.max(1)];
+        let last = groups.len() - 1;
+        let (mut cum, mut kinds, mut skipped) = (0u64, 0u8, 0u64);
+        for (i, c) in self.chunks.iter().enumerate() {
+            let g = (cum.saturating_mul(n_groups as u64) / total) as usize;
+            cum += c.payload_len;
+            if !keep(c) {
+                skipped += c.stored_bytes();
+                kinds |= if c.is_points() { c.kind_mask } else { 0 };
+            } else if let Some(group) = groups.get_mut(g.min(last)) {
+                group.push((i as u64, *c));
+            }
+        }
+        let kinds = [KIND_SEND, KIND_RECV, KIND_MARKER].map(|k| kinds & k != 0);
+        (groups, kinds, skipped)
     }
 
     /// Union of chunk time extents; `None` when the file has no chunks.

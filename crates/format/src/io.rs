@@ -1,67 +1,60 @@
-//! File-level convenience API with buffered I/O, format autodetection,
-//! sharded parallel ingestion and multi-file (directory) traces.
+//! File-level convenience API: format detection, buffered I/O, and the one
+//! ingest driver behind every model read.
 //!
-//! Three encodings are routed here — PTF text, BTF binary and Pajé — plus
-//! gzip-compressed variants of each (`.ptf.gz`, `.btf.gz`, …), and two
-//! consumption styles:
+//! PTF text, BTF binary, Pajé and OCTF columnar are routed here, plus
+//! gzip-compressed variants of each (`.ptf.gz`, `.btf.gz`, …).
+//! [`read_trace`] materializes a full [`Trace`] (O(|events|) memory, for
+//! conversion and round-trip use); [`read_model`] and its siblings stream
+//! the input straight into a metric-aware [`MicroModel`] with O(model)
+//! memory.
 //!
-//! - [`read_trace`] materializes a full [`Trace`] (O(|events|) memory;
-//!   kept for conversion / round-trip use cases);
-//! - [`read_model`] streams the file straight into a metric-aware
-//!   [`MicroModel`] with O(model) memory, computing the FNV-1a content
-//!   fingerprint *in the same disk pass*. When the header declares no time
-//!   range (Pajé always, PTF without `%range`) it falls back to a bounded
-//!   two-pass scan: pass 1 collects the observed extent, registries and
-//!   the fingerprint; pass 2 folds the events into the model.
+//! # One ingest driver
 //!
-//! # Sharded ingestion
+//! Every model read — a file or a directory, full, windowed or
+//! resource-filtered — is planned into:
 //!
-//! Large seekable traces are split into byte-range **shards** decoded on a
-//! worker pool and merged as [`PartialModel`]s. The shard plan is a pure
-//! function of the trace content (size and format — never of the worker
-//! count), and the merge folds partials left-to-right in shard order, so
-//! the result is bit-identical at any `--threads` setting: the plan + merge
-//! *is* the canonical computation. BTF splits by record index; PTF splits
-//! its event section at newline-aligned byte offsets; Pajé and gzip streams
-//! cannot be byte-split and always take the sequential path. The content
-//! fingerprint is chunk-combined (`store` module docs), so the hash stage
-//! runs as per-chunk tasks on the same worker pool as the shard decodes
-//! and combines to the exact `hash_file` key — the artifact key does not
-//! depend on the plan or the worker count.
+//! - an ordered list of **decode units**: a whole stream (gzip, Pajé, a
+//!   file too small to split, or one file of a directory), a
+//!   newline-aligned PTF byte range, a BTF record range, or a group of
+//!   OCTF chunks without the chunks the predicate rules out;
+//! - one **hash plan**: [`HASH_CHUNK_BYTES`] ranges of every raw file, the
+//!   chunk-index fold of a plain `.octf`, folded in file order for a
+//!   directory, so the fingerprint equals [`crate::store::hash_trace_input`];
+//! - one **grid range**: the predicate window, else the declared header
+//!   range, else a scan of the units.
 //!
-//! # Multi-file traces
-//!
-//! A directory of per-rank trace files is one logical trace: each file is
-//! a natural shard, mounted under a synthetic super-root in sorted file
-//! order (leaf ids number files first-to-last), states united by name, and
-//! the fingerprint combines per-file content hashes in the same order.
-//! Every union cell has exactly one contributing file, so the mounted
-//! merge is exact for both metrics.
+//! One driver runs the scan, hash and decode tasks on one `rayon` pool
+//! capped at [`IngestOptions::max_workers`] and merges the units'
+//! [`PartialModel`]s in unit order: `absorb` for the parts of one stream,
+//! `mount` at its leaf offset for a directory file. A directory is one
+//! logical trace: files mount under a super-root in sorted file order,
+//! states unite by name, and a predicate's leaf ids are translated to each
+//! file's own; every union cell has one contributing file, so the mount is
+//! exact. The plan is a pure function of the input content (never of the
+//! worker count), so every output bit is the same at any `--threads`.
 //!
 //! Format detection sniffs the leading bytes (decompressing gzip heads)
 //! and falls back to the file extension (a Pajé file may start with
-//! comment lines, which defeats sniffing); content wins over a
-//! contradicting extension. All errors are annotated with the offending
-//! path.
+//! comments); content wins over a contradicting extension. All errors are
+//! annotated with the offending path.
 
-use crate::binary;
-use crate::columnar;
+use crate::binary::{self, INTERVAL_RECORD_BYTES, POINT_RECORD_BYTES};
+use crate::columnar::{self, ColumnarPlan};
 use crate::error::{FormatError, Result};
 use crate::gzip::{is_gzip, GzipReader};
 use crate::paje;
-use crate::store::{
-    combine_chunk_hashes, hash_file, hash_file_chunk, hash_reader, HashingReader, HASH_CHUNK_BYTES,
-};
+use crate::store::{combine_chunk_hashes, combine_file_hashes, hash_file_chunk, HASH_CHUNK_BYTES};
 use crate::text;
 use ocelotl_trace::{
-    hi_res_slices, EventSink, Hierarchy, HierarchyBuilder, MicroModel, ModelKind, ModelSink,
-    NodeId, PartialModel, ScanSink, StreamHeader, TimeGrid, Trace, TraceSink,
+    hi_res_slices, EventSink, Hierarchy, HierarchyBuilder, LeafId, MicroModel, ModelKind,
+    ModelSink, NodeId, PartialModel, ScanSink, StateId, StateRegistry, StreamHeader, Time,
+    TimeGrid, Trace, TraceSink,
 };
+use rayon::prelude::*;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// On-disk trace encodings.
@@ -145,58 +138,45 @@ struct Detected {
     gzip: bool,
 }
 
+/// Up to the first 16 bytes `r` yields; when `lenient`, a read error
+/// just ends the head early.
+fn head<R: Read>(r: R, lenient: bool) -> std::io::Result<Vec<u8>> {
+    let mut head = Vec::with_capacity(16);
+    match r.take(16).read_to_end(&mut head) {
+        Err(e) if !lenient => Err(e),
+        _ => Ok(head),
+    }
+}
+
 /// Sniff the format of `path`: content first (decompressing a gzip head to
 /// sniff the inner format), extension as the fallback. Returns the chosen
 /// format plus what the extension suggested (for contradiction
 /// diagnostics).
 fn detect(path: &Path) -> Result<Detected> {
-    let mut f = File::open(path)?;
-    let mut head = [0u8; 16];
-    let mut n = 0;
-    while n < head.len() {
-        let got = f.read(&mut head[n..])?;
-        if got == 0 {
-            break;
-        }
-        n += got;
-    }
-    let gzip = is_gzip(&head[..n]);
-    let ext = Format::from_path(path);
-    let sniffed = if gzip {
-        // Decompress just enough of the stream to sniff the inner format.
-        let mut gz = GzipReader::new(BufReader::new(File::open(path)?));
-        let mut inner = [0u8; 16];
-        let mut m = 0;
-        while m < inner.len() {
-            match gz.read(&mut inner[m..]) {
-                Ok(0) => break,
-                Ok(got) => m += got,
-                Err(_) => break, // a corrupt stream fails loudly at read time
-            }
-        }
-        Format::sniff(&inner[..m])
+    let raw = head(File::open(path)?, false)?;
+    let (gzip, ext) = (is_gzip(&raw), Format::from_path(path));
+    // A corrupt gzip stream fails loudly at read time, not here.
+    let inner = if gzip {
+        head(GzipReader::new(BufReader::new(File::open(path)?)), true)?
     } else {
-        Format::sniff(&head[..n])
+        raw
     };
-    match sniffed.or(ext) {
-        Some(fmt) => Ok(Detected { fmt, ext, gzip }),
-        None => Err(FormatError::parse(
-            format!("unrecognized trace format: {}", path.display()),
-            None,
-        )),
-    }
+    let at = path.display();
+    let unknown = || FormatError::parse(format!("unrecognized trace format: {at}"), None);
+    let fmt = Format::sniff(&inner).or(ext).ok_or_else(unknown)?;
+    Ok(Detected { fmt, ext, gzip })
 }
 
 /// Attach the offending path (and, when content and extension disagree,
 /// the contradiction) to a reader error.
 fn annotate(e: FormatError, path: &Path, chosen: Format, ext: Option<Format>) -> FormatError {
-    let contradiction = match ext {
+    let at = path.display();
+    let why = match ext {
         Some(x) if x != chosen => format!(
-            " (content sniffed as {}, contradicting the {} extension)",
+            " (content sniffed as {}, contradicting the .{} extension)",
             chosen.name(),
             path.extension()
                 .and_then(|e| e.to_str())
-                .map(|e| format!(".{e}"))
                 .unwrap_or_default(),
         ),
         _ => String::new(),
@@ -204,31 +184,23 @@ fn annotate(e: FormatError, path: &Path, chosen: Format, ext: Option<Format>) ->
     match e {
         // Truncated files surface as UnexpectedEof: keep the variant and
         // kind, but the message must still name the file.
-        FormatError::Io(io) => FormatError::Io(std::io::Error::new(
-            io.kind(),
-            format!("{}: {io}{contradiction}", path.display()),
-        )),
+        FormatError::Io(io) => {
+            FormatError::Io(std::io::Error::new(io.kind(), format!("{at}: {io}{why}")))
+        }
         FormatError::Parse { message, position } => FormatError::Parse {
-            message: format!("{}: {message}{contradiction}", path.display()),
+            message: format!("{at}: {message}{why}"),
             position,
         },
-        FormatError::UnsupportedVersion(v) => FormatError::Parse {
-            message: format!(
-                "{}: unsupported format version {v:?}{contradiction}",
-                path.display()
-            ),
-            position: None,
-        },
+        FormatError::UnsupportedVersion(v) => {
+            FormatError::parse(format!("{at}: unsupported format version {v:?}{why}"), None)
+        }
         // The columnar decoders have no path; fill it in here so the
         // error names the file alongside the chunk index.
-        FormatError::ChunkCorrupt { file, chunk } => FormatError::ChunkCorrupt {
-            file: if file.is_empty() {
-                path.display().to_string()
-            } else {
-                file
-            },
+        FormatError::ChunkCorrupt { file, chunk } if file.is_empty() => FormatError::ChunkCorrupt {
+            file: at.to_string(),
             chunk,
         },
+        corrupt @ FormatError::ChunkCorrupt { .. } => corrupt,
     }
 }
 
@@ -242,79 +214,26 @@ pub fn decode<R: BufRead, S: EventSink>(fmt: Format, r: R, sink: &mut S) -> Resu
     }
 }
 
-fn buffered(path: &Path) -> Result<BufReader<File>> {
-    Ok(BufReader::with_capacity(1 << 20, File::open(path)?))
+/// A 1 MiB-buffered reader over `path` from byte `offset` on.
+fn buffered(path: &Path, offset: u64) -> Result<BufReader<File>> {
+    let mut f = File::open(path)?;
+    if offset > 0 {
+        f.seek(SeekFrom::Start(offset))?;
+    }
+    Ok(BufReader::with_capacity(1 << 20, f))
 }
 
 /// A buffered reader over the (decompressed, when gzip) trace bytes.
 fn open_plain(path: &Path, gz: bool) -> Result<Box<dyn BufRead>> {
-    Ok(if gz {
-        Box::new(BufReader::with_capacity(
-            1 << 20,
-            GzipReader::new(buffered(path)?),
-        ))
-    } else {
-        Box::new(buffered(path)?)
+    let raw = buffered(path, 0)?;
+    Ok(match gz {
+        true => Box::new(BufReader::with_capacity(1 << 20, GzipReader::new(raw))),
+        false => Box::new(raw),
     })
 }
 
-/// A buffered reader that FNV-hashes the **on-disk** bytes it consumes —
-/// for gzip inputs the fingerprint covers the compressed file, matching
-/// [`hash_file`] in every case.
-enum HashSource {
-    Plain(BufReader<HashingReader<File>>),
-    Gz(BufReader<GzipReader<BufReader<HashingReader<File>>>>),
-}
-
-impl HashSource {
-    fn open(path: &Path, gz: bool) -> Result<Self> {
-        let hr = HashingReader::new(File::open(path)?);
-        Ok(if gz {
-            HashSource::Gz(BufReader::with_capacity(
-                1 << 20,
-                GzipReader::new(BufReader::with_capacity(1 << 20, hr)),
-            ))
-        } else {
-            HashSource::Plain(BufReader::with_capacity(1 << 20, hr))
-        })
-    }
-
-    /// Drain the rest of the file and return `(fingerprint, bytes_read)`
-    /// over the on-disk bytes.
-    fn finish(self) -> std::io::Result<(u64, u64)> {
-        match self {
-            HashSource::Plain(r) => r.into_inner().finish(),
-            HashSource::Gz(r) => r.into_inner().into_inner().into_inner().finish(),
-        }
-    }
-}
-
-impl Read for HashSource {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            HashSource::Plain(r) => r.read(buf),
-            HashSource::Gz(r) => r.read(buf),
-        }
-    }
-}
-
-impl BufRead for HashSource {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        match self {
-            HashSource::Plain(r) => r.fill_buf(),
-            HashSource::Gz(r) => r.fill_buf(),
-        }
-    }
-    fn consume(&mut self, amt: usize) {
-        match self {
-            HashSource::Plain(r) => r.consume(amt),
-            HashSource::Gz(r) => r.consume(amt),
-        }
-    }
-}
-
 /// Read a whole trace from `path` (format sniffed from content, extension
-/// fallback; all three formats — plus gzip variants — dispatch here).
+/// fallback; all formats — plus gzip variants — dispatch here).
 pub fn read_trace(path: &Path) -> Result<Trace> {
     if path.is_dir() {
         return Err(FormatError::parse(
@@ -334,14 +253,14 @@ pub fn read_trace(path: &Path) -> Result<Trace> {
         .ok_or_else(|| FormatError::parse(format!("{}: empty trace stream", path.display()), None))
 }
 
-/// How [`read_model`] ingested the file.
+/// How [`read_model`] ingested the input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
-    /// The header declared the time range: one fused read computed the
-    /// model and the fingerprint together.
+    /// The grid range was known up front (the predicate window or the
+    /// header's declared range): every unit was read once.
     SinglePass,
-    /// No declared range: a scan pass (extent + registries + fingerprint)
-    /// preceded the fold pass.
+    /// No declared range: a scan of the units (extent only) preceded the
+    /// fold.
     TwoPass,
     /// A columnar source answered the request from a subset of its chunks,
     /// skipping the rest via the chunk index (predicate pushdown).
@@ -404,9 +323,9 @@ impl Predicate {
 pub struct IngestOptions {
     /// Shard planning mode. The plan never depends on `max_workers`.
     pub shards: ShardMode,
-    /// Worker-thread cap for shard decoding; `0` means "all available
-    /// cores". Changing this redistributes work but cannot change a bit
-    /// of the output.
+    /// Thread cap of the ingest's pool; `0` means "all available cores".
+    /// Changing this redistributes work but cannot change a bit of the
+    /// output.
     pub max_workers: usize,
     /// Optional row restriction ([`Predicate`]); `None` ingests
     /// everything.
@@ -423,16 +342,6 @@ impl Default for IngestOptions {
     }
 }
 
-/// The predicate's time window, if any.
-fn predicate_range(opts: &IngestOptions) -> Option<(f64, f64)> {
-    opts.predicate.as_ref().and_then(|p| p.time_range)
-}
-
-/// The predicate's resource list, if any.
-fn predicate_resources(opts: &IngestOptions) -> Option<&[u32]> {
-    opts.predicate.as_ref().and_then(|p| p.resources.as_deref())
-}
-
 /// Target shard payload under [`ShardMode::Auto`]: one shard per started
 /// 32 MiB of event data.
 pub const SHARD_TARGET_BYTES: u64 = 32 << 20;
@@ -440,17 +349,20 @@ pub const SHARD_TARGET_BYTES: u64 = 32 << 20;
 /// contract: plans (and thus bits) never change when machines grow cores.
 pub const MAX_SHARDS: usize = 16;
 
-/// Wall-clock breakdown of the last sharded (or multi-file) ingest in this
-/// process. **Local measurement only** — never put these in query replies
-/// or cached artifacts; deterministic protocols must not carry clocks.
+/// Wall-clock breakdown of the last ingest in this process. **Local
+/// measurement only** — never put these in query replies or cached
+/// artifacts; deterministic protocols must not carry clocks.
 #[derive(Debug, Clone)]
 pub struct ShardTiming {
-    /// Time spent planning (header parse + split-point alignment).
+    /// Time spent planning (detection, header parses, split points).
     pub plan_nanos: u64,
-    /// Slowest fingerprint-chunk task — the hash stage's critical path
-    /// (chunks hash independently on the worker pool).
+    /// Slowest fingerprint task — the hash stage's critical path (hash
+    /// tasks run independently on the pool).
     pub hash_nanos: u64,
-    /// Per-shard decode times, in shard order.
+    /// Sum of all fingerprint task times — the hash stage's total work.
+    pub hash_total_nanos: u64,
+    /// Per-unit decode times (a unit's extent scan included), in unit
+    /// order.
     pub shard_nanos: Vec<u64>,
     /// Time spent merging the partial models and assembling the result.
     pub merge_nanos: u64,
@@ -458,13 +370,12 @@ pub struct ShardTiming {
 
 static LAST_TIMING: Mutex<Option<ShardTiming>> = Mutex::new(None);
 
-fn record_timing(t: ShardTiming) {
-    *LAST_TIMING.lock().unwrap() = Some(t);
-}
-
 /// Take (and clear) the timing of the last ingest in this process, if any.
 pub fn take_last_ingest_timing() -> Option<ShardTiming> {
-    LAST_TIMING.lock().unwrap().take()
+    LAST_TIMING
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take()
 }
 
 /// Everything one streaming ingestion produced: the model plus the
@@ -473,18 +384,18 @@ pub fn take_last_ingest_timing() -> Option<ShardTiming> {
 pub struct IngestReport {
     /// The microscopic model.
     pub model: MicroModel,
-    /// FNV-1a hash of the file bytes (equals `hash_file`; for a directory,
-    /// the FNV fold of per-file hashes in sorted file order), computed
-    /// concurrently with the decode.
+    /// The content fingerprint ([`crate::store::hash_trace_input`]),
+    /// computed by hash tasks beside the decode.
     pub fingerprint: u64,
-    /// Total bytes read from disk (all passes).
+    /// Total bytes read from disk: fingerprint reads, split-plan headers,
+    /// extent scans and unit decodes.
     pub bytes_read: u64,
     /// Interval records decoded.
     pub intervals: u64,
     /// Point records decoded.
     pub points: u64,
     /// Peak resident footprint of the streaming accumulators, in bytes —
-    /// O(model · shards), independent of the event count.
+    /// O(model · units), independent of the event count.
     pub peak_bytes: u64,
     /// Which ingestion strategy ran.
     pub mode: IngestMode,
@@ -492,9 +403,9 @@ pub struct IngestReport {
     pub format: Format,
     /// Whether the input was gzip-compressed (any file, for directories).
     pub gzip: bool,
-    /// Input bytes per shard, in shard order: one entry per byte-range
-    /// shard of a single file, or per file of a directory trace. The
-    /// length is the shard count. Content-derived and deterministic.
+    /// Input bytes per decode unit, in unit order: one entry per shard of
+    /// a single file, or per file of a directory trace. The length is the
+    /// shard count. Content-derived and deterministic.
     pub shards: Vec<u64>,
     /// Chunks in the columnar source's index (0 for non-columnar inputs).
     pub chunks_total: u64,
@@ -516,7 +427,7 @@ impl IngestReport {
 /// Stream a trace file straight into a metric-aware microscopic model
 /// with `n_slices` periods — the paper's "trace reading + microscopic
 /// description" pipeline fused into one pass, without materializing
-/// events. See the module docs for the two-pass fallback, sharding and
+/// events. See the module docs for the plan, the two-pass fallback and
 /// directory traces. Uses default [`IngestOptions`].
 pub fn read_model(path: &Path, n_slices: usize, kind: ModelKind) -> Result<IngestReport> {
     read_model_impl(path, n_slices, kind, false, &IngestOptions::default())
@@ -553,596 +464,6 @@ pub fn read_hi_res_with(
     read_model_impl(path, n_slices, kind, true, opts)
 }
 
-fn resolved_workers(opts: &IngestOptions) -> usize {
-    if opts.max_workers > 0 {
-        opts.max_workers
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
-fn shard_count(body_bytes: u64, mode: ShardMode) -> usize {
-    match mode {
-        ShardMode::Auto => {
-            let n = body_bytes.div_ceil(SHARD_TARGET_BYTES).max(1);
-            (n as usize).min(MAX_SHARDS)
-        }
-        ShardMode::Fixed(n) => n.clamp(1, MAX_SHARDS),
-    }
-}
-
-fn read_model_impl(
-    path: &Path,
-    n_slices: usize,
-    kind: ModelKind,
-    hi_res: bool,
-    opts: &IngestOptions,
-) -> Result<IngestReport> {
-    if path.is_dir() {
-        return read_model_dir(path, n_slices, kind, hi_res, opts);
-    }
-    let det = detect(path)?;
-    let wrap = |e: FormatError| annotate(e, path, det.fmt, det.ext);
-
-    // Plain columnar sources always take the index-driven path (even at
-    // one group): the fingerprint is the index-combined one on every
-    // route, and the chunk index is what predicates push down into.
-    if !det.gzip && det.fmt == Format::Columnar {
-        return ingest_columnar(path, det, n_slices, kind, hi_res, opts).map_err(wrap);
-    }
-    // Gzip streams and Pajé cannot be byte-split: sequential path.
-    if !det.gzip && det.fmt != Format::Paje {
-        let t_plan = Instant::now();
-        if let Some(split) = plan_shards(path, det.fmt, opts.shards).map_err(wrap)? {
-            let plan_nanos = t_plan.elapsed().as_nanos() as u64;
-            return ingest_sharded(path, det, split, n_slices, kind, hi_res, opts, plan_nanos)
-                .map_err(wrap);
-        }
-    }
-    read_model_seq(path, det, n_slices, kind, hi_res, opts)
-}
-
-/// The sequential (1-shard) ingestion path — byte-for-byte the pre-shard
-/// behavior, used for small files, gzip streams and Pajé.
-fn read_model_seq(
-    path: &Path,
-    det: Detected,
-    n_slices: usize,
-    kind: ModelKind,
-    hi_res: bool,
-    opts: &IngestOptions,
-) -> Result<IngestReport> {
-    let fmt = det.fmt;
-    let wrap = |e: FormatError| annotate(e, path, fmt, det.ext);
-    let t0 = Instant::now();
-
-    // Optimistic single pass: decode and fingerprint together. A
-    // predicate window replaces the header range outright (the window is
-    // the grid), which also rules the two-pass fallback out.
-    let window = predicate_range(opts);
-    let mut r = HashSource::open(path, det.gzip)?;
-    let mut sink = match (hi_res, window) {
-        (true, Some(w)) => ModelSink::hi_res_with_range(kind, n_slices, w),
-        (true, None) => ModelSink::hi_res(kind, n_slices),
-        (false, Some(w)) => ModelSink::with_range(kind, n_slices, w),
-        (false, None) => ModelSink::new(kind, n_slices),
-    };
-    if let Some(rs) = predicate_resources(opts) {
-        sink.set_resource_filter(rs);
-    }
-    let complete = decode(fmt, &mut r, &mut sink).map_err(wrap)?;
-    if complete {
-        let (fingerprint, bytes_read) = r.finish()?;
-        let report = assemble(
-            sink,
-            fingerprint,
-            bytes_read,
-            IngestMode::SinglePass,
-            det,
-            vec![bytes_read],
-            hi_res,
-        )
-        .map_err(wrap)?;
-        record_timing(ShardTiming {
-            plan_nanos: 0,
-            hash_nanos: 0,
-            shard_nanos: vec![t0.elapsed().as_nanos() as u64],
-            merge_nanos: 0,
-        });
-        return Ok(report);
-    }
-    if !sink.needs_range() {
-        // Declined for a terminal reason (e.g. a declared-but-empty range).
-        let e = sink.finish().expect_err("declined sinks cannot finish");
-        return Err(wrap(FormatError::parse(e.to_string(), None)));
-    }
-
-    // Bounded two-pass scan: the header declared no time range.
-    // Pass 1 — observed extent, counts, fingerprint.
-    let mut r = HashSource::open(path, det.gzip)?;
-    let mut scan = ScanSink::new();
-    decode(fmt, &mut r, &mut scan).map_err(wrap)?;
-    let (fingerprint, scan_bytes) = r.finish()?;
-    let Some(range) = scan.observed_range() else {
-        return Err(wrap(FormatError::parse(
-            "trace has no events to slice",
-            None,
-        )));
-    };
-    // Pass 2 — fold the events into the model over the scanned extent.
-    let mut sink = if hi_res {
-        ModelSink::hi_res_with_range(kind, n_slices, range)
-    } else {
-        ModelSink::with_range(kind, n_slices, range)
-    };
-    if let Some(rs) = predicate_resources(opts) {
-        sink.set_resource_filter(rs);
-    }
-    decode(fmt, open_plain(path, det.gzip)?, &mut sink).map_err(wrap)?;
-    let report = assemble(
-        sink,
-        fingerprint,
-        2 * scan_bytes,
-        IngestMode::TwoPass,
-        det,
-        vec![scan_bytes],
-        hi_res,
-    )
-    .map_err(wrap)?;
-    record_timing(ShardTiming {
-        plan_nanos: 0,
-        hash_nanos: 0,
-        shard_nanos: vec![t0.elapsed().as_nanos() as u64],
-        merge_nanos: 0,
-    });
-    Ok(report)
-}
-
-fn assemble(
-    sink: ModelSink,
-    fingerprint: u64,
-    bytes_read: u64,
-    mode: IngestMode,
-    det: Detected,
-    shards: Vec<u64>,
-    raw: bool,
-) -> Result<IngestReport> {
-    let peak_bytes = sink.peak_bytes();
-    let (intervals, points) = sink.counts();
-    let finished = if raw {
-        sink.finish_raw()
-    } else {
-        sink.finish()
-    };
-    let model = finished.map_err(|e| FormatError::parse(e.to_string(), None))?;
-    Ok(IngestReport {
-        model,
-        fingerprint,
-        bytes_read,
-        intervals,
-        points,
-        peak_bytes,
-        mode,
-        format: det.fmt,
-        gzip: det.gzip,
-        shards,
-        chunks_total: 0,
-        chunks_read: 0,
-        bytes_skipped: 0,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Shard planning & execution (single file)
-// ---------------------------------------------------------------------------
-
-/// One shard of BTF: half-open record-index ranges into both record
-/// regions.
-struct BinShard {
-    iv: (u64, u64),
-    pt: (u64, u64),
-}
-
-/// A content-derived shard plan for one seekable file. `None` from the
-/// planner means "one shard": the sequential path runs, preserving the
-/// historic behavior (and bits) for small inputs.
-enum SplitPlan {
-    Text {
-        plan: text::TextPlan,
-        /// Newline-aligned half-open byte ranges of the event section.
-        ranges: Vec<(u64, u64)>,
-    },
-    Binary {
-        plan: binary::BinaryPlan,
-        shards: Vec<BinShard>,
-    },
-}
-
-fn plan_shards(path: &Path, fmt: Format, mode: ShardMode) -> Result<Option<SplitPlan>> {
-    let file_len = std::fs::metadata(path)?.len();
-    match fmt {
-        Format::Text => {
-            let plan = text::plan_text(buffered(path)?)?;
-            if !plan.has_events || plan.header_bytes >= file_len {
-                return Ok(None);
-            }
-            let body = file_len - plan.header_bytes;
-            let s = shard_count(body, mode);
-            if s <= 1 {
-                return Ok(None);
-            }
-            let mut f = File::open(path)?;
-            let mut cuts = Vec::with_capacity(s + 1);
-            cuts.push(plan.header_bytes);
-            for k in 1..s as u64 {
-                let pos = plan.header_bytes + body * k / s as u64;
-                let aligned = align_to_line(&mut f, pos, file_len)?;
-                let last = *cuts.last().expect("seeded above");
-                cuts.push(aligned.clamp(last, file_len));
-            }
-            cuts.push(file_len);
-            let ranges = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-            Ok(Some(SplitPlan::Text { plan, ranges }))
-        }
-        Format::Binary => {
-            let plan = binary::plan_binary(buffered(path)?)?;
-            let body = plan.n_intervals * binary::INTERVAL_RECORD_BYTES as u64
-                + plan.n_points * binary::POINT_RECORD_BYTES as u64;
-            let s = shard_count(body, mode) as u64;
-            if s <= 1 || plan.n_intervals + plan.n_points == 0 {
-                return Ok(None);
-            }
-            let shards = (0..s)
-                .map(|k| BinShard {
-                    iv: (plan.n_intervals * k / s, plan.n_intervals * (k + 1) / s),
-                    pt: (plan.n_points * k / s, plan.n_points * (k + 1) / s),
-                })
-                .collect();
-            Ok(Some(SplitPlan::Binary { plan, shards }))
-        }
-        Format::Paje => Ok(None),
-        // Columnar files route through `ingest_columnar` before shard
-        // planning is consulted.
-        Format::Columnar => Ok(None),
-    }
-}
-
-/// Smallest offset `>= pos` that starts a line (scanning forward for the
-/// newline that ends the line containing `pos`), capped at `file_len`.
-fn align_to_line(f: &mut File, pos: u64, file_len: u64) -> Result<u64> {
-    // Look one byte back: if it is a newline, `pos` already starts a line.
-    let start = pos.saturating_sub(1);
-    f.seek(SeekFrom::Start(start))?;
-    let mut buf = [0u8; 4096];
-    let mut off = start;
-    loop {
-        let n = f.read(&mut buf)?;
-        if n == 0 {
-            return Ok(file_len);
-        }
-        if let Some(i) = buf[..n].iter().position(|&b| b == b'\n') {
-            return Ok((off + i as u64 + 1).min(file_len));
-        }
-        off += n as u64;
-    }
-}
-
-/// Run `n_tasks` closures on a bounded worker pool, returning results in
-/// task order. Panics propagate; the first error wins.
-fn run_pool<T, F>(n_tasks: usize, workers: usize, task: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let workers = workers.clamp(1, n_tasks.max(1));
-    let results: Vec<Mutex<Option<Result<T>>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let r = task(i);
-                *results[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("pool task completed"))
-        .collect()
-}
-
-/// A decoded shard: the partial model plus its local telemetry.
-struct ShardOut {
-    part: PartialModel,
-    peak: u64,
-    nanos: u64,
-}
-
-fn shard_sink(kind: ModelKind, n_slices: usize, hi_res: bool, range: (f64, f64)) -> ModelSink {
-    if hi_res {
-        ModelSink::hi_res_with_range(kind, n_slices, range)
-    } else {
-        ModelSink::with_range(kind, n_slices, range)
-    }
-}
-
-fn begin_or_err(sink: &mut ModelSink, header: &StreamHeader) -> Result<()> {
-    if sink.begin(header) {
-        return Ok(());
-    }
-    Err(FormatError::parse(
-        "trace stream declined by the model sink (empty or missing time range)",
-        None,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ingest_sharded(
-    path: &Path,
-    det: Detected,
-    split: SplitPlan,
-    n_slices: usize,
-    kind: ModelKind,
-    hi_res: bool,
-    opts: &IngestOptions,
-    plan_nanos: u64,
-) -> Result<IngestReport> {
-    let file_len = std::fs::metadata(path)?.len();
-    let workers = resolved_workers(opts);
-
-    // Establish the grid range: a predicate window wins outright (and
-    // skips the extent scan), else declared by the header, or a sharded
-    // scan (min/max merge across shards is exact in any order).
-    let (range, mode, scan_bytes) = if let Some(w) = predicate_range(opts) {
-        (w, IngestMode::SinglePass, 0u64)
-    } else {
-        match &split {
-            SplitPlan::Binary { plan, .. } => (
-                plan.header.range.expect("BTF headers declare a range"),
-                IngestMode::SinglePass,
-                0u64,
-            ),
-            SplitPlan::Text { plan, ranges } => match plan.header.range {
-                Some(r) => (r, IngestMode::SinglePass, 0),
-                None => {
-                    let spans = run_pool(ranges.len(), workers, |i| {
-                        let (lo, hi) = ranges[i];
-                        let mut f = File::open(path)?;
-                        f.seek(SeekFrom::Start(lo))?;
-                        let r = BufReader::with_capacity(1 << 20, f);
-                        let mut scan = ScanSink::new();
-                        text::decode_text_range(r, hi - lo, plan, &mut scan)?;
-                        Ok(scan.observed_range())
-                    })?;
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for (l, h) in spans.into_iter().flatten() {
-                        lo = lo.min(l);
-                        hi = hi.max(h);
-                    }
-                    if !lo.is_finite() {
-                        return Err(FormatError::parse("trace has no events to slice", None));
-                    }
-                    let scanned: u64 = ranges.iter().map(|(l, h)| h - l).sum();
-                    ((lo, hi), IngestMode::TwoPass, scanned)
-                }
-            },
-        }
-    };
-
-    let header = match &split {
-        SplitPlan::Text { plan, .. } => &plan.header,
-        SplitPlan::Binary { plan, .. } => &plan.header,
-    };
-    let n_shards = match &split {
-        SplitPlan::Text { ranges, .. } => ranges.len(),
-        SplitPlan::Binary { shards, .. } => shards.len(),
-    };
-
-    // One pool, two kinds of task: fingerprint chunks (raw FNV-1a per
-    // `HASH_CHUNK_BYTES` range, combined in chunk order — identical to a
-    // sequential `hash_file` by construction) and shard decodes. Chunk
-    // digests compose, so unlike a whole-file FNV pass the hash stage
-    // parallelizes instead of bounding the critical path.
-    let n_chunks = (file_len.div_ceil(HASH_CHUNK_BYTES).max(1)) as usize;
-    enum TaskOut {
-        Chunk { hash: u64, nanos: u64 },
-        Shard(Box<ShardOut>),
-    }
-    let tasks = run_pool(n_chunks + n_shards, workers, |i| {
-        if i < n_chunks {
-            let t = Instant::now();
-            let start = i as u64 * HASH_CHUNK_BYTES;
-            let len = (file_len - start).min(HASH_CHUNK_BYTES);
-            let hash = hash_file_chunk(path, start, len)?;
-            return Ok(TaskOut::Chunk {
-                hash,
-                nanos: t.elapsed().as_nanos() as u64,
-            });
-        }
-        let i = i - n_chunks;
-        let t = Instant::now();
-        let mut sink = shard_sink(kind, n_slices, hi_res, range);
-        if let Some(rs) = predicate_resources(opts) {
-            sink.set_resource_filter(rs);
-        }
-        begin_or_err(&mut sink, header)?;
-        match &split {
-            SplitPlan::Text { plan, ranges } => {
-                let (lo, hi) = ranges[i];
-                let mut f = File::open(path)?;
-                f.seek(SeekFrom::Start(lo))?;
-                let r = BufReader::with_capacity(1 << 20, f);
-                text::decode_text_range(r, hi - lo, plan, &mut sink)?;
-            }
-            SplitPlan::Binary { plan, shards } => {
-                let sh = &shards[i];
-                let iv_bytes = binary::INTERVAL_RECORD_BYTES as u64;
-                let pt_bytes = binary::POINT_RECORD_BYTES as u64;
-                if sh.iv.1 > sh.iv.0 {
-                    let mut f = File::open(path)?;
-                    f.seek(SeekFrom::Start(plan.intervals_start + sh.iv.0 * iv_bytes))?;
-                    let mut r = BufReader::with_capacity(1 << 20, f);
-                    binary::decode_interval_range(
-                        &mut r,
-                        sh.iv.1 - sh.iv.0,
-                        header.hierarchy.n_leaves(),
-                        header.states.len(),
-                        &mut sink,
-                    )?;
-                }
-                if sh.pt.1 > sh.pt.0 {
-                    let mut f = File::open(path)?;
-                    f.seek(SeekFrom::Start(plan.points_start + sh.pt.0 * pt_bytes))?;
-                    let mut r = BufReader::with_capacity(1 << 20, f);
-                    binary::decode_point_range(
-                        &mut r,
-                        sh.pt.1 - sh.pt.0,
-                        header.hierarchy.n_leaves(),
-                        &mut sink,
-                    )?;
-                }
-            }
-        }
-        sink.end();
-        let peak = sink.peak_bytes();
-        let part = sink
-            .finish_partial()
-            .map_err(|e| FormatError::parse(e.to_string(), None))?;
-        Ok(TaskOut::Shard(Box::new(ShardOut {
-            part,
-            peak,
-            nanos: t.elapsed().as_nanos() as u64,
-        })))
-    })?;
-
-    let mut chunk_hashes = Vec::with_capacity(n_chunks);
-    let mut hash_nanos = 0u64;
-    let mut outs: Vec<ShardOut> = Vec::with_capacity(n_shards);
-    for t in tasks {
-        match t {
-            // run_pool returns in index order: chunk digests arrive in
-            // chunk order, shard outputs in shard order.
-            TaskOut::Chunk { hash, nanos } => {
-                chunk_hashes.push(hash);
-                hash_nanos = hash_nanos.max(nanos); // slowest chunk = the stage's critical path
-            }
-            TaskOut::Shard(o) => outs.push(*o),
-        }
-    }
-    let fingerprint = combine_chunk_hashes(&chunk_hashes);
-
-    // Merge left-to-right in shard order — the canonical summation order.
-    let t_merge = Instant::now();
-    let shard_nanos: Vec<u64> = outs.iter().map(|o| o.nanos).collect();
-    let peak_bytes: u64 = outs.iter().map(|o| o.peak).sum();
-    let mut it = outs.into_iter();
-    let first = it.next().expect("plans have at least 2 shards");
-    let mut merged = first.part;
-    for o in it {
-        merged.absorb(o.part);
-    }
-    let (intervals, points) = merged.counts();
-    let model = merged.into_model(!hi_res);
-    let merge_nanos = t_merge.elapsed().as_nanos() as u64;
-
-    let (plan_bytes, shard_bytes): (u64, Vec<u64>) = match &split {
-        SplitPlan::Text { plan, ranges } => (
-            plan.header_bytes,
-            ranges.iter().map(|(l, h)| h - l).collect(),
-        ),
-        SplitPlan::Binary { plan, shards } => (
-            plan.intervals_start + 8,
-            shards
-                .iter()
-                .map(|sh| {
-                    (sh.iv.1 - sh.iv.0) * binary::INTERVAL_RECORD_BYTES as u64
-                        + (sh.pt.1 - sh.pt.0) * binary::POINT_RECORD_BYTES as u64
-                })
-                .collect(),
-        ),
-    };
-    let bytes_read = file_len + plan_bytes + scan_bytes + shard_bytes.iter().sum::<u64>();
-
-    record_timing(ShardTiming {
-        plan_nanos,
-        hash_nanos,
-        shard_nanos,
-        merge_nanos,
-    });
-    Ok(IngestReport {
-        model,
-        fingerprint,
-        bytes_read,
-        intervals,
-        points,
-        peak_bytes,
-        mode,
-        format: det.fmt,
-        gzip: det.gzip,
-        shards: shard_bytes,
-        chunks_total: 0,
-        chunks_read: 0,
-        bytes_skipped: 0,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Columnar ingestion with predicate pushdown
-// ---------------------------------------------------------------------------
-
-/// Assign every chunk to one of `n_groups` contiguous groups, balanced by
-/// cumulative payload bytes. The grouping is a pure function of the chunk
-/// index (never of predicates or worker counts), so one group's fold at
-/// `n_groups = 1` *is* the sequential forward decode, and the merged
-/// result is deterministic at any setting.
-fn chunk_groups(plan: &columnar::ColumnarPlan, n_groups: usize) -> Vec<usize> {
-    let total = plan.total_payload().max(1);
-    let mut groups = Vec::with_capacity(plan.chunks.len());
-    let mut cum = 0u64;
-    for c in &plan.chunks {
-        let g = (cum.saturating_mul(n_groups as u64) / total) as usize;
-        groups.push(g.min(n_groups - 1));
-        cum += c.payload_len;
-    }
-    groups
-}
-
-/// Ingest a plain `.octf` file: plan from the chunk index, skip chunks the
-/// predicate rules out, decode the survivors on the worker pool in
-/// index-grouped shards, and merge in group order. The fingerprint is the
-/// index-combined one ([`columnar::ColumnarPlan::fingerprint`]) on every
-/// route — full or pushdown — so artifact keys never depend on the
-/// predicate.
-fn ingest_columnar(
-    path: &Path,
-    det: Detected,
-    n_slices: usize,
-    kind: ModelKind,
-    hi_res: bool,
-    opts: &IngestOptions,
-) -> Result<IngestReport> {
-    let t_plan = Instant::now();
-    let plan = columnar::plan_columnar(path)?;
-    let window = predicate_range(opts);
-    let declared = plan.header.range.expect("OCTF headers declare a range");
-    let grid_range = window.unwrap_or(declared);
-    let mode = if opts.predicate.as_ref().is_some_and(|p| p.is_active()) {
-        IngestMode::Pushdown
-    } else {
-        IngestMode::SinglePass
-    };
-    columnar_fold(
-        path, det, &plan, n_slices, kind, hi_res, opts, grid_range, window, mode, t_plan,
-    )
-}
-
 /// Windowed hi-res pushdown: build the **raw hi-res intermediate** (grid =
 /// the full trace range at `hi_res_slices` resolution, exactly what
 /// [`read_hi_res`] produces) while decoding only the chunks overlapping
@@ -1159,190 +480,619 @@ pub fn read_hi_res_window(
     count: usize,
     opts: &IngestOptions,
 ) -> Result<IngestReport> {
-    let det = detect(path)?;
-    let wrap = |e: FormatError| annotate(e, path, det.fmt, det.ext);
-    if det.gzip || det.fmt != Format::Columnar {
-        return Err(FormatError::parse(
-            format!(
-                "{}: windowed pushdown requires a plain .octf source (got {}{})",
-                path.display(),
-                det.fmt.name(),
-                if det.gzip { ", gzip-framed" } else { "" }
-            ),
-            None,
-        ));
-    }
     let t_plan = Instant::now();
-    let plan = columnar::plan_columnar(path).map_err(wrap)?;
-    let n_leaves = plan.header.hierarchy.n_leaves();
-    let n_states = plan.header.states.len();
-    let h = hi_res_slices(n_slices, n_leaves, n_states);
-    if count == 0 || first + count > h {
-        return Err(FormatError::parse(
-            format!("window [{first}, {first}+{count}) exceeds the {h}-slice hi-res grid"),
-            None,
-        ));
+    let resources = opts.predicate.as_ref().and_then(|p| p.resources.clone());
+    let input = Input::open(path.to_path_buf(), resources)?;
+    let Layout::Columnar(plan) = &input.layout else {
+        let (at, got) = (path.display(), input.det.fmt.name());
+        let gz = if input.det.gzip { ", gzip-framed" } else { "" };
+        let e = format!("{at}: windowed pushdown requires a plain .octf source (got {got}{gz})");
+        return Err(FormatError::parse(e, None));
+    };
+    let (leaves, states) = (plan.header.hierarchy.n_leaves(), plan.header.states.len());
+    let h = hi_res_slices(n_slices, leaves, states);
+    if count == 0 || first.checked_add(count).is_none_or(|end| end > h) {
+        let e = format!("window [{first}, {first}+{count}) exceeds the {h}-slice hi-res grid");
+        return Err(FormatError::parse(e, None));
     }
-    let (lo, hi) = plan.header.range.expect("OCTF headers declare a range");
     // NaN bounds count as "no events" too, hence not a plain `hi <= lo`.
-    if !(lo.is_finite() && hi.is_finite() && hi > lo) {
-        return Err(FormatError::parse(
-            format!("{}: trace has no events to slice", path.display()),
-            None,
-        ));
-    }
+    let valid = |&(lo, hi): &(f64, f64)| lo.is_finite() && hi.is_finite() && hi > lo;
+    let (lo, hi) = plan
+        .header
+        .range
+        .filter(valid)
+        .ok_or_else(|| no_events(path))?;
     let grid = TimeGrid::new(lo, hi, h);
-    let w0 = grid.slice_bounds(first).0;
-    let w1 = grid.slice_bounds(first + count - 1).1;
-    columnar_fold(
-        path,
-        det,
-        &plan,
-        n_slices,
-        kind,
-        true,
-        opts,
-        (lo, hi),
-        Some((w0, w1)),
-        IngestMode::Pushdown,
-        t_plan,
-    )
-    .map_err(wrap)
+    let (w0, w1) = (
+        grid.slice_bounds(first).0,
+        grid.slice_bounds(first + count - 1).1,
+    );
+    let mut plan = Plan::file(input, n_slices, true, opts.shards, Some((w0, w1)))?;
+    (plan.range, plan.pushdown) = (Some((lo, hi)), true);
+    ingest(plan, kind, true, opts, t_plan)
 }
 
-/// The shared columnar fold: select chunks (`select` window × resource
-/// mask), decode the survivors group-parallel, merge in group order.
-/// `grid_range` is the model grid — the full trace range for windowed
-/// hi-res pushdown, the predicate window for direct windowed models.
-#[allow(clippy::too_many_arguments)]
-fn columnar_fold(
+/// Stream a trace file into a state-metric microscopic model with
+/// `n_slices` periods (shorthand for [`read_model`]).
+pub fn read_micro(path: &Path, n_slices: usize) -> Result<MicroModel> {
+    Ok(read_model(path, n_slices, ModelKind::States)?.model)
+}
+
+fn read_model_impl(
     path: &Path,
-    det: Detected,
-    plan: &columnar::ColumnarPlan,
     n_slices: usize,
     kind: ModelKind,
     hi_res: bool,
     opts: &IngestOptions,
-    grid_range: (f64, f64),
-    select: Option<(f64, f64)>,
-    mode: IngestMode,
-    t_plan: Instant,
 ) -> Result<IngestReport> {
-    let header = &plan.header;
-    let n_leaves = header.hierarchy.n_leaves();
-    let n_states = header.states.len();
-    let resources = predicate_resources(opts);
-    let wanted_mask = resources.map(|rs| rs.iter().fold(0u64, |m, r| m | 1 << (r % 64)));
+    let t_plan = Instant::now();
+    let predicate = opts.predicate.clone().unwrap_or_default();
+    let (window, resources) = (predicate.time_range, predicate.resources.clone());
+    let mut plan = if path.is_dir() {
+        Plan::dir(path, n_slices, hi_res, resources)?
+    } else {
+        let input = Input::open(path.to_path_buf(), resources)?;
+        let declared = input.layout.header().range;
+        let columnar = matches!(input.layout, Layout::Columnar(_));
+        let mut plan = Plan::file(input, n_slices, hi_res, opts.shards, window)?;
+        (plan.range, plan.pushdown) = (declared, columnar && predicate.is_active());
+        plan
+    };
+    // The window is the grid: it replaces the declared range and the scan.
+    plan.range = window.or(plan.range);
+    ingest(plan, kind, hi_res, opts, t_plan)
+}
 
-    // Chunk selection: a chunk survives when its time extent can overlap
-    // the window (closed test — boundary-touching chunks stay) AND its
-    // resource mask can contain a wanted leaf (conservative: the mask
-    // folds leaf ids mod 64, so false positives decode harmlessly and
-    // false negatives cannot happen).
-    let selected: Vec<bool> = plan
-        .chunks
-        .iter()
-        .map(|c| {
-            let time_ok = select.is_none_or(|(lo, hi)| c.overlaps(lo, hi));
-            let res_ok = wanted_mask.is_none_or(|m| c.resource_mask & m != 0);
-            time_ok && res_ok
+fn shard_count(body_bytes: u64, mode: ShardMode) -> usize {
+    match mode {
+        ShardMode::Auto => {
+            let n = body_bytes.div_ceil(SHARD_TARGET_BYTES).max(1);
+            (n as usize).min(MAX_SHARDS)
+        }
+        ShardMode::Fixed(n) => n.clamp(1, MAX_SHARDS),
+    }
+}
+
+/// Model grid slices: the hi-res refinement of `n_slices` for this shape,
+/// or `n_slices` itself.
+fn grid_slices(n_slices: usize, hi_res: bool, leaves: usize, states: usize) -> usize {
+    if hi_res {
+        hi_res_slices(n_slices, leaves, states)
+    } else {
+        n_slices
+    }
+}
+
+fn no_events(path: &Path) -> FormatError {
+    let at = path.display();
+    FormatError::parse(format!("{at}: trace has no events to slice"), None)
+}
+
+fn nanos(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
+}
+
+// ---------------------------------------------------------------------------
+// The plan: inputs and their decode units
+// ---------------------------------------------------------------------------
+
+/// How an input's bytes are laid out, as far as its planner read them.
+enum Layout {
+    /// Gzip streams and Pajé decode sequentially only; the header comes
+    /// from decoding the declarations.
+    Stream(StreamHeader),
+    Text(text::TextPlan),
+    Binary(binary::BinaryPlan),
+    Columnar(ColumnarPlan),
+}
+
+impl Layout {
+    fn header(&self) -> &StreamHeader {
+        match self {
+            Layout::Stream(header) => header,
+            Layout::Text(plan) => &plan.header,
+            Layout::Binary(plan) => &plan.header,
+            Layout::Columnar(plan) => &plan.header,
+        }
+    }
+}
+
+/// One pool task's worth of decoding.
+enum Unit {
+    /// The whole stream, through the format's sequential decoder.
+    Stream,
+    /// PTF event bytes `[lo, hi)`, newline-aligned.
+    Lines(u64, u64),
+    /// BTF `(offset, count)` of an interval and of a point record range.
+    Records { iv: (u64, u64), pt: (u64, u64) },
+    /// The OCTF chunks (index, entry) of one group the predicate keeps,
+    /// plus which point kinds (send, recv, marker) the chunks it skips
+    /// carry: pseudo-state presence is trace-global.
+    Chunks(columnar::ChunkGroup, [bool; 3]),
+}
+
+/// One input file and its units, in merge order.
+struct Input {
+    path: PathBuf,
+    det: Detected,
+    len: u64,
+    layout: Layout,
+    units: Vec<Unit>,
+    /// First union leaf of this file (0 for a single file).
+    leaf_offset: usize,
+    /// The predicate's resource list, in this file's own leaf ids.
+    filter: Option<Vec<u32>>,
+}
+
+/// Captures a stream's declarations and declines its events.
+struct HeaderSink(Option<StreamHeader>);
+
+impl EventSink for HeaderSink {
+    fn begin(&mut self, header: &StreamHeader) -> bool {
+        self.0 = Some(header.clone());
+        false
+    }
+    fn interval(&mut self, _: LeafId, _: StateId, _: Time, _: Time) {}
+}
+
+impl Input {
+    /// Detect `path` and read its layout (headers and indexes only); the
+    /// file starts as one whole-stream unit.
+    fn open(path: PathBuf, filter: Option<Vec<u32>>) -> Result<Self> {
+        let det = detect(&path)?;
+        let len = std::fs::metadata(&path)?.len();
+        let layout = match (det.gzip, det.fmt) {
+            (false, Format::Text) => text::plan_text(buffered(&path, 0)?).map(Layout::Text),
+            (false, Format::Binary) => binary::plan_binary(buffered(&path, 0)?).map(Layout::Binary),
+            (false, Format::Columnar) => columnar::plan_columnar(&path).map(Layout::Columnar),
+            _ => {
+                let mut sink = HeaderSink(None);
+                decode(det.fmt, open_plain(&path, det.gzip)?, &mut sink).and_then(|_| {
+                    let header = sink.0.map(Layout::Stream);
+                    header.ok_or_else(|| FormatError::parse("empty trace stream", None))
+                })
+            }
+        };
+        Ok(Self {
+            layout: layout.map_err(|e| annotate(e, &path, det.fmt, det.ext))?,
+            path,
+            det,
+            len,
+            units: vec![Unit::Stream],
+            leaf_offset: 0,
+            filter,
         })
-        .collect();
-    // Pseudo-state presence is trace-global: a skipped point chunk must
-    // still register its kinds so density models intern the same
-    // pseudo-state set a full decode would.
-    let mut skipped_kinds = 0u8;
-    for (c, &sel) in plan.chunks.iter().zip(&selected) {
-        if !sel && c.is_points() {
-            skipped_kinds |= c.kind_mask;
+    }
+
+    fn annotate(&self, e: FormatError) -> FormatError {
+        annotate(e, &self.path, self.det.fmt, self.det.ext)
+    }
+
+    /// Cut a single file into units: newline-aligned PTF ranges or BTF
+    /// record ranges once it is big enough to shard, and for a plain
+    /// `.octf` chunk groups keeping the chunks that can meet `select` and
+    /// the resource filter. Returns the header bytes a split read beyond
+    /// its units, and `(chunks_total, chunks_read, bytes_skipped)`.
+    fn split(&mut self, mode: ShardMode, select: Option<(f64, f64)>) -> Result<(u64, [u64; 3])> {
+        match &self.layout {
+            Layout::Text(plan) if plan.has_events && plan.header_bytes < self.len => {
+                let s = shard_count(self.len - plan.header_bytes, mode) as u64;
+                if s > 1 {
+                    let lines = plan.split(&self.path, self.len, s)?.into_iter();
+                    self.units = lines.map(|(lo, hi)| Unit::Lines(lo, hi)).collect();
+                    return Ok((plan.header_bytes, [0; 3]));
+                }
+            }
+            Layout::Binary(plan) if plan.has_records() => {
+                let s = shard_count(plan.body_bytes(self.len)?, mode) as u64;
+                if s > 1 {
+                    let shards = (0..s).map(|k| plan.shard(k, s));
+                    self.units = shards.map(|[iv, pt]| Unit::Records { iv, pt }).collect();
+                    return Ok((plan.intervals_start + 8, [0; 3]));
+                }
+            }
+            Layout::Columnar(plan) => {
+                // A chunk survives when its time extent can overlap the
+                // window (closed test: boundary-touching chunks stay) and
+                // its folded resource mask can hold a wanted leaf (false
+                // positives decode harmlessly, false negatives cannot
+                // happen).
+                let fold = |rs: &[u32]| rs.iter().fold(0u64, |m, r| m | 1 << (r % 64));
+                let mask = self.filter.as_deref().map(fold);
+                let (groups, kinds, skipped_bytes) =
+                    plan.select(shard_count(plan.total_payload(), mode), |c| {
+                        select.is_none_or(|(lo, hi)| c.overlaps(lo, hi))
+                            && mask.is_none_or(|m| c.resource_mask & m != 0)
+                    });
+                let read = groups.iter().map(|g| g.len() as u64).sum();
+                let stats = [plan.chunks.len() as u64, read, skipped_bytes];
+                let units = groups.into_iter().map(|g| Unit::Chunks(g, kinds));
+                self.units = units.collect();
+                return Ok((0, stats));
+            }
+            _ => {}
+        }
+        Ok((0, [0; 3]))
+    }
+
+    /// A directory file's event extent when its plan already knows it
+    /// (`Some(None)`: no events), `None` when only a scan can tell.
+    fn known_extent(&self) -> Option<Option<(f64, f64)>> {
+        match &self.layout {
+            Layout::Columnar(plan) => Some(plan.time_extent()),
+            Layout::Binary(plan) => Some(plan.header.range.filter(|_| plan.has_records())),
+            Layout::Text(plan) if !plan.has_events => Some(None),
+            Layout::Text(plan) => plan.header.range.map(Some),
+            Layout::Stream(_) => None,
         }
     }
 
-    let n_groups = shard_count(plan.total_payload(), opts.shards);
-    let groups = chunk_groups(plan, n_groups);
-    let fingerprint = plan.fingerprint(path)?;
-    let plan_nanos = t_plan.elapsed().as_nanos() as u64;
-    let workers = resolved_workers(opts);
-
-    let outs = run_pool(n_groups, workers, |g| {
-        let t = Instant::now();
-        let mut sink = shard_sink(kind, n_slices, hi_res, grid_range);
-        if let Some(rs) = resources {
-            sink.set_resource_filter(rs);
+    /// Drive `sink` through one unit. Range units begin the sink with the
+    /// planned header; a `Stream` unit's decoder does that itself. Returns
+    /// `false` when the sink declined the stream.
+    fn decode<S: EventSink>(&self, unit: &Unit, sink: &mut S) -> Result<bool> {
+        let (path, header) = (&self.path, self.layout.header());
+        let (n_leaves, n_states) = (header.hierarchy.n_leaves(), header.states.len());
+        if let Unit::Stream = unit {
+            return decode(self.det.fmt, open_plain(path, self.det.gzip)?, sink);
         }
-        begin_or_err(&mut sink, header)?;
-        sink.note_point_kinds(
-            skipped_kinds & columnar::KIND_SEND != 0,
-            skipped_kinds & columnar::KIND_RECV != 0,
-            skipped_kinds & columnar::KIND_MARKER != 0,
-        );
-        let mut f = File::open(path)?;
-        for (i, c) in plan.chunks.iter().enumerate() {
-            if groups[i] == g && selected[i] {
-                columnar::decode_chunk_file(&mut f, c, i as u64, n_leaves, n_states, &mut sink)?;
+        if !sink.begin(header) {
+            return Ok(false);
+        }
+        match (unit, &self.layout) {
+            (Unit::Lines(lo, hi), Layout::Text(plan)) => {
+                text::decode_text_range(buffered(path, *lo)?, hi - lo, plan, sink)?;
             }
+            (Unit::Records { iv, pt }, _) => {
+                if iv.1 > 0 {
+                    let mut r = buffered(path, iv.0)?;
+                    binary::decode_interval_range(&mut r, iv.1, n_leaves, n_states, sink)?;
+                }
+                if pt.1 > 0 {
+                    binary::decode_point_range(&mut buffered(path, pt.0)?, pt.1, n_leaves, sink)?;
+                }
+            }
+            (Unit::Chunks(chunks, _), _) => {
+                let mut f = File::open(path)?;
+                for (i, c) in chunks {
+                    columnar::decode_chunk_file(&mut f, c, *i, n_leaves, n_states, sink)?;
+                }
+            }
+            _ => return Err(FormatError::parse("unit does not fit its file", None)),
         }
         sink.end();
-        let peak = sink.peak_bytes();
-        let part = sink
-            .finish_partial()
-            .map_err(|e| FormatError::parse(e.to_string(), None))?;
-        Ok(ShardOut {
-            part,
-            peak,
-            nanos: t.elapsed().as_nanos() as u64,
-        })
-    })?;
-
-    // Merge left-to-right in group order — the canonical summation order
-    // (groups are contiguous chunk ranges, so 1 group == forward decode).
-    let t_merge = Instant::now();
-    let shard_nanos: Vec<u64> = outs.iter().map(|o| o.nanos).collect();
-    let peak_bytes: u64 = outs.iter().map(|o| o.peak).sum();
-    let mut it = outs.into_iter();
-    let first = it.next().expect("shard_count returns at least 1");
-    let mut merged = first.part;
-    for o in it {
-        merged.absorb(o.part);
+        Ok(true)
     }
-    let (intervals, points) = merged.counts();
-    let model = merged.into_model(!hi_res);
-    let merge_nanos = t_merge.elapsed().as_nanos() as u64;
 
-    // Byte accounting from the index: the header and footer are always
-    // read; chunk bytes only when selected.
-    let mut shard_bytes = vec![0u64; n_groups];
-    let mut bytes_skipped = 0u64;
-    let mut chunks_read = 0u64;
-    for (i, c) in plan.chunks.iter().enumerate() {
-        if selected[i] {
-            shard_bytes[groups[i]] += c.stored_bytes();
-            chunks_read += 1;
-        } else {
-            bytes_skipped += c.stored_bytes();
+    /// Input bytes `unit` covers.
+    fn unit_bytes(&self, unit: &Unit) -> u64 {
+        match unit {
+            Unit::Stream => self.len,
+            Unit::Lines(lo, hi) => hi - lo,
+            Unit::Records { iv, pt } => {
+                iv.1 * INTERVAL_RECORD_BYTES as u64 + pt.1 * POINT_RECORD_BYTES as u64
+            }
+            Unit::Chunks(chunks, _) => chunks.iter().map(|(_, c)| c.stored_bytes()).sum(),
         }
     }
-    let bytes_read =
-        plan.header_bytes + (plan.file_len - plan.footer_offset) + shard_bytes.iter().sum::<u64>();
 
-    record_timing(ShardTiming {
+    /// This file's fingerprint tasks; [`combine_chunk_hashes`] over their
+    /// digests is the file's content hash.
+    fn hash_jobs(&self) -> Vec<HashJob<'_>> {
+        if let Layout::Columnar(plan) = &self.layout {
+            return vec![HashJob::Index(plan)];
+        }
+        let starts = (0..self.len.div_ceil(HASH_CHUNK_BYTES).max(1)).map(|k| k * HASH_CHUNK_BYTES);
+        let len = |at: u64| (self.len - at).min(HASH_CHUNK_BYTES);
+        starts.map(|at| HashJob::Range(at, len(at))).collect()
+    }
+
+    /// Run one fingerprint task; returns its digest and the bytes it read.
+    fn hash(&self, job: HashJob) -> Result<(u64, u64)> {
+        Ok(match job {
+            HashJob::Range(at, len) => (hash_file_chunk(&self.path, at, len)?, len),
+            HashJob::Index(plan) => {
+                let read = plan.header_bytes + (plan.file_len - plan.footer_offset);
+                (plan.fingerprint(&self.path)?, read)
+            }
+        })
+    }
+}
+
+/// One fingerprint task of a file.
+#[derive(Clone, Copy)]
+enum HashJob<'a> {
+    /// Raw FNV-1a of the bytes `[start, start + len)`.
+    Range(u64, u64),
+    /// The chunk-index fold of a plain `.octf` (header and footer only).
+    Index(&'a ColumnarPlan),
+}
+
+/// Everything the driver needs to run one ingest of `path`.
+struct Plan {
+    path: PathBuf,
+    inputs: Vec<Input>,
+    /// A directory's union shape, which its files mount into; `None` for
+    /// a single file, whose units absorb into the first.
+    union: Option<(Hierarchy, StateRegistry)>,
+    slices: usize,
+    /// The grid range when known before decoding; `None` scans the units.
+    range: Option<(f64, f64)>,
+    /// A columnar source read under a predicate ([`IngestMode::Pushdown`]).
+    pushdown: bool,
+    /// Header bytes a split read beyond its units.
+    plan_bytes: u64,
+    /// `[chunks_total, chunks_read, bytes_skipped]` of a columnar source.
+    chunks: [u64; 3],
+}
+
+impl Plan {
+    /// One file, cut into units; the caller settles the range.
+    fn file(
+        mut input: Input,
+        n_slices: usize,
+        hi_res: bool,
+        mode: ShardMode,
+        select: Option<(f64, f64)>,
+    ) -> Result<Self> {
+        let (plan_bytes, chunks) = input.split(mode, select).map_err(|e| input.annotate(e))?;
+        let h = input.layout.header();
+        let slices = grid_slices(n_slices, hi_res, h.hierarchy.n_leaves(), h.states.len());
+        Ok(Self {
+            path: input.path.clone(),
+            inputs: vec![input],
+            union: None,
+            slices,
+            range: None,
+            pushdown: false,
+            plan_bytes,
+            chunks,
+        })
+    }
+
+    /// A directory: every trace file is one unit, grafted under a
+    /// super-root named after the directory (each file's root renamed to
+    /// its stem, leaves numbered in file order), states united by name in
+    /// file order. `resources` are union leaf ids.
+    fn dir(dir: &Path, n_slices: usize, hi_res: bool, resources: Option<Vec<u32>>) -> Result<Self> {
+        let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("trace");
+        let mut b = HierarchyBuilder::new(name, "trace");
+        let root = b.root();
+        let mut states = StateRegistry::new();
+        let mut inputs = Vec::new();
+        let mut offset = 0usize;
+        for path in trace_files(dir)? {
+            let mut input = Input::open(path, None)?;
+            let stem = input.path.file_stem().and_then(|s| s.to_str());
+            let header = input.layout.header();
+            graft(&mut b, root, &header.hierarchy, stem.unwrap_or("file"))?;
+            for (_, name) in header.states.iter() {
+                if states.len() >= (1 << 16) && states.get(name).is_none() {
+                    let e = "union state count exceeds the u16 id space";
+                    return Err(FormatError::parse(e, None));
+                }
+                states.intern(name);
+            }
+            let n = header.hierarchy.n_leaves();
+            input.filter = resources.as_ref().map(|rs| {
+                let local = rs.iter().filter_map(|&r| (r as usize).checked_sub(offset));
+                local.filter(|&l| l < n).map(|l| l as u32).collect()
+            });
+            input.leaf_offset = offset;
+            offset += n;
+            inputs.push(input);
+        }
+        let hierarchy = b
+            .build()
+            .map_err(|e| FormatError::parse(format!("invalid union hierarchy: {e}"), None))?;
+        Ok(Self {
+            path: dir.to_path_buf(),
+            inputs,
+            slices: grid_slices(n_slices, hi_res, hierarchy.n_leaves(), states.len()),
+            union: Some((hierarchy, states)),
+            range: None,
+            pushdown: false,
+            plan_bytes: 0,
+            chunks: [0; 3],
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
+
+/// Run `f` over `items` on `pool`, keeping their order; the first error
+/// (in item order) wins.
+fn on_pool<T: Send, R: Send>(
+    pool: &rayon::ThreadPool,
+    items: Vec<T>,
+    f: impl Fn(T) -> Result<R> + Sync + Send,
+) -> Result<Vec<R>> {
+    let done = pool.install(|| items.into_par_iter().map(f).collect::<Vec<_>>());
+    done.into_iter().collect()
+}
+
+/// One pool task: a fingerprint job or a decode unit of an input.
+enum Task<'a> {
+    Hash(&'a Input, HashJob<'a>),
+    Decode(&'a Input, &'a Unit),
+}
+
+/// What a task produced: a digest and the bytes it hashed, or a unit's
+/// partial model and its peak accumulator bytes.
+enum Done {
+    Hash(u64, u64),
+    Decode(Box<PartialModel>, u64),
+}
+
+/// Run a plan: settle the grid range (scanning the units when nothing
+/// declares it), run the hash and decode tasks on one pool, merge the
+/// partial models in unit order and assemble the report.
+fn ingest(
+    plan: Plan,
+    kind: ModelKind,
+    hi_res: bool,
+    opts: &IngestOptions,
+    t_plan: Instant,
+) -> Result<IngestReport> {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(opts.max_workers)
+        .build()
+        .map_err(|e| FormatError::parse(e.to_string(), None))?;
+    let units: Vec<(&Input, &Unit)> = plan
+        .inputs
+        .iter()
+        .flat_map(|input| input.units.iter().map(move |unit| (input, unit)))
+        .collect();
+    let plan_nanos = nanos(t_plan);
+
+    // The grid range, else the union of the units' extents: known from a
+    // directory file's plan, or scanned (the first of two passes).
+    let mounted = plan.union.is_some();
+    let mut unit_nanos = vec![0u64; units.len()];
+    let (mut scanned, mut scan_bytes) = (false, 0u64);
+    let range = match plan.range {
+        Some(range) => range,
+        None => {
+            let extents = on_pool(&pool, units.clone(), |(input, unit)| {
+                if let Some(extent) = input.known_extent().filter(|_| mounted) {
+                    return Ok((extent, None));
+                }
+                let (t, mut scan) = (Instant::now(), ScanSink::new());
+                input
+                    .decode(unit, &mut scan)
+                    .map_err(|e| input.annotate(e))?;
+                Ok((scan.observed_range(), Some(nanos(t))))
+            })?;
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            let owners = units.iter().zip(&mut unit_nanos);
+            for ((extent, scan), (&(input, unit), spent)) in extents.into_iter().zip(owners) {
+                if let Some((l, h)) = extent {
+                    (lo, hi) = (lo.min(l), hi.max(h));
+                }
+                if let Some(t) = scan {
+                    (*spent, scanned) = (t, true);
+                    scan_bytes += input.unit_bytes(unit);
+                }
+            }
+            if !(lo.is_finite() && hi.is_finite() && hi > lo) {
+                return Err(no_events(&plan.path));
+            }
+            (lo, hi)
+        }
+    };
+
+    // One pool, two kinds of task: fingerprint jobs first, then the units.
+    let slices = plan.slices;
+    let jobs: Vec<_> = plan.inputs.iter().map(Input::hash_jobs).collect();
+    let hash_tasks = plan
+        .inputs
+        .iter()
+        .zip(&jobs)
+        .flat_map(|(input, jobs)| jobs.iter().map(move |&job| Task::Hash(input, job)));
+    let tasks = hash_tasks.chain(units.iter().map(|&(input, unit)| Task::Decode(input, unit)));
+    let done = on_pool(&pool, tasks.collect(), |task| {
+        let t = Instant::now();
+        let done = match task {
+            Task::Hash(input, job) => {
+                let (digest, bytes) = input.hash(job).map_err(|e| input.annotate(e))?;
+                Done::Hash(digest, bytes)
+            }
+            Task::Decode(input, unit) => {
+                let mut sink = ModelSink::with_range(kind, slices, range);
+                if let Some(keep) = &input.filter {
+                    sink.set_resource_filter(keep);
+                }
+                input
+                    .decode(unit, &mut sink)
+                    .map_err(|e| input.annotate(e))?;
+                if let Unit::Chunks(_, [send, recv, marker]) = *unit {
+                    sink.note_point_kinds(send, recv, marker);
+                }
+                let peak = sink.peak_bytes();
+                let part = sink.finish_partial().map_err(|e| e.to_string());
+                let part = part.map_err(|e| input.annotate(FormatError::parse(e, None)))?;
+                Done::Decode(Box::new(part), peak)
+            }
+        };
+        Ok((done, nanos(t)))
+    })?;
+
+    // Digests arrive in job order (grouped by file), parts in unit order.
+    let (mut digests, mut parts) = (Vec::new(), Vec::new());
+    let (mut hash_nanos, mut hash_total_nanos, mut hash_bytes, mut peak_bytes) = (0, 0, 0, 0);
+    let mut spent = unit_nanos.iter_mut();
+    for (done, nanos) in done {
+        match done {
+            Done::Hash(digest, bytes) => {
+                digests.push(digest);
+                (hash_nanos, hash_total_nanos) = (hash_nanos.max(nanos), hash_total_nanos + nanos);
+                hash_bytes += bytes;
+            }
+            Done::Decode(part, peak) => {
+                parts.push(*part);
+                peak_bytes += peak;
+                if let Some(t) = spent.next() {
+                    *t += nanos;
+                }
+            }
+        }
+    }
+    let mut digests = digests.into_iter();
+    let file_hashes: Vec<u64> = jobs
+        .iter()
+        .map(|jobs| combine_chunk_hashes(&digests.by_ref().take(jobs.len()).collect::<Vec<_>>()))
+        .collect();
+    let fingerprint = match (mounted, file_hashes.as_slice()) {
+        (false, [one]) => *one,
+        _ => combine_file_hashes(&file_hashes),
+    };
+
+    // Merge in unit order: the parts of one stream absorb left to right
+    // (the canonical summation order); directory files mount at their
+    // leaf offsets.
+    let t_merge = Instant::now();
+    let grid = TimeGrid::new(range.0, range.1, slices);
+    let seed = |(h, states)| PartialModel::empty(kind, h, states, grid);
+    let mut merged = plan.union.map(seed);
+    for (&(input, _), part) in units.iter().zip(parts) {
+        match merged.as_mut() {
+            None => merged = Some(part),
+            Some(union) if mounted => union.mount(part, input.leaf_offset),
+            Some(first) => first.absorb(part),
+        }
+    }
+    let merged = merged.ok_or_else(|| no_events(&plan.path))?;
+    let (intervals, points) = merged.counts();
+    let model = merged.into_model(!hi_res);
+    let merge_nanos = nanos(t_merge);
+
+    let shards: Vec<u64> = units.iter().map(|&(i, unit)| i.unit_bytes(unit)).collect();
+    *LAST_TIMING.lock().unwrap_or_else(PoisonError::into_inner) = Some(ShardTiming {
         plan_nanos,
-        hash_nanos: 0,
-        shard_nanos,
+        hash_nanos,
+        hash_total_nanos,
+        shard_nanos: unit_nanos,
         merge_nanos,
     });
+    let [chunks_total, chunks_read, bytes_skipped] = plan.chunks;
     Ok(IngestReport {
         model,
         fingerprint,
-        bytes_read,
+        bytes_read: hash_bytes + plan.plan_bytes + scan_bytes + shards.iter().sum::<u64>(),
         intervals,
         points,
         peak_bytes,
-        mode,
-        format: det.fmt,
-        gzip: det.gzip,
-        shards: shard_bytes,
-        chunks_total: plan.chunks.len() as u64,
+        mode: match (plan.pushdown, scanned) {
+            (true, _) => IngestMode::Pushdown,
+            (false, true) => IngestMode::TwoPass,
+            (false, false) => IngestMode::SinglePass,
+        },
+        format: plan.inputs.first().map_or(Format::Binary, |i| i.det.fmt),
+        gzip: plan.inputs.iter().any(|i| i.det.gzip),
+        shards,
+        chunks_total,
         chunks_read,
         bytes_skipped,
     })
@@ -1359,325 +1109,45 @@ fn columnar_fold(
 pub fn trace_files(dir: &Path) -> Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
+        let (entry, hidden) = (entry?, |n: &str| n.starts_with('.'));
         let p = entry.path();
-        if !entry.file_type()?.is_file() {
-            continue;
+        let name = p.file_name().and_then(|n| n.to_str());
+        if entry.file_type()?.is_file()
+            && !name.is_some_and(hidden)
+            && Format::from_path(&p).is_some()
+        {
+            files.push(p);
         }
-        let hidden = p
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with('.'));
-        if hidden || Format::from_path(&p).is_none() {
-            continue;
-        }
-        files.push(p);
     }
     files.sort();
     if files.is_empty() {
-        return Err(FormatError::parse(
-            format!(
-                "{}: no trace files (.ptf / .btf / .paje / .trace / .octf, optionally .gz)",
-                dir.display()
-            ),
-            None,
-        ));
+        let at = dir.display();
+        let e = format!("{at}: no trace files (.ptf/.btf/.paje/.trace/.octf, optionally .gz)");
+        return Err(FormatError::parse(e, None));
     }
     Ok(files)
 }
 
-/// Combine per-file content hashes into the directory fingerprint: an FNV
-/// fold over the 8-byte little-endian hashes in sorted file order.
-fn combine_file_hashes(hashes: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(hashes.len() * 8);
-    for h in hashes {
-        bytes.extend_from_slice(&h.to_le_bytes());
-    }
-    hash_reader(bytes.as_slice()).expect("in-memory read cannot fail")
-}
-
-/// Content hash of one trace file, as ingestion reports it: plain `.octf`
-/// files use the index-combined fingerprint (computable from the header
-/// and footer alone, so pushdown ingests key identically to full ones);
-/// everything else — including gzip-framed `.octf` — hashes the raw
-/// on-disk bytes ([`hash_file`]).
-fn trace_file_hash(path: &Path) -> std::io::Result<u64> {
-    let mut f = File::open(path)?;
-    let mut head = [0u8; 4];
-    let mut n = 0;
-    while n < head.len() {
-        let got = f.read(&mut head[n..])?;
-        if got == 0 {
-            break;
-        }
-        n += got;
-    }
-    drop(f);
-    if &head[..n] == columnar::MAGIC {
-        return columnar::plan_columnar(path)
-            .and_then(|plan| Ok(plan.fingerprint(path)?))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()));
-    }
-    hash_file(path)
-}
-
-/// Content fingerprint of a trace input: `trace_file_hash` for a file
-/// (the chunk index fold for plain `.octf`, [`hash_file`] otherwise),
-/// the sorted-order FNV fold of per-file hashes for a directory. This is
-/// the same fingerprint ingestion reports, so artifact keys agree.
-pub fn hash_trace_input(path: &Path) -> std::io::Result<u64> {
-    if !path.is_dir() {
-        return trace_file_hash(path);
-    }
-    let files = trace_files(path)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut hashes = Vec::with_capacity(files.len());
-    for f in &files {
-        hashes.push(trace_file_hash(f)?);
-    }
-    Ok(combine_file_hashes(&hashes))
-}
-
-/// Pre-ingestion knowledge about one file of a directory trace.
-struct FileInfo {
-    path: PathBuf,
-    fmt: Format,
-    gzip: bool,
-    len: u64,
-    header: StreamHeader,
-    /// The file's event extent (declared or scanned); `None` = no events.
-    span: Option<(f64, f64)>,
-    /// Disk passes this file costs (hash + optional scan + fold).
-    passes: u64,
-    hash: u64,
-}
-
 /// Graft `h` under `parent`, renaming the file's root to `name`. Node ids
 /// are pre-order, so parents always precede children.
-fn graft(b: &mut HierarchyBuilder, parent: NodeId, h: &Hierarchy, name: &str) {
+fn graft(b: &mut HierarchyBuilder, parent: NodeId, h: &Hierarchy, name: &str) -> Result<()> {
     let mut map: Vec<NodeId> = Vec::with_capacity(h.len());
     for id in h.node_ids() {
-        let mapped = match h.parent(id) {
+        let mapped = match h.parent(id).map(|p| map.get(p.0 as usize)) {
             None => b.add_child(parent, name, h.kind(id)),
-            Some(p) => b.add_child(map[p.0 as usize], h.name(id), h.kind(id)),
+            Some(Some(&p)) => b.add_child(p, h.name(id), h.kind(id)),
+            Some(None) => return Err(FormatError::parse("hierarchy child precedes parent", None)),
         };
         map.push(mapped);
     }
-}
-
-fn read_model_dir(
-    dir: &Path,
-    n_slices: usize,
-    kind: ModelKind,
-    hi_res: bool,
-    opts: &IngestOptions,
-) -> Result<IngestReport> {
-    let t_plan = Instant::now();
-    let files = trace_files(dir)?;
-    let workers = resolved_workers(opts);
-
-    // Phase A — per file: header, event extent, content hash. Cheap header
-    // parses where the format allows it, a full scan pass where not.
-    let mut infos = Vec::with_capacity(files.len());
-    let mut any_scanned = false;
-    for path in files {
-        let det = detect(&path)?;
-        let wrap = |e: FormatError| annotate(e, &path, det.fmt, det.ext);
-        let len = std::fs::metadata(&path)?.len();
-        let hash = trace_file_hash(&path)?;
-        let (header, span, passes) = match (det.gzip, det.fmt) {
-            (false, Format::Columnar) => {
-                // Header + footer index only: the extent and the
-                // fingerprint come without touching chunk bytes.
-                let plan = columnar::plan_columnar(&path).map_err(wrap)?;
-                let span = plan.time_extent();
-                (plan.header, span, 2)
-            }
-            (false, Format::Binary) => {
-                let plan = binary::plan_binary(buffered(&path)?).map_err(wrap)?;
-                let span = (plan.n_intervals + plan.n_points > 0)
-                    .then(|| plan.header.range.expect("BTF headers declare a range"));
-                (plan.header, span, 2)
-            }
-            (false, Format::Text) => {
-                let plan = text::plan_text(buffered(&path)?).map_err(wrap)?;
-                match (plan.has_events, plan.header.range) {
-                    (false, _) => (plan.header, None, 2),
-                    (true, Some(r)) => (plan.header, Some(r), 2),
-                    (true, None) => {
-                        // No declared range: scan this file for its extent.
-                        let mut scan = ScanSink::new();
-                        decode(det.fmt, open_plain(&path, det.gzip)?, &mut scan).map_err(wrap)?;
-                        any_scanned = true;
-                        (plan.header, scan.observed_range(), 3)
-                    }
-                }
-            }
-            // Pajé and gzip streams: one full scan pass captures the
-            // header and the extent together.
-            _ => {
-                let mut scan = ScanSink::new();
-                decode(det.fmt, open_plain(&path, det.gzip)?, &mut scan).map_err(wrap)?;
-                any_scanned = true;
-                let header = scan
-                    .header
-                    .take()
-                    .ok_or_else(|| wrap(FormatError::parse("empty trace stream", None)))?;
-                let span = scan.observed_range();
-                (header, span, 3)
-            }
-        };
-        infos.push(FileInfo {
-            path,
-            fmt: det.fmt,
-            gzip: det.gzip,
-            len,
-            header,
-            span,
-            passes,
-            hash,
-        });
-    }
-
-    // The union: a super-root named after the directory, one child subtree
-    // per file (renamed to the file stem), leaves numbered in file order
-    // by the builder's DFS renumbering; states united by name in file
-    // order; the grid spans the union of event extents.
-    let dir_name = dir
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("trace")
-        .to_string();
-    let mut b = HierarchyBuilder::new(&dir_name, "trace");
-    let root = b.root();
-    let mut leaf_offsets = Vec::with_capacity(infos.len());
-    let mut total_leaves = 0usize;
-    for info in &infos {
-        let stem = info
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("file");
-        graft(&mut b, root, &info.header.hierarchy, stem);
-        leaf_offsets.push(total_leaves);
-        total_leaves += info.header.hierarchy.n_leaves();
-    }
-    let union_hierarchy = b
-        .build()
-        .map_err(|e| FormatError::parse(format!("invalid union hierarchy: {e}"), None))?;
-    let mut union_states = ocelotl_trace::StateRegistry::new();
-    for info in &infos {
-        for (_, name) in info.header.states.iter() {
-            if union_states.len() >= (1 << 16) && union_states.get(name).is_none() {
-                return Err(FormatError::parse(
-                    "union state count exceeds the u16 id space",
-                    None,
-                ));
-            }
-            union_states.intern(name);
-        }
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for (l, h) in infos.iter().filter_map(|i| i.span) {
-        lo = lo.min(l);
-        hi = hi.max(h);
-    }
-    if !(lo.is_finite() && hi.is_finite() && hi > lo) {
-        return Err(FormatError::parse(
-            format!("{}: trace has no events to slice", dir.display()),
-            None,
-        ));
-    }
-    let range = (lo, hi);
-    let slices = if hi_res {
-        hi_res_slices(n_slices, total_leaves, union_states.len())
-    } else {
-        n_slices
-    };
-    let plan_nanos = t_plan.elapsed().as_nanos() as u64;
-
-    // Phase B — fold every file in parallel over the union grid, then
-    // mount the per-file partials at their leaf offsets (disjoint leaves:
-    // exact in any order; folded in file order for good measure).
-    let outs = run_pool(infos.len(), workers, |i| {
-        let info = &infos[i];
-        let t = Instant::now();
-        let mut sink = ModelSink::with_range(kind, slices, range);
-        let complete = decode(info.fmt, open_plain(&info.path, info.gzip)?, &mut sink)
-            .map_err(|e| annotate(e, &info.path, info.fmt, None))?;
-        if !complete {
-            return Err(FormatError::parse(
-                format!("{}: stream declined mid-union", info.path.display()),
-                None,
-            ));
-        }
-        let peak = sink.peak_bytes();
-        let part = sink
-            .finish_partial()
-            .map_err(|e| FormatError::parse(e.to_string(), None))?;
-        Ok(ShardOut {
-            part,
-            peak,
-            nanos: t.elapsed().as_nanos() as u64,
-        })
-    })?;
-
-    let t_merge = Instant::now();
-    let shard_nanos: Vec<u64> = outs.iter().map(|o| o.nanos).collect();
-    let peak_bytes: u64 = outs.iter().map(|o| o.peak).sum();
-    let grid = outs
-        .first()
-        .map(|o| o.part.grid())
-        .expect("trace_files is non-empty");
-    let mut union = PartialModel::empty(kind, union_hierarchy, union_states, grid);
-    for (i, o) in outs.into_iter().enumerate() {
-        union.mount(o.part, leaf_offsets[i]);
-    }
-    let (intervals, points) = union.counts();
-    let model = union.into_model(!hi_res);
-    let merge_nanos = t_merge.elapsed().as_nanos() as u64;
-
-    let fingerprint = combine_file_hashes(&infos.iter().map(|i| i.hash).collect::<Vec<_>>());
-    let bytes_read = infos.iter().map(|i| i.len * i.passes).sum();
-    let shards = infos.iter().map(|i| i.len).collect();
-    record_timing(ShardTiming {
-        plan_nanos,
-        hash_nanos: 0,
-        shard_nanos,
-        merge_nanos,
-    });
-    Ok(IngestReport {
-        model,
-        fingerprint,
-        bytes_read,
-        intervals,
-        points,
-        peak_bytes,
-        mode: if any_scanned {
-            IngestMode::TwoPass
-        } else {
-            IngestMode::SinglePass
-        },
-        format: infos[0].fmt,
-        gzip: infos.iter().any(|i| i.gzip),
-        shards,
-        chunks_total: 0,
-        chunks_read: 0,
-        bytes_skipped: 0,
-    })
-}
-
-/// Stream a trace file straight into a state-metric microscopic model
-/// with `n_slices` periods (shorthand for [`read_model`]).
-pub fn read_micro(path: &Path, n_slices: usize) -> Result<MicroModel> {
-    Ok(read_model(path, n_slices, ModelKind::States)?.model)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::hash_file;
+    use crate::store::{hash_file, hash_trace_input};
+    use crate::text::align_to_line;
     use ocelotl_trace::{Hierarchy, LeafId, StateId, TraceBuilder};
 
     fn tmpdir() -> std::path::PathBuf {
@@ -2187,8 +1657,8 @@ mod tests {
             // a, 2-3 from b, states interned in file order.
             let mut b = HierarchyBuilder::new("mf-concat", "trace");
             let root = b.root();
-            graft(&mut b, root, &t0.hierarchy, "a");
-            graft(&mut b, root, &t1.hierarchy, "b");
+            graft(&mut b, root, &t0.hierarchy, "a").unwrap();
+            graft(&mut b, root, &t1.hierarchy, "b").unwrap();
             let h = b.build().unwrap();
             let mut tb = TraceBuilder::new(h);
             let run = tb.state("Running");

@@ -63,9 +63,9 @@ pub use error::{FormatError, Result};
 pub use gzip::{gunzip, gzip_stored, write_gzip_stored, GzipReader};
 pub use hires_cache::{load_hi_res, read_hi_res_cache, save_hi_res, write_hi_res};
 pub use io::{
-    decode, hash_trace_input, read_hi_res, read_hi_res_window, read_hi_res_with, read_micro,
-    read_model, read_model_with, read_trace, take_last_ingest_timing, trace_files, write_trace,
-    Format, IngestMode, IngestOptions, IngestReport, Predicate, ShardMode, ShardTiming, MAX_SHARDS,
+    decode, read_hi_res, read_hi_res_window, read_hi_res_with, read_micro, read_model,
+    read_model_with, read_trace, take_last_ingest_timing, trace_files, write_trace, Format,
+    IngestMode, IngestOptions, IngestReport, Predicate, ShardMode, ShardTiming, MAX_SHARDS,
     SHARD_TARGET_BYTES,
 };
 pub use json::{
@@ -76,7 +76,7 @@ pub use micro_cache::{load_micro, read_micro_cache, save_micro, write_micro};
 pub use paje::{decode_paje, read_paje, write_paje};
 pub use part_cache::{load_partitions, read_partitions, save_partitions, write_partitions};
 pub use store::{
-    combine_chunk_hashes, hash_file, hash_file_chunk, hash_reader, hash_trace, DiskStore,
-    HashingReader, HASH_CHUNK_BYTES, KEEP_PER_KIND,
+    combine_chunk_hashes, hash_file, hash_file_chunk, hash_reader, hash_trace, hash_trace_input,
+    DiskStore, HASH_CHUNK_BYTES, KEEP_PER_KIND,
 };
 pub use text::{decode_text, read_text, write_text};

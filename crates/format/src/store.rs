@@ -31,19 +31,20 @@
 //! Inputs that fit in one chunk keep the plain FNV-1a value, so keys of
 //! small traces are unchanged by the chunking. The indirection exists
 //! because raw FNV-1a does not compose over byte ranges: with per-chunk
-//! digests the sharded ingest path can fingerprint chunks on its worker
-//! pool and [`combine_chunk_hashes`] reproduces the exact key one
-//! sequential read yields. Fingerprinting stays streamed (one read, no
-//! allocation) on the sequential paths.
+//! digests ingestion fingerprints every raw file as chunk tasks on its
+//! pool, beside the decode, and [`combine_chunk_hashes`] reproduces the
+//! exact key one sequential read ([`hash_file`]) yields.
+//! [`hash_trace_input`] is the key of any trace input: files, plain
+//! `.octf` chunk indexes and directories.
 
 use crate::cube_cache::{load_cube, save_cube};
-use crate::error::Result;
+use crate::error::{FormatError, Result};
 use crate::hires_cache::{load_hi_res, save_hi_res};
 use crate::part_cache::{load_partitions, save_partitions};
 use ocelotl_core::{fnv1a, ArtifactStore, CubeCore, HiResModel, PartitionTable, FNV_SEED};
 use ocelotl_trace::Trace;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Fingerprint chunk size: inputs are hashed in 4 MiB chunks whose raw
@@ -55,8 +56,8 @@ pub const HASH_CHUNK_BYTES: u64 = 4 << 20;
 ///
 /// This is the *uncombined* primitive: it equals the content fingerprint
 /// only for inputs within a single [`HASH_CHUNK_BYTES`] chunk. Whole-input
-/// fingerprints come from [`hash_file`] / [`HashingReader`], which
-/// chunk-combine (module docs).
+/// fingerprints come from [`hash_file`], which chunk-combines (module
+/// docs).
 pub fn hash_reader<R: Read>(mut r: R) -> std::io::Result<u64> {
     let mut hash = FNV_SEED;
     let mut buf = [0u8; 1 << 16];
@@ -183,54 +184,37 @@ pub fn hash_file_chunk(path: &Path, start: u64, len: u64) -> std::io::Result<u64
     Ok(hash)
 }
 
-/// A reader that folds every byte it yields into an FNV-1a hash — the
-/// "tee" of single-pass ingestion: wrap the trace reader in one of these
-/// and the content fingerprint falls out of the same disk pass that feeds
-/// the decoder. [`HashingReader::finish`] drains any bytes the decoder
-/// left unread (e.g. trailing garbage after a BTF point section) so the
-/// result always equals [`hash_file`] of the same source.
-pub struct HashingReader<R> {
-    inner: R,
-    acc: ChunkedFnv,
-    bytes: u64,
+/// Combine per-file content hashes into a directory's fingerprint: an FNV
+/// fold over the 8-byte little-endian hashes in sorted file order.
+pub(crate) fn combine_file_hashes(hashes: &[u64]) -> u64 {
+    hashes
+        .iter()
+        .fold(FNV_SEED, |acc, h| fnv1a(acc, &h.to_le_bytes()))
 }
 
-impl<R: Read> HashingReader<R> {
-    /// Wrap `inner`, starting from the FNV offset basis.
-    pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            acc: ChunkedFnv::new(),
-            bytes: 0,
-        }
+/// Content fingerprint of a trace input — the key ingestion reports, so
+/// artifact keys agree. A plain `.octf` file folds its chunk index (header
+/// and footer bytes only, so pushdown ingests key identically to full
+/// ones); any other file, gzip-framed `.octf` included, is [`hash_file`]
+/// of its on-disk bytes; a directory folds its files' hashes in sorted
+/// file order.
+pub fn hash_trace_input(path: &Path) -> std::io::Result<u64> {
+    let invalid = |e: FormatError| std::io::Error::new(ErrorKind::InvalidData, e.to_string());
+    if path.is_dir() {
+        let files = crate::io::trace_files(path).map_err(invalid)?;
+        let hashes: Vec<u64> = files
+            .iter()
+            .map(|f| hash_trace_input(f))
+            .collect::<std::io::Result<_>>()?;
+        return Ok(combine_file_hashes(&hashes));
     }
-
-    /// Bytes consumed so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes
+    let mut magic = [0u8; 4];
+    if File::open(path)?.read_exact(&mut magic).is_ok() && &magic == crate::columnar::MAGIC {
+        return crate::columnar::plan_columnar(path)
+            .map_err(invalid)?
+            .fingerprint(path);
     }
-
-    /// Drain the remaining bytes and return the full-content hash.
-    pub fn finish(mut self) -> std::io::Result<(u64, u64)> {
-        let mut buf = [0u8; 1 << 16];
-        loop {
-            let n = self.inner.read(&mut buf)?;
-            if n == 0 {
-                return Ok((self.acc.finish(), self.bytes));
-            }
-            self.acc.update(&buf[..n]);
-            self.bytes += n as u64;
-        }
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.acc.update(&buf[..n]);
-        self.bytes += n as u64;
-        Ok(n)
-    }
+    hash_file(path)
 }
 
 /// A `Write` sink that hashes instead of storing.
@@ -619,12 +603,6 @@ mod tests {
             hash_reader(bytes.as_slice()).unwrap(),
             "multi-chunk keys intentionally differ from the raw fold"
         );
-
-        // HashingReader fed through odd-sized reads (a decoder's view).
-        let mut r = HashingReader::new(bytes.as_slice());
-        let mut tmp = [0u8; 7919];
-        while r.read(&mut tmp).unwrap() > 0 {}
-        assert_eq!(r.finish().unwrap(), (expect, len as u64), "HashingReader");
 
         // The sharded path: per-chunk digests computed independently by
         // seeking, then combined.

@@ -23,7 +23,9 @@ use ocelotl_trace::{
     EventSink, Hierarchy, HierarchyBuilder, LeafId, NodeId, PointEvent, PointKind, StateId,
     StateRegistry, StreamHeader, Trace, TraceSink,
 };
-use std::io::{BufRead, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::path::Path;
 
 const MAGIC: &str = "%PTF 1";
 
@@ -338,6 +340,39 @@ pub(crate) struct TextPlan {
     pub(crate) header_bytes: u64,
     /// False for an eventless stream (`header_bytes` then spans the file).
     pub(crate) has_events: bool,
+}
+
+impl TextPlan {
+    /// Cut the event section of the `file_len`-byte file at `path` into
+    /// `s` byte ranges at newline-aligned offsets near equal fractions.
+    pub(crate) fn split(&self, path: &Path, file_len: u64, s: u64) -> Result<Vec<(u64, u64)>> {
+        let start = self.header_bytes.min(file_len);
+        let body = file_len - start;
+        let mut f = File::open(path)?;
+        let mut lo = start;
+        let mut ranges = Vec::new();
+        for k in 1..=s {
+            let at = start + body * k / s;
+            let hi = if k < s {
+                align_to_line(&mut f, at, file_len)?.clamp(lo, file_len)
+            } else {
+                file_len
+            };
+            ranges.push((lo, hi));
+            lo = hi;
+        }
+        Ok(ranges)
+    }
+}
+
+/// Smallest offset `>= pos` that starts a line (scanning forward for the
+/// newline that ends the line containing `pos`), capped at `file_len`.
+pub(crate) fn align_to_line(f: &mut File, pos: u64, file_len: u64) -> Result<u64> {
+    // Look one byte back: if it is a newline, `pos` already starts a line.
+    let start = pos.saturating_sub(1);
+    f.seek(SeekFrom::Start(start))?;
+    let skipped = BufReader::new(f).skip_until(b'\n')?;
+    Ok((start + skipped as u64).min(file_len))
 }
 
 /// Parse the PTF declaration section, counting consumed bytes, stopping at

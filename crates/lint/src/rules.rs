@@ -8,7 +8,8 @@
 //! | determinism | `det-clock`, `det-hash-iter` | byte-stable replies & cache keys |
 //! | panic       | `panic-call`, `panic-index`  | decoder / server robustness      |
 //! | locks       | `lock-unwrap`, `lock-scope`  | PR 6 concurrency architecture    |
-//! | hygiene     | `no-unsafe`, `no-print`      | library discipline               |
+//! | hygiene     | `no-unsafe`, `no-print`,     | library discipline               |
+//! |             | `no-thread`                  |                                  |
 //!
 //! Findings inside `#[cfg(test)]` / `#[test]` regions are skipped, and a
 //! `// oclint: allow(rule) — reason` comment on the same or previous
@@ -39,7 +40,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// Every rule name, for `--strict` summaries and allow validation.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 9] = [
     "det-clock",
     "det-hash-iter",
     "panic-call",
@@ -48,6 +49,7 @@ pub const ALL_RULES: [&str; 8] = [
     "lock-scope",
     "no-unsafe",
     "no-print",
+    "no-thread",
 ];
 
 // ---------------------------------------------------------------------------
@@ -67,10 +69,11 @@ const DETERMINISM_SCOPE: [&str; 8] = [
     "crates/format/src/part_cache.rs",
 ];
 
-/// Decoder paths and per-connection server code: typed
+/// Decoder paths, the ingest driver and per-connection server code: typed
 /// `FormatError`/`QueryError` are the contract, a panic is a lost
 /// connection (or a dead server thread).
-const PANIC_SCOPE: [&str; 7] = [
+const PANIC_SCOPE: [&str; 8] = [
+    "crates/format/src/io.rs",
     "crates/format/src/text.rs",
     "crates/format/src/binary.rs",
     "crates/format/src/columnar.rs",
@@ -88,7 +91,8 @@ const LOCK_SCOPE: [&str; 1] = ["crates/cli/src/commands/serve.rs"];
 /// reviewed decision, and the crate must drop `#![forbid(unsafe_code)]`).
 const UNSAFE_ALLOWLIST: [&str; 0] = [];
 
-/// Library crates: stdout/stderr belong to the CLI and bench binaries.
+/// Library crates: stdout/stderr belong to the CLI and bench binaries, and
+/// threads to the `rayon` stand-in (`crates/compat/rayon`), the one pool.
 const LIBRARY_CRATES: [&str; 6] = [
     "crates/trace/src/",
     "crates/core/src/",
@@ -173,6 +177,7 @@ pub fn check_file(rel: &str, lex: &LexFile) -> Vec<Finding> {
     }
     if in_library_crate(rel) {
         no_print(&ctx, &mut out);
+        no_thread(&ctx, &mut out);
     }
     out.sort();
     out
@@ -662,6 +667,31 @@ fn no_print(ctx: &Ctx, out: &mut Vec<Finding>) {
     }
 }
 
+/// Flag `thread::scope` / `thread::spawn`: library code runs its parallel
+/// work on the `rayon` pool, so worker budgets and nesting stay in one
+/// place.
+fn no_thread(ctx: &Ctx, out: &mut Vec<Finding>) {
+    for i in 0..ctx.toks().len() {
+        for call in ["scope", "spawn"] {
+            if ctx.ident_at(i, "thread")
+                && ctx.punct_at(i + 1, ':')
+                && ctx.punct_at(i + 2, ':')
+                && ctx.ident_at(i + 3, call)
+            {
+                ctx.flag(
+                    out,
+                    i,
+                    "no-thread",
+                    format!(
+                        "thread::{call} in a library crate; run parallel work on the rayon \
+                         pool (`par_iter`, `ThreadPool::install`)"
+                    ),
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,6 +903,29 @@ mod tests {
         assert_eq!(rules_of(&f), vec!["no-print", "no-print"]);
         assert!(run("crates/cli/src/main.rs", src).is_empty());
         assert!(run("crates/bench/src/lib.rs", src).is_empty());
+    }
+
+    #[test]
+    fn threads_flagged_in_library_crates_only() {
+        let src =
+            "fn f() { std::thread::scope(|s| { s.spawn(|| ()); }); std::thread::spawn(|| ()); }";
+        let f = run("crates/format/src/io.rs", src);
+        assert_eq!(rules_of(&f), vec!["no-thread", "no-thread"]);
+        assert!(run("crates/compat/rayon/src/lib.rs", src).is_empty());
+        assert!(run("crates/cli/src/commands/serve.rs", src).is_empty());
+    }
+
+    #[test]
+    fn threads_in_test_code_and_other_paths_are_fine() {
+        let src = "
+            fn f() { let n = std::thread::available_parallelism(); thread::sleep(d); }
+            #[cfg(test)]
+            mod tests {
+                #[test]
+                fn t() { std::thread::scope(|s| { s.spawn(|| ()); }); }
+            }
+        ";
+        assert!(run("crates/core/src/session.rs", src).is_empty());
     }
 
     #[test]

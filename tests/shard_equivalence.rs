@@ -20,8 +20,9 @@
 //!   bytes, matching `hash_file` in every case.
 
 use ocelotl::format::{
-    gzip_stored, hash_file, hash_trace_input, read_model, read_model_with, write_trace,
-    IngestOptions, ShardMode,
+    gzip_stored, hash_file, hash_trace_input, read_model, read_model_with, read_trace, trace_files,
+    write_binary, write_columnar_chunked, write_text, write_trace, IngestOptions, Predicate,
+    ShardMode,
 };
 use ocelotl::prelude::*;
 use ocelotl::trace::{ModelKind, ModelSink, PartialModel, PointEvent, PointKind};
@@ -406,5 +407,182 @@ fn mixed_format_directory_ingests_and_fingerprints() {
     assert!(report.gzip, "any gzip member flags the report");
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.fingerprint, hash_trace_input(&dir).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The single file a directory trace stands for: the members' decoded
+/// events on the union layout (super-root named after the directory, each
+/// member's root renamed to its file stem, leaves numbered in file order,
+/// states interned by name in file order), written as one `.btf`.
+fn concatenated(dir: &std::path::Path, out: &std::path::Path) {
+    let members: Vec<Trace> = trace_files(dir)
+        .unwrap()
+        .iter()
+        .map(|f| read_trace(f).unwrap())
+        .collect();
+    let stems: Vec<String> = trace_files(dir)
+        .unwrap()
+        .iter()
+        .map(|f| f.file_stem().unwrap().to_str().unwrap().to_string())
+        .collect();
+    let mut hb = HierarchyBuilder::new(dir.file_name().unwrap().to_str().unwrap(), "trace");
+    let root = hb.root();
+    for (stem, t) in stems.iter().zip(&members) {
+        let h = &t.hierarchy;
+        let mut map: Vec<NodeId> = Vec::with_capacity(h.len());
+        for id in h.node_ids() {
+            let mapped = match h.parent(id) {
+                None => hb.add_child(root, stem, h.kind(id)),
+                Some(p) => hb.add_child(map[p.0 as usize], h.name(id), h.kind(id)),
+            };
+            map.push(mapped);
+        }
+    }
+    let mut cb = TraceBuilder::new(hb.build().unwrap());
+    let mut offset = 0u32;
+    for t in &members {
+        let states: Vec<StateId> = t.states.iter().map(|(_, name)| cb.state(name)).collect();
+        for iv in &t.intervals {
+            let leaf = LeafId(iv.resource.0 + offset);
+            cb.push_state(leaf, states[iv.state.0 as usize], iv.begin, iv.end);
+        }
+        for p in &t.points {
+            let shift = |l: LeafId| LeafId(l.0 + offset);
+            cb.push_point(PointEvent {
+                resource: shift(p.resource),
+                time: p.time,
+                kind: match p.kind {
+                    PointKind::Marker => PointKind::Marker,
+                    PointKind::MsgSend { peer } => PointKind::MsgSend { peer: shift(peer) },
+                    PointKind::MsgRecv { peer } => PointKind::MsgRecv { peer: shift(peer) },
+                },
+            });
+        }
+        offset += t.hierarchy.n_leaves() as u32;
+    }
+    write_trace(&cb.build(), out).unwrap();
+}
+
+/// A predicate on a directory trace means what it means on the single
+/// file the directory stands for: the window is the union grid, and the
+/// resource list names union leaves (translated to each file's own ids).
+#[test]
+fn directory_predicates_match_the_concatenated_file() {
+    let dir = scratch("mf-pred");
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = |seed: u32| -> Vec<(u32, usize, f64, f64)> {
+        (0..24)
+            .map(|i| {
+                (
+                    i * 7 + seed,
+                    (i + seed) as usize,
+                    0.05 * (i % 4) as f64,
+                    0.3,
+                )
+            })
+            .collect()
+    };
+    let points = [(0, 1.5, 0), (1, 2.5, 1), (2, 4.0, 2)];
+    write_trace(&build_trace(2, 2, &events(0), &points), &dir.join("a.btf")).unwrap();
+    let tmp = scratch("mf-pred-b.ptf");
+    write_trace(&build_trace(3, 2, &events(5), &points), &tmp).unwrap();
+    std::fs::write(
+        dir.join("b.ptf.gz"),
+        gzip_stored(&std::fs::read(&tmp).unwrap()),
+    )
+    .unwrap();
+    std::fs::remove_file(&tmp).ok();
+    let single = scratch("mf-pred-concat.btf");
+    concatenated(&dir, &single);
+
+    let window = Predicate {
+        time_range: Some((1.2, 4.8)),
+        resources: None,
+    };
+    let leaves = Predicate {
+        time_range: None,
+        resources: Some(vec![1, 3]),
+    };
+    for (what, predicate) in [("window", window), ("resources", leaves)] {
+        for kind in [ModelKind::States, ModelKind::Density] {
+            let opts = IngestOptions {
+                predicate: Some(predicate.clone()),
+                ..IngestOptions::default()
+            };
+            let union = read_model_with(&dir, 6, kind, &opts).unwrap();
+            let fused = read_model_with(&single, 6, kind, &opts).unwrap();
+            assert_eq!(
+                (union.intervals, union.points),
+                (fused.intervals, fused.points),
+                "{what}/{kind:?}: decoded counts"
+            );
+            assert_bit_identical(&union.model, &fused.model, &format!("{what}/{kind:?}"));
+        }
+    }
+    std::fs::remove_file(&single).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every kind of unit in one directory: a plain `.octf` (chunk index
+/// extent and fingerprint), a range-less `.ptf` (scanned), a `.paje`
+/// (scanned, no point events) and a `.btf.gz` (gzip stream). The union is
+/// bit-identical to the concatenated file at any worker count, and its
+/// fingerprint is `hash_trace_input` of the directory.
+#[test]
+fn every_unit_kind_in_one_directory_matches_the_concatenated_file() {
+    let dir = scratch("mf-all");
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = |seed: u32| -> Vec<(u32, usize, f64, f64)> {
+        (0..40)
+            .map(|i| {
+                (
+                    i * 3 + seed,
+                    (i * seed) as usize,
+                    0.02 * (i % 5) as f64,
+                    0.17,
+                )
+            })
+            .collect()
+    };
+    let points = [(0, 0.7, 0), (1, 1.9, 1), (1, 3.1, 2)];
+    let mut octf = std::fs::File::create(dir.join("a.octf")).unwrap();
+    write_columnar_chunked(&build_trace(2, 2, &events(1), &points), &mut octf, 8).unwrap();
+    drop(octf);
+    let mut ptf = Vec::new();
+    write_text(&build_trace(3, 2, &events(2), &points), &mut ptf).unwrap();
+    let ptf: String = String::from_utf8(ptf)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("%range"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(dir.join("b.ptf"), ptf).unwrap();
+    write_trace(&build_trace(2, 2, &events(3), &[]), &dir.join("c.paje")).unwrap();
+    let mut btf = Vec::new();
+    write_binary(&build_trace(2, 3, &events(4), &points), &mut btf).unwrap();
+    std::fs::write(dir.join("d.btf.gz"), gzip_stored(&btf)).unwrap();
+    let single = scratch("mf-all-concat.btf");
+    concatenated(&dir, &single);
+
+    for kind in [ModelKind::States, ModelKind::Density] {
+        let fused = read_model(&single, 7, kind).unwrap();
+        for workers in [1, 4] {
+            let opts = IngestOptions {
+                max_workers: workers,
+                ..IngestOptions::default()
+            };
+            let union = read_model_with(&dir, 7, kind, &opts).unwrap();
+            let what = format!("{kind:?}/{workers}w");
+            assert_eq!(union.shards.len(), 4, "{what}: one unit per file");
+            assert_eq!(union.fingerprint, hash_trace_input(&dir).unwrap(), "{what}");
+            assert_eq!(
+                (union.intervals, union.points),
+                (fused.intervals, fused.points),
+                "{what}: decoded counts"
+            );
+            assert_bit_identical(&union.model, &fused.model, &what);
+        }
+    }
+    std::fs::remove_file(&single).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
