@@ -60,13 +60,13 @@ fn bench_session_warm(_c: &mut Criterion) {
 
         // 1. Cold aggregate: full pipeline + artifact store.
         let t = Instant::now();
-        let mut cold = session(&model, fp, slices, &dir);
+        let cold = session(&model, fp, slices, &dir);
         let cold_part = cold.partition_at(0.5, false).unwrap();
         let cold_agg = t.elapsed();
 
         // 2. Warm aggregate: fresh session over the stored artifacts.
         let t = Instant::now();
-        let mut warm = session(&model, fp, slices, &dir);
+        let warm = session(&model, fp, slices, &dir);
         let warm_part = warm.partition_at(0.5, false).unwrap();
         let warm_agg = t.elapsed();
         assert_eq!(cold_part, warm_part, "warm must be bit-identical");
@@ -77,13 +77,13 @@ fn bench_session_warm(_c: &mut Criterion) {
         // either way; skip it there to keep the bench laptop-runnable.
         let (sweep_dp, sweep_warm) = if slices <= 256 {
             let t = Instant::now();
-            let mut s = session(&model, fp, slices, &dir);
+            let s = session(&model, fp, slices, &dir);
             let levels = s.significant(1e-2).unwrap();
             let sweep_dp = t.elapsed();
             assert!(s.dp_runs() > 0, "cold sweep must run the dichotomy");
 
             let t = Instant::now();
-            let mut s = session(&model, fp, slices, &dir);
+            let s = session(&model, fp, slices, &dir);
             let warm_levels = s.significant(1e-2).unwrap();
             let sweep_warm = t.elapsed();
             assert_eq!(s.dp_runs(), 0, "warm sweep must run zero DP");

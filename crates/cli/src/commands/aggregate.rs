@@ -28,8 +28,9 @@ OPTIONS:
     --slices N       time slices of the microscopic model (default 30)
     --p F            trade-off parameter in [0, 1] (default 0.5)
     --metric M       states | density (default states)
-    --cache DIR      persist session artifacts (.ocube/.opart) under DIR so
-                     the next invocation is warm (default: OCELOTL_CACHE_DIR)
+    --cache DIR      persist session artifacts (.omicro/.ocube/.opart) under
+                     DIR so the next invocation is warm (default:
+                     OCELOTL_CACHE_DIR)
     --no-cache       disable artifact caching even if the env var is set
     --cache-keep N   artifacts kept per trace and kind before GC
                      (default 4; OCELOTL_CACHE_KEEP)

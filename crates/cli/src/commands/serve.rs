@@ -4,26 +4,28 @@
 //! The server holds one warm [`QueryEngine`] per `(trace, session
 //! parameters)` pair in an LRU-bounded pool: the first query against a
 //! trace pays the read/slice/cube cost, every later query — from any
-//! connection — is answered from memory (and from `.ocube`/`.opart`
-//! artifacts when a cache directory is configured). Because replies are
-//! deterministic and the printers/serializers are shared with the direct
-//! CLI path, a server answer is byte-identical to a local run.
+//! connection — is answered from memory (and from `.omicro`/`.ocube`/
+//! `.opart` artifacts when a cache directory is configured). Because
+//! replies are deterministic and the printers/serializers are shared with
+//! the direct CLI path, a server answer is byte-identical to a local run.
 //!
 //! ## Concurrency model
 //!
 //! Three mechanisms keep N clients from serializing on one lock:
 //!
-//! * **Read-mostly warm sessions.** Pooled engines live in
-//!   `Arc<RwLock<_>>` slots; the pool mutex is held only for
-//!   lookup/admission, never during execution. A warm request takes the
-//!   slot's *read* lock and answers through the engine's `&self` path
-//!   ([`QueryEngine::execute_shared`]), so any number of clients query
-//!   one warm session in parallel — even point DPs at new `p` values,
-//!   which append to the session's lock-guarded memo table. Only
-//!   requests that must mutate the pipeline (a `--slices` change, a
-//!   `Reslice`, a cold stage) take the write lock.
+//! * **Read-shared sessions.** Pooled engines live in `Arc<RwLock<_>>`
+//!   slots; the pool mutex is held only for lookup/admission, never
+//!   during execution. Every request goes through one helper: a request
+//!   at the session's current resolution takes the slot's *read* lock and
+//!   answers through [`QueryEngine::execute_shared`], which builds any
+//!   stage it still lacks on first use (racing readers wait for that one
+//!   build), so any number of clients query one session in parallel —
+//!   even point DPs at new `p` values, which append to the session's
+//!   lock-guarded memo table. Only requests that re-slice the session (a
+//!   `--slices` change, a `Reslice`) take the write lock. Live sessions
+//!   and subscription refreshes answer through the same helper.
 //! * **Bounded builds with admission control.** Cold session builds
-//!   (ingest + cube + table) run outside every pool lock under a build
+//!   (ingest + cube) run outside every pool lock under a build
 //!   budget of `--workers` permits. Concurrent requests for the *same*
 //!   cold trace coalesce onto one in-flight build. A request for another
 //!   cold trace beyond the budget waits when its own connection holds a
@@ -77,8 +79,9 @@ OPTIONS:
                      waits for its own connection's builds, and gets a
                      typed `busy' error when other connections hold
                      every permit
-    --cache DIR      persist session artifacts (.ocube/.opart) under DIR
-                     (default: OCELOTL_CACHE_DIR); --no-cache disables
+    --cache DIR      persist session artifacts (.omicro/.ocube/.opart)
+                     under DIR (default: OCELOTL_CACHE_DIR); --no-cache
+                     disables
     --cache-keep N   artifacts kept per trace and kind before GC
                      (default 4; OCELOTL_CACHE_KEEP)
 
@@ -149,6 +152,50 @@ type ConnId = u64;
 /// evicted slot survives (drains) until its last in-flight user is done.
 struct SessionSlot {
     engine: RwLock<QueryEngine>,
+}
+
+impl SessionSlot {
+    fn new(engine: QueryEngine) -> Arc<Self> {
+        Arc::new(Self {
+            engine: RwLock::new(engine),
+        })
+    }
+
+    /// Answer `request` at the full-grid resolution `n_slices` — the one
+    /// path every pooled, live and subscription request takes. When the
+    /// session already sits there the request runs under the *read* lock,
+    /// concurrently with every other reader. Otherwise (and for `Reslice`,
+    /// which mutates) the write lock pins the session first: a `--slices`
+    /// change re-slices from the resident hi-res model or warm artifacts,
+    /// and any zoom window a previous `Reslice` left behind is reset, so
+    /// wire requests stay self-contained. `None` when a panic poisoned the
+    /// lock.
+    fn answer(
+        &self,
+        n_slices: usize,
+        request: &AnalysisRequest,
+    ) -> Option<Result<AnalysisReply, QueryError>> {
+        {
+            let engine = self.engine.read().ok()?;
+            let session = engine.session();
+            if session.config().n_slices == n_slices && session.window().is_none() {
+                if let Some(result) = engine.execute_shared(request) {
+                    return Some(result);
+                }
+            }
+        }
+        let mut engine = self.engine.write().ok()?;
+        let pinned = engine.session_mut().reslice(n_slices, None);
+        Some(
+            pinned
+                .map_err(Into::into)
+                .and_then(|()| engine.execute(request)),
+        )
+    }
+}
+
+fn live_poisoned() -> QueryError {
+    QueryError::Source("live session lock poisoned by an earlier panic".into())
 }
 
 struct PoolEntry {
@@ -273,11 +320,7 @@ impl ServerState {
         ocelotl::format::encode_reply(&result)
     }
 
-    fn try_handle(
-        &self,
-        line: &str,
-        conn: ConnId,
-    ) -> Result<ocelotl::core::query::AnalysisReply, QueryError> {
+    fn try_handle(&self, line: &str, conn: ConnId) -> Result<AnalysisReply, QueryError> {
         let (trace, mut config, request) = ocelotl::format::decode_wire_request(line)?;
         // Published live sessions shadow the filesystem: their advertised
         // names are served from the in-memory feed, never from disk.
@@ -295,32 +338,8 @@ impl ServerState {
         let key = (canonical, config.metric.tag());
         let stamp = file_stamp(&key.0);
         let slot = self.admit(&key, stamp, config, conn)?;
-
-        // Fast path: the pooled session already sits at this request's
-        // (full-grid) resolution — answer under the slot's *read* lock,
-        // concurrently with every other warm reader.
-        {
-            let Ok(engine) = slot.engine.read() else {
-                return Err(self.evict_poisoned(&key));
-            };
-            let session = engine.session();
-            if session.config().n_slices == config.n_slices && session.window().is_none() {
-                if let Some(result) = engine.execute_shared(&request) {
-                    return result;
-                }
-            }
-        }
-
-        // Write path: pin the pooled session to this request's resolution
-        // (a `--slices` change re-slices from the resident hi-res model /
-        // warm artifacts instead of re-ingesting, and any zoom window a
-        // previous `Reslice` request left behind is reset so wire
-        // requests stay self-contained), then execute exclusively.
-        let Ok(mut engine) = slot.engine.write() else {
-            return Err(self.evict_poisoned(&key));
-        };
-        engine.session_mut().reslice(config.n_slices, None)?;
-        engine.execute(&request)
+        slot.answer(config.n_slices, &request)
+            .unwrap_or_else(|| Err(self.evict_poisoned(&key)))
     }
 
     /// A panic inside a pooled engine poisons its `RwLock`. Evict the
@@ -399,12 +418,10 @@ impl ServerState {
         };
         self.builds_started.fetch_add(1, Ordering::SeqCst);
         let mut engine = QueryEngine::new(self.open(&key.0, config));
-        // The expensive part — ingest, cube, table — happens here, under
-        // the build permit, so the published slot is warm for readers.
+        // The expensive part — ingest and cube — happens here, under the
+        // build permit, so the published slot is warm for readers.
         engine.warm_up()?;
-        let slot = Arc::new(SessionSlot {
-            engine: RwLock::new(engine),
-        });
+        let slot = SessionSlot::new(engine);
         let mut pool = lock_clean(&self.pool);
         pool.clock += 1;
         let now = pool.clock;
@@ -475,9 +492,7 @@ impl ServerState {
     /// and `subscribe` requests stream its refreshes. Returns the feeder
     /// half, which pushes event batches and announces refreshes.
     pub fn publish_live(&self, name: &str, engine: QueryEngine) -> LiveFeeder {
-        let slot = Arc::new(SessionSlot {
-            engine: RwLock::new(engine),
-        });
+        let slot = SessionSlot::new(engine);
         let live = Arc::new(LiveState {
             gen: Mutex::new(LiveGen::default()),
             refreshed: Condvar::new(),
@@ -505,8 +520,8 @@ impl ServerState {
     }
 
     /// Answer one non-subscribe request against a published live session:
-    /// the same read-fast/write-slow split as pooled sessions, minus the
-    /// disk-backed admission (a live model exists only in memory).
+    /// the pooled sessions' path, minus the disk-backed admission (a live
+    /// model exists only in memory).
     fn handle_live(
         slot: &SessionSlot,
         config: &SessionConfig,
@@ -519,33 +534,22 @@ impl ServerState {
                     .into(),
             ));
         }
-        {
-            let Ok(engine) = slot.engine.read() else {
-                return Err(QueryError::Source(
-                    "live session lock poisoned by an earlier panic".into(),
-                ));
-            };
-            let session = engine.session();
-            if session.config().metric.tag() != config.metric.tag() {
-                return Err(QueryError::InvalidRequest(format!(
-                    "live session serves the `{}' metric; request asked for `{}'",
-                    session.config().metric.tag(),
-                    config.metric.tag(),
-                )));
-            }
-            if session.config().n_slices == config.n_slices && session.window().is_none() {
-                if let Some(result) = engine.execute_shared(request) {
-                    return result;
-                }
-            }
+        let served = slot
+            .engine
+            .read()
+            .map_err(|_| live_poisoned())?
+            .session()
+            .config()
+            .metric;
+        if served != config.metric {
+            return Err(QueryError::InvalidRequest(format!(
+                "live session serves the `{}' metric; request asked for `{}'",
+                served.tag(),
+                config.metric.tag(),
+            )));
         }
-        let Ok(mut engine) = slot.engine.write() else {
-            return Err(QueryError::Source(
-                "live session lock poisoned by an earlier panic".into(),
-            ));
-        };
-        engine.session_mut().reslice(config.n_slices, None)?;
-        engine.execute(request)
+        slot.answer(config.n_slices, request)
+            .unwrap_or_else(|| Err(live_poisoned()))
     }
 
     /// Serve one `subscribe` wire line: stream a [`WatchReply`]-wrapped
@@ -587,30 +591,20 @@ impl ServerState {
         };
         // A live session is pinned to its publisher's resolution and
         // metric: refusing mismatched subscriptions up front keeps the
-        // refresh loop on the lock-free-ish read path (no reslice churn).
-        {
-            let Ok(engine) = slot.engine.read() else {
-                return emit(
-                    out,
-                    &Err(QueryError::Source(
-                        "live session lock poisoned by an earlier panic".into(),
-                    )),
-                );
-            };
-            let session = engine.session();
-            if session.config().n_slices != config.n_slices
-                || session.config().metric.tag() != config.metric.tag()
-            {
-                return emit(
-                    out,
-                    &Err(QueryError::InvalidRequest(format!(
-                        "live session {trace:?} is pinned to --slices {} --metric {}; \
-                         subscribe with matching session parameters",
-                        session.config().n_slices,
-                        session.config().metric.tag(),
-                    ))),
-                );
-            }
+        // refresh loop on the read path (no reslice churn).
+        let Ok(pinned) = slot.engine.read().map(|e| *e.session().config()) else {
+            return emit(out, &Err(live_poisoned()));
+        };
+        if pinned.n_slices != config.n_slices || pinned.metric != config.metric {
+            return emit(
+                out,
+                &Err(QueryError::InvalidRequest(format!(
+                    "live session {trace:?} is pinned to --slices {} --metric {}; \
+                     subscribe with matching session parameters",
+                    pinned.n_slices,
+                    pinned.metric.tag(),
+                ))),
+            );
         }
         let _guard = SubscriberGuard::new(&live);
         let mut last_seq = 0u64;
@@ -622,24 +616,12 @@ impl ServerState {
                 }
                 (gen.seq, gen.events, gen.done)
             };
-            // Answer on the shared read path, and release the engine lock
-            // *before* the socket write: a slow subscriber must never
-            // block the feeder or warm readers on the engine lock.
-            let result = {
-                let Ok(engine) = slot.engine.read() else {
-                    return emit(
-                        out,
-                        &Err(QueryError::Source(
-                            "live session lock poisoned by an earlier panic".into(),
-                        )),
-                    );
-                };
-                engine.execute_shared(&inner).unwrap_or_else(|| {
-                    Err(QueryError::Source(
-                        "live pipeline stage not resident after refresh".into(),
-                    ))
-                })
-            };
+            // Answer like a one-shot request, with the engine lock
+            // released *before* the socket write: a slow subscriber must
+            // never block the feeder or warm readers on the engine lock.
+            let result = slot
+                .answer(config.n_slices, &inner)
+                .unwrap_or_else(|| Err(live_poisoned()));
             let failed = result.is_err();
             let wrapped = result.map(|reply| {
                 AnalysisReply::Watch(WatchReply {
@@ -734,11 +716,7 @@ impl LiveFeeder {
     /// never deadlock with the feeder.
     pub fn feed(&self, events: &[LiveEvent]) -> Result<(), QueryError> {
         {
-            let Ok(mut engine) = self.slot.engine.write() else {
-                return Err(QueryError::Source(
-                    "live session lock poisoned by an earlier panic".into(),
-                ));
-            };
+            let mut engine = self.slot.engine.write().map_err(|_| live_poisoned())?;
             engine.session_mut().advance(events)?;
             engine.warm_up()?;
         }

@@ -10,10 +10,10 @@
 //! `--cache DIR` and `--no-cache`, parsed here by
 //! [`open_session`]. When a cache directory is configured (the flag, or
 //! the `OCELOTL_CACHE_DIR` environment variable), the session persists its
-//! expensive intermediates (`.ocube` cube prefix sums, `.opart` partition
-//! tables) keyed by a hash of the trace bytes and the analysis parameters
-//! — so every command after the first is warm, and repeated queries run
-//! zero DP. See `ocelotl::core::session` for the full economy.
+//! expensive intermediates (`.omicro` hi-res intermediates, `.ocube` cube
+//! prefix sums, `.opart` partition tables) keyed by a hash of the trace
+//! bytes and the analysis parameters — so every command after the first
+//! is warm, and repeated queries run zero DP. See `ocelotl::core::session` for the full economy.
 
 use crate::args::Args;
 use crate::CliError;
@@ -165,8 +165,8 @@ fn ingest_options(workers: usize) -> ocelotl::format::IngestOptions {
 /// deciding whether to read at all) pays a separate raw hash pass.
 pub struct FileSource {
     path: PathBuf,
-    /// Lock-free once the value is set: concurrent readers on a server's
-    /// shared read path never contend on a held (or poisoned) lock.
+    /// Lock-free once the value is set: concurrent queries on a server's
+    /// shared sessions never contend on a held (or poisoned) lock.
     fingerprint: OnceLock<u64>,
     /// Shard-worker cap for ingests through this source (0 = the
     /// process-wide `--threads` budget). Never affects output bits.
@@ -528,7 +528,7 @@ mod tests {
     fn session_rejects_bad_p() {
         let src = fixture_trace("badp");
         let args = Args::parse(&["--slices".into(), "5".into()]).unwrap();
-        let mut session = open_session(&args, &src).unwrap();
+        let session = open_session(&args, &src).unwrap();
         assert!(session.partition_at(1.5, false).is_err());
         assert!(session.partition_at(0.5, true).is_ok());
         std::fs::remove_file(&src).ok();
@@ -574,12 +574,12 @@ mod tests {
         ])
         .unwrap();
 
-        let mut cold = open_session(&args, &src).unwrap();
+        let cold = open_session(&args, &src).unwrap();
         let p_cold = cold.partition_at(0.4, false).unwrap();
         cold.cube().unwrap();
         assert_eq!(cold.cube_source(), Some(ocelotl::core::CubeSource::Cold));
 
-        let mut warm = open_session(&args, &src).unwrap();
+        let warm = open_session(&args, &src).unwrap();
         let p_warm = warm.partition_at(0.4, false).unwrap();
         assert_eq!(p_cold, p_warm);
         assert_eq!(warm.dp_runs(), 0, "warm session must serve from .opart");
@@ -591,7 +591,7 @@ mod tests {
             cache.display().to_string(),
         ])
         .unwrap();
-        let mut off = open_session(&args, &src).unwrap();
+        let off = open_session(&args, &src).unwrap();
         let _ = off.partition_at(0.4, false).unwrap();
         assert!(off.dp_runs() > 0, "--no-cache must not read artifacts");
 

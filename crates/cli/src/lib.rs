@@ -123,9 +123,10 @@ GLOBAL OPTIONS:
                      default, for reproducible bench and CI runs
 
 Analysis commands share --cache DIR / --no-cache (default: the
-OCELOTL_CACHE_DIR environment variable): with a cache directory, the cube
-prefix sums (.ocube) and DP results (.opart) persist across invocations,
-so every command after the first is warm.
+OCELOTL_CACHE_DIR environment variable): with a cache directory, the hi-res
+intermediate (.omicro), the cube prefix sums (.ocube) and DP results
+(.opart) persist across invocations, so every command after the first is
+warm.
 
 Run `ocelotl <command> --help` for per-command options.
 ";

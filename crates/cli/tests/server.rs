@@ -680,3 +680,50 @@ fn second_query_is_served_warm() {
     );
     std::fs::remove_file(&trace).ok();
 }
+
+#[test]
+fn subscribed_stats_stream_the_one_shot_error_in_either_order() {
+    use ocelotl::trace::{LeafId, StateId};
+    let config = SessionConfig {
+        n_slices: 4,
+        ..SessionConfig::default()
+    };
+    let stats = ocelotl::format::encode_wire_request("live", &config, &AnalysisRequest::Stats);
+    let subscribe = ocelotl::format::encode_wire_request(
+        "live",
+        &config,
+        &AnalysisRequest::Subscribe {
+            inner: Box::new(AnalysisRequest::Stats),
+        },
+    );
+    for subscription_first in [true, false] {
+        let state = ServerState::new(ServeOptions::default());
+        let feeder = state.publish_live("live", live_engine(4));
+        feeder.feed(&[(LeafId(0), StateId(0), 0.0, 2.0)]).unwrap();
+        // A failed refresh ends its stream, so this returns after one line.
+        let stream = || {
+            let mut out = Vec::new();
+            state.serve_subscription(&subscribe, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let (streamed, one_shot) = if subscription_first {
+            let streamed = stream();
+            (streamed, state.handle_line(&stats))
+        } else {
+            let one_shot = state.handle_line(&stats);
+            (stream(), one_shot)
+        };
+        assert_eq!(
+            streamed.lines().collect::<Vec<_>>(),
+            vec![one_shot.as_str()],
+            "subscription first: {subscription_first}"
+        );
+        assert!(
+            matches!(
+                ocelotl::format::decode_reply(&one_shot).unwrap(),
+                Err(ocelotl::core::query::QueryError::Unsupported(_))
+            ),
+            "{one_shot}"
+        );
+    }
+}

@@ -49,15 +49,15 @@
 //! ```
 
 use crate::analysis::compare_partitions;
-use crate::cube::{backend_footprint, QualityCube};
+use crate::cube::{backend_footprint, QualityCube, SessionCube};
 use crate::inspect::{area_at, inspect_area};
 use crate::onedim::product_aggregation;
 use crate::partition::Partition;
-use crate::pvalues::{significant_ps, PEntry};
+use crate::pvalues::significant_ps;
 use crate::quality::quality;
-use crate::session::{AnalysisSession, SessionError};
+use crate::session::{validate_p, AnalysisSession, SessionError};
 use crate::visual::{visually_aggregate, VisualMark};
-use ocelotl_trace::LeafId;
+use ocelotl_trace::{Hierarchy, LeafId, MicroModel, StateRegistry, TimeGrid};
 use std::fmt;
 
 /// Version of the request/reply protocol. Bumped on any incompatible
@@ -208,9 +208,9 @@ impl AnalysisRequest {
     ];
 
     /// Validate a `Subscribe` payload: the inner request must be
-    /// re-answerable from the read path on every refresh, so `Reslice`
-    /// (mutates the session) and nested `Subscribe` (recursive stream)
-    /// are rejected. Shared by the engine and the server.
+    /// re-answerable through a shared session on every refresh, so
+    /// `Reslice` (mutates the session) and nested `Subscribe` (recursive
+    /// stream) are rejected. Shared by the engine and the server.
     pub fn validate_subscribe_inner(inner: &AnalysisRequest) -> Result<(), QueryError> {
         match inner {
             AnalysisRequest::Reslice { .. } => Err(QueryError::InvalidRequest(
@@ -791,72 +791,32 @@ pub struct WatchReply {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// Why the `&self` read path could not produce a reply.
-enum Miss {
-    /// A pipeline stage the request needs is not materialized yet; only
-    /// the `&mut` path (which can build it) can answer.
-    NotPrepared,
-    /// The request failed for real — re-running it on the write path
-    /// would fail identically, so the error is final.
-    Failed(QueryError),
-}
-
-impl Miss {
-    /// The error an already-prepared engine reports: after
-    /// [`QueryEngine::prepare`], `NotPrepared` is an internal invariant
-    /// violation, not a user condition.
-    fn into_error(self) -> QueryError {
-        match self {
-            Miss::Failed(e) => e,
-            Miss::NotPrepared => {
-                QueryError::Source("internal: request not answerable after preparation".into())
-            }
-        }
-    }
-}
-
-impl From<QueryError> for Miss {
-    fn from(e: QueryError) -> Self {
-        Miss::Failed(e)
-    }
-}
-
-impl From<SessionError> for Miss {
-    fn from(e: SessionError) -> Self {
-        Miss::Failed(e.into())
-    }
-}
-
-/// Result of one `&self` reply builder.
-type Shared<T> = Result<T, Miss>;
-
-/// `None` → the needed stage is not resident (fall back to `&mut`).
-fn ready<T>(v: Option<T>) -> Shared<T> {
-    v.ok_or(Miss::NotPrepared)
-}
-
 /// Executes any [`AnalysisRequest`] against an [`AnalysisSession`].
 ///
 /// The engine owns the session, so all of the session's memoization
 /// carries across requests: the first query pays the trace read and cube
-/// build, every later query is served from memory (or from `.ocube` /
-/// `.opart` artifacts when the session has a store).
+/// build, every later query is served from memory (or from `.omicro` /
+/// `.ocube` / `.opart` artifacts when the session has a store).
 ///
-/// ## Read/write split
+/// ## One query path
 ///
-/// Execution is two-phase. [`QueryEngine::prepare`] (`&mut self`)
-/// materializes whatever stages a request needs — model, cube, partition
-/// table; [`QueryEngine::execute_shared`] (`&self`) then builds the reply
-/// from the resident pipeline, running any still-missing DP through the
-/// session's lock-guarded memo table. [`QueryEngine::execute`] chains the
-/// two, so a single-threaded caller sees the classic one-call interface —
-/// and because *every* path funnels through the same `&self` builders,
-/// replies are byte-identical whether they were served exclusively or
-/// concurrently. A server keeps warm engines behind an `RwLock`, answers
-/// from the read side via `execute_shared`, and only takes the write lock
-/// when `execute_shared` declines (returns `None`).
+/// Each request kind has one reply builder, and it takes `&self`: the
+/// session builds every stage a request needs on first use through a
+/// shared reference. [`QueryEngine::execute_shared`] answers any request
+/// but `Reslice` from `&self`; [`QueryEngine::execute`] (`&mut self`)
+/// first re-slices the session for a `Reslice` request and otherwise runs
+/// the same builder. A reply is therefore the same bytes whichever entry
+/// point served it and whatever ran before, and a server keeps warm
+/// engines behind an `RwLock` whose write side only re-slicing needs.
 pub struct QueryEngine {
     session: AnalysisSession,
+}
+
+/// The model's dimensions, read from the cube or the model.
+struct Dims<'a> {
+    hierarchy: &'a Hierarchy,
+    states: &'a StateRegistry,
+    grid: TimeGrid,
 }
 
 impl QueryEngine {
@@ -872,7 +832,8 @@ impl QueryEngine {
     }
 
     /// The underlying session (escape hatch for host-side work the
-    /// protocol does not cover, like persisting an `.omm` model cache).
+    /// protocol does not cover, like re-slicing a pooled session to a
+    /// request's resolution).
     pub fn session_mut(&mut self) -> &mut AnalysisSession {
         &mut self.session
     }
@@ -882,82 +843,12 @@ impl QueryEngine {
         self.session
     }
 
-    /// Materialize every pipeline stage `request` needs so that
-    /// [`QueryEngine::execute_shared`] can answer it. Cheap when already
-    /// prepared (all stages are memoized). Validates request parameters
-    /// up front — the same checks, producing the same messages, as the
-    /// execution paths themselves.
-    pub fn prepare(&mut self, request: &AnalysisRequest) -> Result<(), QueryError> {
-        use crate::session::{validate_p, validate_resolution};
-        match request {
-            AnalysisRequest::Describe => self.ensure_dims(),
-            AnalysisRequest::Stats => {
-                self.session.ingest_stats()?;
-                self.ensure_dims()
-            }
-            AnalysisRequest::Aggregate {
-                p,
-                coarse: _,
-                compare,
-                diff_p,
-            } => {
-                validate_p(*p)?;
-                if let Some(p2) = diff_p {
-                    validate_p(*p2)?;
-                }
-                self.session.prepare()?;
-                if *compare {
-                    // §III.D baselines score against the raw model.
-                    self.session.model_and_cube()?;
-                }
-                Ok(())
-            }
-            AnalysisRequest::Significant { resolution }
-            | AnalysisRequest::Sweep { resolution, .. } => {
-                validate_resolution(*resolution)?;
-                self.session.prepare()?;
-                Ok(())
-            }
-            AnalysisRequest::PValues { resolution } => {
-                // Boundary values alone never need the cube when the
-                // table is warm at this resolution.
-                self.session.prepare_points(*resolution)?;
-                Ok(())
-            }
-            AnalysisRequest::Inspect { p, .. } => {
-                validate_p(*p)?;
-                self.session.prepare()?;
-                Ok(())
-            }
-            AnalysisRequest::RenderOverview {
-                p,
-                level_resolution,
-                ..
-            } => {
-                validate_p(*p)?;
-                if let Some(res) = level_resolution {
-                    validate_resolution(*res)?;
-                }
-                self.session.prepare()?;
-                Ok(())
-            }
-            // Reslice mutates the session by definition; it has no shared
-            // path to prepare for.
-            AnalysisRequest::Reslice { .. } => Ok(()),
-            // A subscription's refreshes execute the *inner* request, so
-            // preparing it is preparing the subscription.
-            AnalysisRequest::Subscribe { inner } => {
-                AnalysisRequest::validate_subscribe_inner(inner)?;
-                self.prepare(inner)
-            }
-        }
-    }
-
-    /// Warm the session end to end (table + cube, ingesting the trace if
-    /// nothing is cached) — what a server runs once under its build
-    /// budget before publishing the engine to concurrent readers.
+    /// Build the session's cube, ingesting the trace unless a warm
+    /// artifact serves it — what a server runs once under its build
+    /// budget before publishing the engine to concurrent readers (every
+    /// other stage still builds on first use).
     pub fn warm_up(&mut self) -> Result<(), QueryError> {
-        self.session.prepare()?;
+        self.session.cube()?;
         Ok(())
     }
 
@@ -966,214 +857,154 @@ impl QueryEngine {
     pub fn execute(&mut self, request: &AnalysisRequest) -> Result<AnalysisReply, QueryError> {
         if let AnalysisRequest::Reslice { n_slices, range } = request {
             self.session.reslice(*n_slices, *range)?;
-            let shape = self.shape()?;
-            return Ok(AnalysisReply::Reslice(ResliceReply {
-                n_slices: *n_slices,
-                hi_slices: crate::hires::hi_res_slices(*n_slices, shape.n_leaves, shape.n_states),
-                window: self.session.window(),
-                shape,
-            }));
         }
-        self.prepare(request)?;
-        self.shared_reply(request).map_err(Miss::into_error)
+        self.reply(request)
     }
 
-    /// The `&self` execution path: answer `request` from the resident
-    /// pipeline, or return `None` when a stage it needs is not
-    /// materialized (the caller must fall back to
-    /// [`QueryEngine::execute`], which can build it). `Some(Err(_))` is a
-    /// *final* answer — re-running on the write path would fail the same
-    /// way.
-    ///
-    /// Point DPs over the resident cube run fine on this path (they only
-    /// append to the session's lock-guarded memo table), so concurrent
-    /// readers exploring new `p` values never serialize on a session-wide
-    /// lock.
+    /// Execute one request through a shared reference: `None` only for
+    /// `Reslice`, which mutates the session (use
+    /// [`QueryEngine::execute`]). Every other reply is byte-identical to
+    /// the one `execute` returns, and concurrent callers share each
+    /// stage's one build.
     pub fn execute_shared(
         &self,
         request: &AnalysisRequest,
     ) -> Option<Result<AnalysisReply, QueryError>> {
-        match self.shared_reply(request) {
-            Ok(reply) => Some(Ok(reply)),
-            Err(Miss::Failed(e)) => Some(Err(e)),
-            Err(Miss::NotPrepared) => None,
-        }
+        (!matches!(request, AnalysisRequest::Reslice { .. })).then(|| self.reply(request))
     }
 
-    /// One reply builder per request kind, all `&self`: the single
-    /// implementation both [`QueryEngine::execute`] and
-    /// [`QueryEngine::execute_shared`] funnel through — byte parity
-    /// between the exclusive and the concurrent path holds by
-    /// construction.
-    fn shared_reply(&self, request: &AnalysisRequest) -> Shared<AnalysisReply> {
+    /// One reply builder per request kind.
+    fn reply(&self, request: &AnalysisRequest) -> Result<AnalysisReply, QueryError> {
         match request {
-            AnalysisRequest::Describe => self.describe_shared().map(AnalysisReply::Describe),
+            AnalysisRequest::Describe => self.describe().map(AnalysisReply::Describe),
             AnalysisRequest::Aggregate {
                 p,
                 coarse,
                 compare,
                 diff_p,
             } => self
-                .aggregate_shared(*p, *coarse, *compare, *diff_p)
+                .aggregate(*p, *coarse, *compare, *diff_p)
                 .map(AnalysisReply::Aggregate),
             AnalysisRequest::Significant { resolution } => {
                 Ok(AnalysisReply::Significant(SignificantReply {
                     resolution: *resolution,
-                    levels: self.levels_shared(*resolution)?,
+                    levels: self.levels(*resolution)?,
                 }))
             }
-            AnalysisRequest::Sweep { resolution, steps } => self
-                .sweep_shared(*resolution, *steps)
-                .map(AnalysisReply::Sweep),
-            AnalysisRequest::PValues { resolution } => {
-                let entries = ready(self.session.significant_shared(*resolution)?)?;
-                Ok(AnalysisReply::PValues(PValuesReply {
-                    resolution: *resolution,
-                    ps: significant_ps(&entries),
-                }))
+            AnalysisRequest::Sweep { resolution, steps } => {
+                self.sweep(*resolution, *steps).map(AnalysisReply::Sweep)
             }
+            // Boundary values alone never need the cube when the table is
+            // warm at this resolution.
+            AnalysisRequest::PValues { resolution } => Ok(AnalysisReply::PValues(PValuesReply {
+                resolution: *resolution,
+                ps: significant_ps(&self.session.significant(*resolution)?),
+            })),
             AnalysisRequest::Inspect {
                 leaf,
                 slice,
                 p,
                 coarse,
             } => self
-                .inspect_shared(*leaf, *slice, *p, *coarse)
+                .inspect(*leaf, *slice, *p, *coarse)
                 .map(AnalysisReply::Inspect),
             AnalysisRequest::RenderOverview {
                 p,
                 coarse,
                 min_rows,
                 level_resolution,
-            } => {
-                let partition = match level_resolution {
-                    // Render a significant level's stored partition — the
-                    // report path, zero extra DP runs (both cold and warm
-                    // compute the same significant set, so the answer is
-                    // deterministic either way).
-                    Some(res) => {
-                        let entries = ready(self.session.significant_shared(*res)?)?;
-                        match entries.iter().find(|e| e.p_low <= *p && *p <= e.p_high) {
-                            Some(e) => e.partition.clone(),
-                            None => self.partition_shared(*p, *coarse)?,
-                        }
-                    }
-                    None => self.partition_shared(*p, *coarse)?,
-                };
-                let grid = ready(self.session.grid_if_built())?;
-                let cube = ready(self.session.cube_if_built())?;
-                Ok(AnalysisReply::Overview(OverviewReply::from_partition(
-                    cube,
-                    &partition,
-                    *p,
-                    *min_rows,
-                    (grid.start(), grid.end()),
-                )))
+            } => self
+                .overview(*p, *coarse, *min_rows, *level_resolution)
+                .map(AnalysisReply::Overview),
+            AnalysisRequest::Stats => self.stats().map(AnalysisReply::Stats),
+            // `execute` already re-sliced the session: report where it
+            // now sits.
+            AnalysisRequest::Reslice { n_slices, .. } => {
+                let shape = self.shape(&self.dims()?);
+                Ok(AnalysisReply::Reslice(ResliceReply {
+                    n_slices: *n_slices,
+                    hi_slices: crate::hires::hi_res_slices(
+                        *n_slices,
+                        shape.n_leaves,
+                        shape.n_states,
+                    ),
+                    window: self.session.window(),
+                    shape,
+                }))
             }
-            AnalysisRequest::Stats => self.stats_shared().map(AnalysisReply::Stats),
-            // Reslicing mutates the session: never answerable from `&self`.
-            AnalysisRequest::Reslice { .. } => Err(Miss::NotPrepared),
             // A subscription needs a connection to stream over; only
             // `ocelotl serve` (which intercepts the kind before execution)
             // can honor it.
             AnalysisRequest::Subscribe { inner } => {
                 AnalysisRequest::validate_subscribe_inner(inner)?;
-                Err(Miss::Failed(QueryError::Unsupported(
+                Err(QueryError::Unsupported(
                     "subscribe streams refreshed replies over an `ocelotl serve` connection; \
                      it has no in-process answer"
                         .into(),
-                )))
+                ))
             }
         }
     }
 
-    /// Make *some* dimension source available, cheapest first: an
-    /// already-built cube or model, then a warm `.ocube` artifact (no
-    /// trace read), then the streaming model build. Never builds a cube —
-    /// dimension-only queries (`Describe`, `Stats`) must stay O(model).
-    fn ensure_dims(&mut self) -> Result<(), QueryError> {
-        if self.session.cube_if_built().is_some() || self.session.model_if_built().is_some() {
-            return Ok(());
-        }
-        if self.session.try_warm_cube()?.is_some() {
-            return Ok(());
-        }
-        self.session.model()?;
-        Ok(())
+    /// The dimensions from the cube when it is built or warm in the store
+    /// (no trace read), else from the model. Never builds a cube:
+    /// dimension-only replies (`Describe`, `Reslice`) stay O(model).
+    fn dims(&self) -> Result<Dims<'_>, QueryError> {
+        Ok(match self.session.try_warm_cube()? {
+            Some(cube) => Self::cube_dims(cube),
+            None => Self::model_dims(self.session.model()?),
+        })
     }
 
-    fn shape(&mut self) -> Result<ModelShape, QueryError> {
-        self.ensure_dims()?;
-        self.shape_shared().map_err(Miss::into_error)
-    }
-
-    fn partition_shared(&self, p: f64, coarse: bool) -> Shared<Partition> {
-        ready(self.session.partition_shared(p, coarse)?)
-    }
-
-    fn shape_shared(&self) -> Shared<ModelShape> {
-        let metric = self.session.config().metric.tag().to_string();
-        if let Some(cube) = self.session.cube_if_built() {
-            let grid = cube.core().grid();
-            Ok(ModelShape {
-                n_leaves: cube.hierarchy().n_leaves(),
-                n_slices: cube.n_slices(),
-                n_states: cube.n_states(),
-                metric,
-                t_start: grid.start(),
-                t_end: grid.end(),
-            })
-        } else {
-            let m = ready(self.session.model_if_built())?;
-            Ok(ModelShape {
-                n_leaves: m.n_leaves(),
-                n_slices: m.n_slices(),
-                n_states: m.n_states(),
-                metric,
-                t_start: m.grid().start(),
-                t_end: m.grid().end(),
-            })
+    fn cube_dims(cube: &SessionCube) -> Dims<'_> {
+        Dims {
+            hierarchy: cube.hierarchy(),
+            states: cube.states(),
+            grid: *cube.core().grid(),
         }
     }
 
-    /// Hierarchy summary + state names from whatever dimension source is
-    /// resident (cube preferred, model otherwise).
-    fn hierarchy_info_shared(&self) -> Shared<(usize, u64, Vec<String>)> {
-        let (h, states) = if let Some(cube) = self.session.cube_if_built() {
-            (cube.hierarchy(), cube.states())
-        } else {
-            let m = ready(self.session.model_if_built())?;
-            (m.hierarchy(), m.states())
-        };
-        Ok((
-            h.len(),
-            h.max_depth() as u64,
-            states.iter().map(|(_, n)| n.to_string()).collect(),
-        ))
+    fn model_dims(model: &MicroModel) -> Dims<'_> {
+        Dims {
+            hierarchy: model.hierarchy(),
+            states: model.states(),
+            grid: *model.grid(),
+        }
     }
 
-    fn describe_shared(&self) -> Shared<DescribeReply> {
-        let shape = self.shape_shared()?;
-        let (hierarchy_nodes, hierarchy_depth, states) = self.hierarchy_info_shared()?;
+    fn shape(&self, dims: &Dims) -> ModelShape {
+        ModelShape {
+            n_leaves: dims.hierarchy.n_leaves(),
+            n_slices: dims.grid.n_slices(),
+            n_states: dims.states.len(),
+            metric: self.session.config().metric.tag().to_string(),
+            t_start: dims.grid.start(),
+            t_end: dims.grid.end(),
+        }
+    }
+
+    fn describe(&self) -> Result<DescribeReply, QueryError> {
+        let dims = self.dims()?;
+        let shape = self.shape(&dims);
         // The backend is sized, not built: Describe must stay O(model)
         // (it is the `describe` preprocessing command's reply), and the
         // tag must not depend on what earlier queries happened to
         // materialize in this session.
-        let backend = backend_footprint(hierarchy_nodes, shape.n_slices, shape.n_states)
+        let backend = backend_footprint(dims.hierarchy.len(), shape.n_slices, shape.n_states)
             .0
             .to_string();
         Ok(DescribeReply {
             shape,
-            hierarchy_nodes,
-            hierarchy_depth,
-            states,
+            hierarchy_nodes: dims.hierarchy.len(),
+            hierarchy_depth: dims.hierarchy.max_depth() as u64,
+            states: dims.states.iter().map(|(_, n)| n.to_string()).collect(),
             backend,
         })
     }
 
     fn area_row<C: QualityCube>(
         cube: &C,
-        grid: &ocelotl_trace::TimeGrid,
+        grid: &TimeGrid,
         area: &crate::partition::Area,
     ) -> AreaRow {
         let r = inspect_area(cube, area);
@@ -1193,26 +1024,29 @@ impl QueryEngine {
         }
     }
 
-    fn aggregate_shared(
+    fn aggregate(
         &self,
         p: f64,
         coarse: bool,
         compare: bool,
         diff_p: Option<f64>,
-    ) -> Shared<AggregateReply> {
-        let partition = self.partition_shared(p, coarse)?;
+    ) -> Result<AggregateReply, QueryError> {
+        validate_p(p)?;
+        if let Some(p2) = diff_p {
+            validate_p(p2)?;
+        }
+        let partition = self.session.partition_at(p, coarse)?;
         let diffed = match diff_p {
-            Some(p2) => Some((p2, self.partition_shared(p2, coarse)?)),
+            Some(p2) => Some((p2, self.session.partition_at(p2, coarse)?)),
             None => None,
         };
-        let shape = self.shape_shared()?;
-        let grid = ready(self.session.grid_if_built())?;
+        let cube = self.session.cube()?;
+        let grid = cube.core().grid();
 
         // §III.D: spatial-and-temporal is not spatiotemporal — score the
         // unidimensional optima and their product against Algorithm 1.
         let baselines = if compare {
-            let model = ready(self.session.model_if_built())?;
-            let cube = ready(self.session.cube_if_built())?;
+            let model = self.session.model()?;
             let h = model.hierarchy();
             let t = model.n_slices();
             let prod = product_aggregation(model, p);
@@ -1237,7 +1071,6 @@ impl QueryEngine {
             Vec::new()
         };
 
-        let cube = ready(self.session.cube_if_built())?;
         let q = quality(cube, &partition);
         let (backend, backend_bytes) =
             backend_footprint(cube.hierarchy().len(), cube.n_slices(), cube.n_states());
@@ -1254,12 +1087,12 @@ impl QueryEngine {
         let areas = partition
             .areas()
             .iter()
-            .map(|a| Self::area_row(cube, &grid, a))
+            .map(|a| Self::area_row(cube, grid, a))
             .collect();
         Ok(AggregateReply {
             p,
             coarse,
-            shape,
+            shape: self.shape(&Self::cube_dims(cube)),
             backend: backend.to_string(),
             backend_bytes,
             summary: PartitionSummary {
@@ -1278,9 +1111,9 @@ impl QueryEngine {
         })
     }
 
-    fn levels_shared(&self, resolution: f64) -> Shared<Vec<LevelReply>> {
-        let entries: Vec<PEntry> = ready(self.session.significant_shared(resolution)?)?;
-        let cube = ready(self.session.cube_if_built())?;
+    fn levels(&self, resolution: f64) -> Result<Vec<LevelReply>, QueryError> {
+        let entries = self.session.significant(resolution)?;
+        let cube = self.session.cube()?;
         Ok(entries
             .iter()
             .map(|e| {
@@ -1297,14 +1130,14 @@ impl QueryEngine {
             .collect())
     }
 
-    fn sweep_shared(&self, resolution: f64, steps: usize) -> Shared<SweepReply> {
-        let levels = self.levels_shared(resolution)?;
+    fn sweep(&self, resolution: f64, steps: usize) -> Result<SweepReply, QueryError> {
+        let levels = self.levels(resolution)?;
+        let cube = self.session.cube()?;
         let mut points = Vec::new();
         if steps > 0 {
             for k in 0..=steps {
                 let p = k as f64 / steps as f64;
-                let partition = self.partition_shared(p, false)?;
-                let cube = ready(self.session.cube_if_built())?;
+                let partition = self.session.partition_at(p, false)?;
                 points.push(SweepPoint {
                     p,
                     n_areas: partition.len(),
@@ -1319,34 +1152,32 @@ impl QueryEngine {
         })
     }
 
-    fn inspect_shared(
+    fn inspect(
         &self,
         leaf: usize,
         slice: usize,
         p: f64,
         coarse: bool,
-    ) -> Shared<InspectReply> {
-        // Validate the cell against the cube's shape before paying for the
-        // DP: an out-of-range leaf/slice must fail fast.
-        let cube = ready(self.session.cube_if_built())?;
+    ) -> Result<InspectReply, QueryError> {
+        // Validate `p` and the cell against the cube's shape before paying
+        // for the DP: an out-of-range request must fail fast.
+        validate_p(p)?;
+        let cube = self.session.cube()?;
         if leaf >= cube.hierarchy().n_leaves() {
-            return Err(Miss::Failed(QueryError::InvalidRequest(format!(
+            return Err(QueryError::InvalidRequest(format!(
                 "leaf {leaf} out of range (trace has {})",
                 cube.hierarchy().n_leaves()
-            ))));
+            )));
         }
         if slice >= cube.n_slices() {
-            return Err(Miss::Failed(QueryError::InvalidRequest(format!(
+            return Err(QueryError::InvalidRequest(format!(
                 "slice {slice} out of range (model has {})",
                 cube.n_slices()
-            ))));
+            )));
         }
-        let partition = self.partition_shared(p, coarse)?;
-        let grid = ready(self.session.grid_if_built())?;
+        let partition = self.session.partition_at(p, coarse)?;
         let area = area_at(&partition, cube, LeafId(leaf as u32), slice).ok_or_else(|| {
-            Miss::Failed(QueryError::Source(
-                "cell not covered by the partition (internal error)".into(),
-            ))
+            QueryError::Source("cell not covered by the partition (internal error)".into())
         })?;
         let report = inspect_area(cube, &area);
         Ok(InspectReply {
@@ -1354,33 +1185,57 @@ impl QueryEngine {
             slice,
             p,
             coarse,
-            area: Self::area_row(cube, &grid, &area),
+            area: Self::area_row(cube, cube.core().grid(), &area),
             n_slices_spanned: report.n_slices,
             proportions: report.proportions,
         })
     }
 
-    fn stats_shared(&self) -> Shared<StatsReply> {
-        // `None`: no telemetry probe ran yet — only the `&mut` path
-        // (ingest_stats) may force the trace read.
-        let stats = match self.session.ingest_stats_cached() {
-            None => return Err(Miss::NotPrepared),
-            Some(None) => {
-                return Err(Miss::Failed(QueryError::Unsupported(
-                    "this model source reports no ingestion telemetry".into(),
-                )))
+    fn overview(
+        &self,
+        p: f64,
+        coarse: bool,
+        min_rows: f64,
+        level_resolution: Option<f64>,
+    ) -> Result<OverviewReply, QueryError> {
+        validate_p(p)?;
+        let partition = match level_resolution {
+            // Render a significant level's stored partition — the report
+            // path, zero extra DP runs (both cold and warm compute the
+            // same significant set, so the answer is deterministic either
+            // way).
+            Some(res) => {
+                let entries = self.session.significant(res)?;
+                match entries.iter().find(|e| e.p_low <= p && p <= e.p_high) {
+                    Some(e) => e.partition.clone(),
+                    None => self.session.partition_at(p, coarse)?,
+                }
             }
-            Some(Some(s)) => s.clone(),
+            None => self.session.partition_at(p, coarse)?,
         };
-        // The probe materialized the model; shape/hierarchy read it
-        // directly — a Stats query never builds the quality cube (its
-        // whole point is measuring the O(model) ingestion path).
-        let shape = self.shape_shared()?;
-        let (hierarchy_nodes, hierarchy_depth, _) = self.hierarchy_info_shared()?;
+        let cube = self.session.cube()?;
+        let grid = cube.core().grid();
+        Ok(OverviewReply::from_partition(
+            cube,
+            &partition,
+            p,
+            min_rows,
+            (grid.start(), grid.end()),
+        ))
+    }
+
+    fn stats(&self) -> Result<StatsReply, QueryError> {
+        let stats = self.session.ingest_stats()?.cloned().ok_or_else(|| {
+            QueryError::Unsupported("this model source reports no ingestion telemetry".into())
+        })?;
+        // The stats built the model; the shape comes from it — a Stats
+        // query never builds the quality cube (its whole point is
+        // measuring the O(model) ingestion path).
+        let dims = Self::model_dims(self.session.model()?);
         Ok(StatsReply {
-            shape,
-            hierarchy_nodes,
-            hierarchy_depth,
+            shape: self.shape(&dims),
+            hierarchy_nodes: dims.hierarchy.len(),
+            hierarchy_depth: dims.hierarchy.max_depth() as u64,
             events: stats.events(),
             intervals: stats.intervals,
             points: stats.points,
@@ -1561,9 +1416,7 @@ mod tests {
         let sub = AnalysisRequest::Subscribe {
             inner: Box::new(AnalysisRequest::Describe),
         };
-        // prepare succeeds (it warms the inner request)...
-        e.prepare(&sub).unwrap();
-        // ...but execution needs a serve connection to stream over.
+        // Execution needs a serve connection to stream over.
         assert!(matches!(e.execute(&sub), Err(QueryError::Unsupported(_))));
         assert!(e.execute_shared(&sub).is_some_and(|r| r.is_err()));
         // Reslice and nested Subscribe payloads are rejected outright.

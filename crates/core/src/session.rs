@@ -15,13 +15,15 @@
 //!
 //! with two levels of memoization:
 //!
-//! 1. **in memory** — each stage is computed at most once per session, and
-//!    every DP result (one per distinct `(p, tie-breaking)` query) is kept
-//!    in a [`PartitionTable`];
-//! 2. **on disk** — a pluggable [`ArtifactStore`] persists the two
-//!    expensive artifacts across processes: the cube's prefix sums
-//!    (`.ocube`) and the partition table (`.opart`). A session that finds
-//!    both artifacts never touches the trace at all.
+//! 1. **in memory** — each stage is built at most once per session, on
+//!    first use, by a `&self` accessor (so concurrent queries share one
+//!    build), and every DP result (one per distinct `(p, tie-breaking)`
+//!    query) is kept in a [`PartitionTable`];
+//! 2. **on disk** — a pluggable [`ArtifactStore`] persists three
+//!    artifacts across processes: the hi-res intermediate (`.omicro`),
+//!    the cube's prefix sums (`.ocube`) and the partition table
+//!    (`.opart`). A session that finds the last two never touches the
+//!    trace at all.
 //!
 //! The prefix sums answer every cell query; the first DP on a pipeline
 //! materializes the paper's dense gain/loss matrices (when they fit the
@@ -50,7 +52,7 @@ use ocelotl_trace::{event_density_auto, MicroModel, TimeGrid, Trace};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -84,8 +86,8 @@ impl fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 /// Shared parameter check for the trade-off `p` — one message for every
-/// path (session, engine preparation, server) so error replies stay
-/// byte-identical wherever the check fires.
+/// caller (session, engine, server) so error replies stay byte-identical
+/// wherever the check fires.
 pub(crate) fn validate_p(p: f64) -> Result<(), SessionError> {
     if !(0.0..=1.0).contains(&p) {
         return Err(SessionError::InvalidParam(format!(
@@ -295,8 +297,8 @@ pub struct PushdownProbe {
 ///
 /// Sources must be [`Send`] + [`Sync`] so a long-lived server can host
 /// sessions behind shared references and answer queries from any
-/// connection thread concurrently (the `&self` read path of
-/// [`AnalysisSession`]).
+/// connection thread concurrently (every [`AnalysisSession`] query takes
+/// `&self`).
 pub trait ModelSource: Send + Sync {
     /// Stable fingerprint of the underlying trace bytes. Two sources with
     /// the same fingerprint must describe the same trace.
@@ -487,7 +489,7 @@ impl PartitionTable {
 // Artifact stores
 // ---------------------------------------------------------------------------
 
-/// Persistence hook for the two on-disk artifacts. Implementations must be
+/// Persistence hook for the on-disk artifacts. Implementations must be
 /// best-effort: a `store_*` returning `false` (e.g. a read-only cache
 /// directory) degrades the session to cold behavior, never to an error.
 /// [`Send`] + [`Sync`] for the same reason as [`ModelSource`]:
@@ -531,26 +533,33 @@ impl MemoryStore {
     }
 }
 
+/// Lock a mutex, recovering from poisoning: the data behind the
+/// session's mutexes (store maps, a stage's build token) stays whole when
+/// a holder panics.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl ArtifactStore for MemoryStore {
     fn load_cube(&self, key: u64) -> Option<CubeCore> {
-        self.cubes.lock().unwrap().get(&key).cloned()
+        lock(&self.cubes).get(&key).cloned()
     }
     fn store_cube(&self, key: u64, core: &CubeCore) -> bool {
-        self.cubes.lock().unwrap().insert(key, core.clone());
+        lock(&self.cubes).insert(key, core.clone());
         true
     }
     fn load_partitions(&self, key: u64) -> Option<PartitionTable> {
-        self.tables.lock().unwrap().get(&key).cloned()
+        lock(&self.tables).get(&key).cloned()
     }
     fn store_partitions(&self, key: u64, table: &PartitionTable) -> bool {
-        self.tables.lock().unwrap().insert(key, table.clone());
+        lock(&self.tables).insert(key, table.clone());
         true
     }
     fn load_hi_res(&self, key: u64) -> Option<HiResModel> {
-        self.hi_res.lock().unwrap().get(&key).cloned()
+        lock(&self.hi_res).get(&key).cloned()
     }
     fn store_hi_res(&self, key: u64, hi: &HiResModel) -> bool {
-        self.hi_res.lock().unwrap().insert(key, hi.clone());
+        lock(&self.hi_res).insert(key, hi.clone());
         true
     }
 }
@@ -583,22 +592,87 @@ pub struct ResliceWindow {
     pub t1: f64,
 }
 
-/// One derived pipeline: everything downstream of the hi-res intermediate
+/// One pipeline stage: a set-once cell built on first use through
+/// `&self`. The first caller runs the build holding the stage's build
+/// token and racing callers wait on the token for that one result; no
+/// other lock is held across the build. Readers of a built stage take no
+/// lock, and a failed build leaves the stage empty for the next caller.
+struct Stage<T> {
+    value: OnceLock<T>,
+    build: Mutex<()>,
+}
+
+impl<T> Default for Stage<T> {
+    fn default() -> Self {
+        Self {
+            value: OnceLock::new(),
+            build: Mutex::new(()),
+        }
+    }
+}
+
+impl<T> Stage<T> {
+    fn get(&self) -> Option<&T> {
+        self.value.get()
+    }
+
+    /// The value, running `build` first when the stage is empty.
+    fn get_or_build(
+        &self,
+        build: impl FnOnce() -> Result<T, SessionError>,
+    ) -> Result<&T, SessionError> {
+        if let Some(v) = self.value.get() {
+            return Ok(v);
+        }
+        let _token = lock(&self.build);
+        if let Some(v) = self.value.get() {
+            return Ok(v);
+        }
+        let v = build()?;
+        Ok(self.value.get_or_init(|| v))
+    }
+
+    /// The value, running `load` first when the stage is empty; a `load`
+    /// that finds nothing (`Ok(None)`) leaves the stage empty.
+    fn get_or_load(
+        &self,
+        load: impl FnOnce() -> Result<Option<T>, SessionError>,
+    ) -> Result<Option<&T>, SessionError> {
+        if let Some(v) = self.value.get() {
+            return Ok(Some(v));
+        }
+        let _token = lock(&self.build);
+        if let Some(v) = self.value.get() {
+            return Ok(Some(v));
+        }
+        Ok(load()?.map(|v| self.value.get_or_init(|| v)))
+    }
+}
+
+/// What the session knows of the source read behind a model or hi-res
+/// intermediate — the answer to the `Stats` query.
+#[derive(Clone)]
+enum Telemetry {
+    /// No source read produced it: a warm `.omicro` or a live feed.
+    Unread,
+    /// A source read, with the telemetry it reported (`None`: the source
+    /// reports none).
+    Read(Option<IngestStats>),
+}
+
+/// One derived pipeline: the stages downstream of the hi-res intermediate
 /// for a single `(n_slices, window)` resolution. A session keeps the
 /// active one plus a few recently used ones parked, so alternating
-/// `--slices` queries never recompute.
-///
-/// The key and the partition table use interior mutability: they are the
-/// only stages that grow *after* the pipeline is materialized (new DP
-/// results memoize into the table), so the `&self` read path can record
-/// them while the model and cube stay plainly immutable.
+/// `--slices` queries never recompute. The partition table is the one
+/// stage that grows after its build: new DP results memoize into it
+/// under its lock.
 #[derive(Default)]
 struct Derived {
     key: OnceLock<u64>,
-    model: Option<MicroModel>,
-    cube: Option<SessionCube>,
-    cube_source: Option<CubeSource>,
-    table: RwLock<Option<PartitionTable>>,
+    model: Stage<(MicroModel, Telemetry)>,
+    cube: Stage<(SessionCube, CubeSource)>,
+    table: Stage<RwLock<PartitionTable>>,
+    stats: Stage<Option<IngestStats>>,
 }
 
 /// Recently used derived pipelines kept parked besides the active one
@@ -613,6 +687,16 @@ type DerivedKey = (usize, Option<(usize, usize)>);
 /// The memoized pipeline: every stage computed at most once, expensive
 /// artifacts persisted through an optional [`ArtifactStore`]. See the
 /// module docs for the full economy.
+///
+/// ## One query path
+///
+/// Every stage — the hi-res intermediate, the model, the cube, the
+/// partition table and the ingest stats — is built on first use by a
+/// `&self` accessor, so any number of threads can query one session
+/// through a shared reference and get the same answer whatever ran
+/// before. Only [`AnalysisSession::reslice`] and
+/// [`AnalysisSession::advance`] take `&mut self`: they switch or
+/// invalidate the pipeline itself.
 ///
 /// ## Incremental re-slicing
 ///
@@ -629,15 +713,15 @@ pub struct AnalysisSession {
     source: Box<dyn ModelSource>,
     store: Option<Box<dyn ArtifactStore>>,
     fingerprint: OnceLock<u64>,
-    hi_res: Option<HiResModel>,
-    ingest: Option<IngestStats>,
+    /// The resident hi-res intermediate (`None` inside: the source cannot
+    /// build one). [`AnalysisSession::reslice`] drops a grid that does not
+    /// serve the new resolution, so the next build ingests that
+    /// resolution's own grid.
+    hi_res: Stage<Option<(HiResModel, Telemetry)>>,
     window: Option<ResliceWindow>,
     active: Derived,
     parked: Vec<(DerivedKey, Derived)>,
-    source_reads: usize,
-    /// An ingestion-telemetry probe already ran (successfully or not):
-    /// sources that report no stats are not asked again and again.
-    stats_probed: bool,
+    source_reads: AtomicUsize,
     dp_runs: AtomicUsize,
     /// Size bound for the dense matrices of every cube this session
     /// builds ([`DENSE_LIMIT_BYTES`]; tests lower it to force the
@@ -662,13 +746,11 @@ impl AnalysisSession {
             source: Box::new(source),
             store: None,
             fingerprint: OnceLock::new(),
-            hi_res: None,
-            ingest: None,
+            hi_res: Stage::default(),
             window: None,
             active: Derived::default(),
             parked: Vec::new(),
-            source_reads: 0,
-            stats_probed: false,
+            source_reads: AtomicUsize::new(0),
             dp_runs: AtomicUsize::new(0),
             dense_limit: DENSE_LIMIT_BYTES,
             live: false,
@@ -700,7 +782,7 @@ impl AnalysisSession {
             )));
         }
         let mut s = Self::new(LiveSource, config);
-        s.hi_res = Some(hi_res);
+        s.hi_res.value = OnceLock::from(Some((hi_res, Telemetry::Unread)));
         s.live = true;
         Ok(s)
     }
@@ -749,7 +831,7 @@ impl AnalysisSession {
 
     /// How the cube was obtained, once [`AnalysisSession::cube`] ran.
     pub fn cube_source(&self) -> Option<CubeSource> {
-        self.active.cube_source
+        self.active.cube.get().map(|(_, source)| *source)
     }
 
     /// Number of DP (Algorithm 1 / dichotomy) invocations this session —
@@ -764,13 +846,13 @@ impl AnalysisSession {
     /// warm artifact can serve — the property the re-slice test suite
     /// pins.
     pub fn source_reads(&self) -> usize {
-        self.source_reads
+        self.source_reads.load(Ordering::Relaxed)
     }
 
     /// The resident hi-res intermediate's slice count, when one was
     /// materialized this session.
     pub fn hi_res_slices(&self) -> Option<usize> {
-        self.hi_res.as_ref().map(|h| h.n_slices())
+        self.resident().map(|(h, _)| h.n_slices())
     }
 
     /// The active zoom window (snapped to the hi-res grid), if any.
@@ -808,10 +890,9 @@ impl AnalysisSession {
                 "advance is only valid on a live session".into(),
             ));
         }
-        let hi = self
-            .hi_res
-            .as_mut()
-            .ok_or_else(|| SessionError::source("live session lost its resident grid"))?;
+        let Some(Some((hi, _))) = self.hi_res.value.get_mut() else {
+            return Err(SessionError::source("live session lost its resident grid"));
+        };
         let outcome = hi
             .append(events, self.config.n_slices)
             .map_err(|e| SessionError::Source(format!("append refused: {e}")))?;
@@ -832,116 +913,114 @@ impl AnalysisSession {
         Ok(outcome)
     }
 
-    /// Whether the artifact store applies to the active derived pipeline:
+    /// The artifact store, when it applies to the active derived pipeline:
     /// zoomed windows are in-memory only (their grids are not addressed
     /// by the `(trace, n_slices)` key space).
-    fn store_active(&self) -> bool {
-        self.store.is_some() && self.window.is_none()
+    fn active_store(&self) -> Option<&dyn ArtifactStore> {
+        self.store.as_deref().filter(|_| self.window.is_none())
     }
 
-    /// The read-free half of [`AnalysisSession::ensure_hi_res`]: `true`
-    /// when a hi-res intermediate able to serve `n` is resident after the
-    /// call without any trace read (it already was, or a warm `.omicro`
-    /// loaded from the store).
-    fn warm_hi_res(&mut self, n: usize) -> Result<bool, SessionError> {
-        if self.hi_res.as_ref().is_some_and(|h| h.serves(n)) {
-            return Ok(true);
-        }
-        if let Some(store) = self.store.as_ref() {
-            let key = self.hi_key()?;
-            if let Some(h) = store.load_hi_res(key) {
-                if h.metric() == self.config.metric && h.serves(n) {
-                    self.hi_res = Some(h);
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+    /// The resident hi-res intermediate, if one is built.
+    fn resident(&self) -> Option<&(HiResModel, Telemetry)> {
+        self.hi_res.get().and_then(Option::as_ref)
     }
 
-    /// Make a hi-res intermediate able to serve `n` resident, touching the
-    /// trace only as a last resort: resident → warm `.omicro` → ingest.
-    /// Leaves `hi_res` untouched when the source is not hi-res-capable.
-    fn ensure_hi_res(&mut self, n: usize) -> Result<(), SessionError> {
-        if self.warm_hi_res(n)? {
-            return Ok(());
-        }
-        if let Some((h, stats)) = self.source.hi_res_with_stats(n, self.config.metric)? {
-            self.source_reads += 1;
-            self.stats_probed = true;
-            if stats.is_some() {
-                self.ingest = stats;
+    /// A warm `.omicro` intermediate able to serve `n`, if the store holds
+    /// one.
+    fn stored_hi_res(&self, n: usize) -> Result<Option<HiResModel>, SessionError> {
+        let Some(store) = self.store.as_deref() else {
+            return Ok(None);
+        };
+        Ok(store
+            .load_hi_res(self.hi_key()?)
+            .filter(|h| h.metric() == self.config.metric && h.serves(n)))
+    }
+
+    /// The hi-res intermediate, built on first use for resolution `n`: a
+    /// warm `.omicro` first, else a hi-res ingest (persisted when it serves
+    /// `n`). `None` when the source cannot build one.
+    fn hi_res(&self, n: usize) -> Result<Option<&(HiResModel, Telemetry)>, SessionError> {
+        let built = self.hi_res.get_or_build(|| {
+            if let Some(h) = self.stored_hi_res(n)? {
+                return Ok(Some((h, Telemetry::Unread)));
             }
-            // Install (and persist) the fresh intermediate only when it
-            // actually serves `n`: in the narrow regime where it cannot
-            // (cell-budget clamp + density pseudo-states, see
-            // `HiResModel::serves`), keeping a previously serving
-            // resident is strictly better than displacing it with a grid
-            // that serves nothing.
+            let Some((h, stats)) = self.source.hi_res_with_stats(n, self.config.metric)? else {
+                return Ok(None);
+            };
+            self.source_reads.fetch_add(1, Ordering::Relaxed);
             if h.serves(n) {
-                if let Some(store) = self.store.as_ref() {
-                    let key = self.hi_key()?;
-                    store.store_hi_res(key, &h);
+                if let Some(store) = self.store.as_deref() {
+                    store.store_hi_res(self.hi_key()?, &h);
                 }
-                self.hi_res = Some(h);
-            } else if self.hi_res.is_none() {
-                self.hi_res = Some(h);
             }
-        }
-        Ok(())
+            Ok(Some((h, Telemetry::Read(stats))))
+        })?;
+        Ok(built.as_ref())
     }
 
-    fn ensure_model(&mut self) -> Result<(), SessionError> {
-        if self.active.model.is_some() {
-            return Ok(());
+    /// Drop a resident grid that cannot serve resolution `n`, so the next
+    /// hi-res build ingests `n`'s own grid. A live grid always stays:
+    /// there is no trace to re-ingest, and any divisor of it derives.
+    fn retarget_hi_res(&mut self, n: usize) {
+        if !self.live && self.resident().is_some_and(|(h, _)| !h.serves(n)) {
+            self.hi_res = Stage::default();
         }
+    }
+
+    /// The microscopic model at the active resolution, built on first use:
+    /// rebinned from the resident hi-res intermediate whenever it (or a
+    /// warm `.omicro` artifact) serves the resolution, read from the trace
+    /// otherwise. Commands should prefer [`AnalysisSession::cube`]
+    /// whenever the query can be answered from the cube alone.
+    pub fn model(&self) -> Result<&MicroModel, SessionError> {
+        Ok(&self.built_model()?.0)
+    }
+
+    fn built_model(&self) -> Result<&(MicroModel, Telemetry), SessionError> {
+        self.active.model.get_or_build(|| self.build_model())
+    }
+
+    fn build_model(&self) -> Result<(MicroModel, Telemetry), SessionError> {
         let n = self.config.n_slices;
+        let metric = self.config.metric;
         if let Some(w) = self.window {
+            let misaligned = || {
+                SessionError::InvalidParam(
+                    "re-slice window no longer aligns with the resident hi-res grid".into(),
+                )
+            };
             // Windowed pipelines: the resident grid serves for free; a
             // source that can push the window down to the trace format
             // (columnar chunk skipping) reads only the overlapping
             // chunks; otherwise the full hi-res ingest.
-            if self.hi_res.is_none() {
-                if let Some((h, stats)) =
-                    self.source
-                        .hi_res_window_with_stats(n, self.config.metric, w.first, w.count)?
+            if self.resident().is_none() {
+                if let Some((h, stats)) = self
+                    .source
+                    .hi_res_window_with_stats(n, metric, w.first, w.count)?
                 {
-                    self.source_reads += 1;
-                    self.stats_probed = true;
-                    if stats.is_some() {
-                        self.ingest = stats;
-                    }
+                    self.source_reads.fetch_add(1, Ordering::Relaxed);
                     // The pushdown model's cells outside the window are
                     // zeros, so it only ever backs this derivation —
-                    // deliberately NOT installed as `self.hi_res`.
-                    let model = h.derive_window(w.first, w.count, n).ok_or_else(|| {
-                        SessionError::InvalidParam(
-                            "re-slice window no longer aligns with the resident hi-res grid".into(),
-                        )
-                    })?;
-                    self.active.model = Some(model);
-                    return Ok(());
+                    // deliberately NOT installed as the resident grid.
+                    let model = h
+                        .derive_window(w.first, w.count, n)
+                        .ok_or_else(misaligned)?;
+                    return Ok((model, Telemetry::Read(stats)));
                 }
-                self.ensure_hi_res(n)?;
             }
-            let hi = self.hi_res.as_ref().ok_or_else(|| {
+            let (hi, telemetry) = self.hi_res(n)?.ok_or_else(|| {
                 SessionError::InvalidParam(
                     "this model source cannot re-slice into a time window".into(),
                 )
             })?;
-            let model = hi.derive_window(w.first, w.count, n).ok_or_else(|| {
-                SessionError::InvalidParam(
-                    "re-slice window no longer aligns with the resident hi-res grid".into(),
-                )
-            })?;
-            self.active.model = Some(model);
-            return Ok(());
+            let model = hi
+                .derive_window(w.first, w.count, n)
+                .ok_or_else(misaligned)?;
+            return Ok((model, telemetry.clone()));
         }
-        self.ensure_hi_res(n)?;
-        if let Some(h) = &self.hi_res {
-            if let Some(model) = h.derive(n) {
-                self.active.model = Some(model);
-                return Ok(());
+        if let Some((hi, telemetry)) = self.hi_res(n)? {
+            if let Some(model) = hi.derive(n) {
+                return Ok((model, telemetry.clone()));
             }
             if self.live {
                 // Live sessions own their grid: once it has grown past the
@@ -949,63 +1028,44 @@ impl AnalysisSession {
                 // family, but any divisor of the live grid is still the
                 // exact left-to-right rebin — and there is no trace to
                 // fall back to.
-                let model = h.derive_at(n).ok_or_else(|| {
+                let model = hi.derive_at(n).ok_or_else(|| {
                     SessionError::InvalidParam(format!(
                         "--slices {n} does not divide the live grid's {} periods",
-                        h.n_slices()
+                        hi.n_slices()
                     ))
                 })?;
-                self.active.model = Some(model);
-                return Ok(());
+                return Ok((model, telemetry.clone()));
             }
         }
         // Sources without a hi-res intermediate (already-sliced models,
         // `.omm` caches): the classic per-resolution direct build.
-        let (model, stats) = self.source.model_with_stats(n, self.config.metric)?;
-        self.source_reads += 1;
-        self.stats_probed = true;
-        if stats.is_some() {
-            self.ingest = stats;
-        }
-        self.active.model = Some(model);
-        Ok(())
+        let (model, stats) = self.source.model_with_stats(n, metric)?;
+        self.source_reads.fetch_add(1, Ordering::Relaxed);
+        Ok((model, Telemetry::Read(stats)))
     }
 
-    /// Ingestion telemetry, when the source reports it. Forces a trace
-    /// read the first time (every field is a pure function of the trace
-    /// bytes and the slicing parameters, so warm and cold sessions report
-    /// identical stats); memoized afterwards — including the "this source
-    /// reports no telemetry" answer, so a stats-less source is never
-    /// re-read.
-    pub fn ingest_stats(&mut self) -> Result<Option<&IngestStats>, SessionError> {
-        self.ensure_model()?;
-        if self.ingest.is_none() && !self.stats_probed {
-            // A fully warm session derived its model without a trace read;
-            // the Stats query's whole point is measuring ingestion, so run
-            // the (deterministic) hi-res ingest now.
-            self.stats_probed = true;
-            if let Some((h, stats)) = self
-                .source
-                .hi_res_with_stats(self.config.n_slices, self.config.metric)?
-            {
-                self.source_reads += 1;
-                self.ingest = stats;
-                if self.hi_res.is_none() {
-                    self.hi_res = Some(h);
-                }
-            }
-        }
-        Ok(self.ingest.as_ref())
-    }
-
-    /// The microscopic model at the active resolution. **Cold-path only**
-    /// when no hi-res intermediate or `.omicro` artifact can serve it:
-    /// commands should prefer [`AnalysisSession::cube`] /
-    /// [`AnalysisSession::grid`] whenever the query can be answered from
-    /// the cube alone.
-    pub fn model(&mut self) -> Result<&MicroModel, SessionError> {
-        self.ensure_model()?;
-        Ok(self.active.model.as_ref().unwrap())
+    /// Ingestion telemetry of the active pipeline, when the source reports
+    /// it: what the source read behind the model reported. A model derived
+    /// without a read (a warm `.omicro`, a live feed) runs the
+    /// deterministic hi-res ingest once to measure it, so warm and cold
+    /// sessions report identical stats. Memoized — including the "this
+    /// source reports no telemetry" answer, so a stats-less source is
+    /// never re-read.
+    pub fn ingest_stats(&self) -> Result<Option<&IngestStats>, SessionError> {
+        let stats = self
+            .active
+            .stats
+            .get_or_build(|| match &self.built_model()?.1 {
+                Telemetry::Read(stats) => Ok(stats.clone()),
+                Telemetry::Unread => Ok(self
+                    .source
+                    .hi_res_with_stats(self.config.n_slices, self.config.metric)?
+                    .and_then(|(_, stats)| {
+                        self.source_reads.fetch_add(1, Ordering::Relaxed);
+                        stats
+                    })),
+            })?;
+        Ok(stats.as_ref())
     }
 
     /// Switch the session to a new slicing resolution, optionally zooming
@@ -1019,8 +1079,8 @@ impl AnalysisSession {
     /// new resolution's model is derived from the resident [`HiResModel`]
     /// with **zero trace reads** whenever the hi-res grid
     /// [`serves`](HiResModel::serves) it (or a warm `.omicro`/`.ocube`
-    /// artifact covers it); otherwise the next query re-ingests at the
-    /// new resolution's own hi-res grid.
+    /// artifact covers it); otherwise the resident grid is dropped and the
+    /// next query re-ingests at the new resolution's own hi-res grid.
     ///
     /// Windowed re-slices are eagerly materialized (pinning them to the
     /// hi-res grid they were snapped against), bypass the artifact store,
@@ -1032,66 +1092,26 @@ impl AnalysisSession {
         n_slices: usize,
         window: Option<(f64, f64)>,
     ) -> Result<(), SessionError> {
+        let switched = self.switch_to(n_slices, window);
+        // A failed switch may have ingested the target's grid: the active
+        // resolution must still find a grid that serves it.
+        self.retarget_hi_res(self.config.n_slices);
+        switched
+    }
+
+    fn switch_to(
+        &mut self,
+        n_slices: usize,
+        window: Option<(f64, f64)>,
+    ) -> Result<(), SessionError> {
         if n_slices < 1 {
             return Err(SessionError::InvalidParam(
                 "--slices must be at least 1".into(),
             ));
         }
-        let win = match window {
-            None => None,
-            Some((t0, t1)) => {
-                if !(t0.is_finite() && t1.is_finite() && t1 > t0) {
-                    return Err(SessionError::InvalidParam(format!(
-                        "re-slice window must be a finite, non-empty range (got [{t0}, {t1}])"
-                    )));
-                }
-                // Pick the grid to snap against, cheapest first: a
-                // resident (or warm `.omicro`) intermediate costs nothing;
-                // a pushdown-capable source reports its grid from the
-                // chunk index without decoding a single event; only a
-                // source with neither pays the full hi-res ingest here.
-                let probe = if self.hi_res.is_none() && !self.warm_hi_res(n_slices)? {
-                    self.source.pushdown_probe(n_slices, self.config.metric)?
-                } else {
-                    None
-                };
-                let (range, h) = match probe {
-                    Some(pb) => (pb.range, pb.hi_slices),
-                    None => {
-                        self.ensure_hi_res(n_slices)?;
-                        let hi = self.hi_res.as_ref().ok_or_else(|| {
-                            SessionError::InvalidParam(
-                                "this model source cannot re-slice into a time window".into(),
-                            )
-                        })?;
-                        let grid = hi.raw().grid();
-                        ((grid.start(), grid.end()), hi.n_slices())
-                    }
-                };
-                let (first, count) =
-                    crate::hires::snap_to_grid(range, h, t0, t1).ok_or_else(|| {
-                        SessionError::InvalidParam(format!(
-                            "window [{t0}, {t1}] lies outside the trace or collapses on the \
-                             hi-res grid"
-                        ))
-                    })?;
-                if count % n_slices != 0 {
-                    return Err(SessionError::InvalidParam(format!(
-                        "window spans {count} hi-res slices, not divisible into {n_slices} \
-                         equal bins (pick a divisor of {count})"
-                    )));
-                }
-                let grid = TimeGrid::new(range.0, range.1, h);
-                let (w0, _) = grid.slice_bounds(first);
-                let (_, w1) = grid.slice_bounds(first + count - 1);
-                Some(ResliceWindow {
-                    first,
-                    count,
-                    t0: w0,
-                    t1: w1,
-                })
-            }
-        };
+        let win = window
+            .map(|(t0, t1)| self.snap_window(n_slices, t0, t1))
+            .transpose()?;
         let win_key = win.map(|w| (w.first, w.count));
         let active_key = (
             self.config.n_slices,
@@ -1116,7 +1136,7 @@ impl AnalysisSession {
                 // GiB): parked pipelines keep the model, the prefix sums
                 // and the partition-table memos (so cached queries stay
                 // zero-DP and rebuild nothing) but release the matrices.
-                if let Some(cube) = old.cube.as_mut() {
+                if let Some((cube, _)) = old.cube.value.get_mut() {
                     cube.release_dense();
                 }
                 self.parked.push((active_key, old));
@@ -1129,182 +1149,155 @@ impl AnalysisSession {
         }
         if self.window.is_some() {
             // Pin the windowed model to the grid it was snapped against.
-            self.ensure_model()?;
+            self.model()?;
         }
         Ok(())
     }
 
-    fn ensure_cube(&mut self) -> Result<(), SessionError> {
-        if self.active.cube.is_some() {
-            return Ok(());
+    /// Snap the zoom window `[t0, t1]` to hi-res slice edges for a
+    /// re-slice at `n_slices`.
+    fn snap_window(
+        &mut self,
+        n_slices: usize,
+        t0: f64,
+        t1: f64,
+    ) -> Result<ResliceWindow, SessionError> {
+        if !(t0.is_finite() && t1.is_finite() && t1 > t0) {
+            return Err(SessionError::InvalidParam(format!(
+                "re-slice window must be a finite, non-empty range (got [{t0}, {t1}])"
+            )));
         }
-        // The key hashes the trace bytes, so it is only computed when a
-        // store could actually serve or receive artifacts — a store-less
-        // session goes straight to the (single-pass) model build without
-        // a separate fingerprint read.
-        if self.store_active() {
-            let key = self.key()?;
-            let store = self.store.as_ref().unwrap();
-            if let Some(core) = store.load_cube(key) {
-                self.install_cube(core, CubeSource::Warm);
-                return Ok(());
+        // Pick the grid to snap against, cheapest first: a resident (or
+        // warm `.omicro`) intermediate costs nothing; a pushdown-capable
+        // source reports its grid from the chunk index without decoding a
+        // single event; only a source with neither pays the full hi-res
+        // ingest here. A resident grid from another resolution's family
+        // is replaced by `n_slices`'s own, never probed around.
+        let had_grid = self.resident().is_some();
+        self.retarget_hi_res(n_slices);
+        let mut probe = None;
+        if !had_grid {
+            match self.stored_hi_res(n_slices)? {
+                Some(h) => self.hi_res.value = OnceLock::from(Some((h, Telemetry::Unread))),
+                None => probe = self.source.pushdown_probe(n_slices, self.config.metric)?,
             }
         }
-        self.ensure_model()?;
-        let core = CubeCore::build(self.active.model.as_ref().unwrap());
-        if self.store_active() {
-            let key = self.key()?;
-            self.store.as_ref().unwrap().store_cube(key, &core);
+        let (range, h) = match probe {
+            Some(pb) => (pb.range, pb.hi_slices),
+            None => {
+                let (hi, _) = self.hi_res(n_slices)?.ok_or_else(|| {
+                    SessionError::InvalidParam(
+                        "this model source cannot re-slice into a time window".into(),
+                    )
+                })?;
+                let grid = hi.raw().grid();
+                ((grid.start(), grid.end()), hi.n_slices())
+            }
+        };
+        let (first, count) = crate::hires::snap_to_grid(range, h, t0, t1).ok_or_else(|| {
+            SessionError::InvalidParam(format!(
+                "window [{t0}, {t1}] lies outside the trace or collapses on the hi-res grid"
+            ))
+        })?;
+        if count % n_slices != 0 {
+            return Err(SessionError::InvalidParam(format!(
+                "window spans {count} hi-res slices, not divisible into {n_slices} equal bins \
+                 (pick a divisor of {count})"
+            )));
         }
-        self.install_cube(core, CubeSource::Cold);
-        Ok(())
+        let grid = TimeGrid::new(range.0, range.1, h);
+        let (w0, _) = grid.slice_bounds(first);
+        let (_, w1) = grid.slice_bounds(first + count - 1);
+        Ok(ResliceWindow {
+            first,
+            count,
+            t0: w0,
+            t1: w1,
+        })
     }
 
-    fn install_cube(&mut self, core: CubeCore, source: CubeSource) {
-        self.active.cube = Some(SessionCube::new(core, self.dense_limit));
-        self.active.cube_source = Some(source);
-    }
-
-    /// The gain/loss quality cube (its prefix sums built or loaded on
-    /// first use; the dense matrices wait for the first DP).
-    pub fn cube(&mut self) -> Result<&SessionCube, SessionError> {
-        self.ensure_cube()?;
-        Ok(self.active.cube.as_ref().unwrap())
+    /// The gain/loss quality cube, built on first use: a warm `.ocube`
+    /// from the store, else the prefix sums of the model. The dense
+    /// matrices wait for the first DP.
+    pub fn cube(&self) -> Result<&SessionCube, SessionError> {
+        let (cube, _) = self.active.cube.get_or_build(|| {
+            if let Some(core) = self.stored_cube()? {
+                return Ok(self.session_cube(core, CubeSource::Warm));
+            }
+            let core = CubeCore::build(self.model()?);
+            if let Some(store) = self.active_store() {
+                store.store_cube(self.key()?, &core);
+            }
+            Ok(self.session_cube(core, CubeSource::Cold))
+        })?;
+        Ok(cube)
     }
 
     /// The cube, only if a previous call already materialized it — never
-    /// triggers a build or a store lookup.
+    /// triggers a build or a store lookup. An observation peek for tests
+    /// and benchmarks.
     pub fn cube_if_built(&self) -> Option<&SessionCube> {
-        self.active.cube.as_ref()
+        self.active.cube.get().map(|(cube, _)| cube)
     }
 
-    /// The model, only if a previous call already built it.
+    /// The model, only if a previous call already built it (an
+    /// observation peek, like [`AnalysisSession::cube_if_built`]).
     pub fn model_if_built(&self) -> Option<&MicroModel> {
-        self.active.model.as_ref()
+        self.active.model.get().map(|(model, _)| model)
     }
 
-    /// Load the cube from the artifact store if (and only if) a warm
-    /// `.ocube` exists — never builds from the model. `None` on a store
-    /// miss or a store-less session. Lets dimension-only queries
-    /// (`Describe`, `Stats`) answer warm without a trace read and cold
-    /// without paying for a cube they do not need.
-    pub fn try_warm_cube(&mut self) -> Result<Option<&SessionCube>, SessionError> {
-        if self.active.cube.is_none() && self.store_active() {
+    /// The cube if it is built or a warm `.ocube` exists in the store —
+    /// never builds from the model. `None` on a store miss or a store-less
+    /// session. Lets dimension-only queries (`Describe`) answer warm
+    /// without a trace read and cold without paying for a cube they do
+    /// not need.
+    pub fn try_warm_cube(&self) -> Result<Option<&SessionCube>, SessionError> {
+        let loaded = self.active.cube.get_or_load(|| {
+            Ok(self
+                .stored_cube()?
+                .map(|core| self.session_cube(core, CubeSource::Warm)))
+        })?;
+        Ok(loaded.map(|(cube, _)| cube))
+    }
+
+    /// The active pipeline's `.ocube`, if the store holds one. The key
+    /// hashes the trace bytes, so it is only computed when a store could
+    /// actually serve the cube — a store-less session goes straight to the
+    /// (single-pass) model build without a separate fingerprint read.
+    fn stored_cube(&self) -> Result<Option<CubeCore>, SessionError> {
+        match self.active_store() {
+            Some(store) => Ok(store.load_cube(self.key()?)),
+            None => Ok(None),
+        }
+    }
+
+    fn session_cube(&self, core: CubeCore, source: CubeSource) -> (SessionCube, CubeSource) {
+        (SessionCube::new(core, self.dense_limit), source)
+    }
+
+    /// The partition table, built on first use: the store's `.opart`, or
+    /// empty.
+    fn table(&self) -> Result<&RwLock<PartitionTable>, SessionError> {
+        self.active.table.get_or_build(|| {
+            let loaded = match self.active_store() {
+                Some(store) => store.load_partitions(self.key()?).unwrap_or_default(),
+                None => PartitionTable::default(),
+            };
+            Ok(RwLock::new(loaded))
+        })
+    }
+
+    /// Record a new DP result in the table, then persist the table.
+    fn record(&self, update: impl FnOnce(&mut PartitionTable)) -> Result<(), SessionError> {
+        let table = self.table()?;
+        update(&mut table.write().unwrap_or_else(PoisonError::into_inner));
+        if let Some(store) = self.active_store() {
+            // Memoized key: re-fingerprinting here would re-hash the whole
+            // trace on every newly recorded DP result.
             let key = self.key()?;
-            if let Some(core) = self.store.as_ref().unwrap().load_cube(key) {
-                self.install_cube(core, CubeSource::Warm);
-            }
-        }
-        Ok(self.active.cube.as_ref())
-    }
-
-    /// Both the model and the cube (for queries that genuinely need raw
-    /// microscopic data next to the cube, like the §III.D baselines).
-    pub fn model_and_cube(&mut self) -> Result<(&MicroModel, &SessionCube), SessionError> {
-        self.ensure_cube()?;
-        self.ensure_model()?;
-        Ok((
-            self.active.model.as_ref().unwrap(),
-            self.active.cube.as_ref().unwrap(),
-        ))
-    }
-
-    /// The time grid, answered from the cube (no trace read when warm).
-    pub fn grid(&mut self) -> Result<TimeGrid, SessionError> {
-        self.ensure_cube()?;
-        Ok(*self.active.cube.as_ref().unwrap().core().grid())
-    }
-
-    fn ensure_table(&mut self) -> Result<(), SessionError> {
-        if self.active.table.get_mut().unwrap().is_some() {
-            return Ok(());
-        }
-        let loaded = if self.store_active() {
-            let key = self.key()?;
-            self.store
-                .as_ref()
-                .unwrap()
-                .load_partitions(key)
-                .unwrap_or_default()
-        } else {
-            PartitionTable::default()
-        };
-        *self.active.table.get_mut().unwrap() = Some(loaded);
-        Ok(())
-    }
-
-    fn persist_table(&self) -> Result<(), SessionError> {
-        if !self.store_active() {
-            return Ok(());
-        }
-        // Memoized key: re-fingerprinting here would re-hash the whole
-        // trace on every newly recorded DP result.
-        let key = self.key()?;
-        if let Some(store) = &self.store {
-            let guard = self.active.table.read().unwrap();
-            if let Some(table) = guard.as_ref() {
-                store.store_partitions(key, table);
-            }
+            store.store_partitions(key, &table.read().unwrap_or_else(PoisonError::into_inner));
         }
         Ok(())
-    }
-
-    fn dp_config(&self, coarse: bool) -> DpConfig {
-        if coarse {
-            DpConfig::coarse_ties()
-        } else {
-            DpConfig::default()
-        }
-    }
-
-    /// Materialize everything the `&self` read path needs — the partition
-    /// table and the cube — so subsequent [`AnalysisSession::partition_shared`] /
-    /// [`AnalysisSession::significant_shared`] calls can answer any point
-    /// query from a shared reference. This is what a server runs once,
-    /// under its build budget, before publishing the session to readers.
-    pub fn prepare(&mut self) -> Result<(), SessionError> {
-        self.ensure_table()?;
-        self.ensure_cube()?;
-        Ok(())
-    }
-
-    /// Like [`AnalysisSession::prepare`], but for queries that only need
-    /// the significant-`p` boundary values: a table warm at `resolution`
-    /// (e.g. from a `.opart` artifact) skips the cube build entirely.
-    pub fn prepare_points(&mut self, resolution: f64) -> Result<(), SessionError> {
-        validate_resolution(resolution)?;
-        self.ensure_table()?;
-        let warm = self
-            .active
-            .table
-            .get_mut()
-            .unwrap()
-            .as_ref()
-            .unwrap()
-            .significant_at(resolution)
-            .is_some();
-        if !warm {
-            self.ensure_cube()?;
-        }
-        Ok(())
-    }
-
-    /// The time grid, if a previous call already materialized the cube.
-    pub fn grid_if_built(&self) -> Option<TimeGrid> {
-        self.active.cube.as_ref().map(|c| *c.core().grid())
-    }
-
-    /// Ingestion telemetry **without** forcing a trace read: `None` when
-    /// no probe ran yet (the caller must fall back to
-    /// [`AnalysisSession::ingest_stats`]), `Some(None)` when a probe ran
-    /// and the source reports no telemetry, `Some(Some(_))` when stats are
-    /// resident.
-    pub fn ingest_stats_cached(&self) -> Option<Option<&IngestStats>> {
-        match (&self.ingest, self.stats_probed) {
-            (Some(s), _) => Some(Some(s)),
-            (None, true) => Some(None),
-            (None, false) => None,
-        }
     }
 
     /// The optimal partition at trade-off `p` (Algorithm 1), memoized.
@@ -1312,121 +1305,60 @@ impl AnalysisSession {
     /// A cached result (same `p` bit pattern, same tie-breaking) is served
     /// without running the DP; otherwise the DP runs on the (possibly
     /// warm) cube and the result is recorded in the table and persisted.
-    pub fn partition_at(&mut self, p: f64, coarse: bool) -> Result<Partition, SessionError> {
+    /// Concurrent callers racing on the same fresh query may each run the
+    /// (deterministic) DP; the table keeps exactly one copy of the
+    /// identical result.
+    pub fn partition_at(&self, p: f64, coarse: bool) -> Result<Partition, SessionError> {
         validate_p(p)?;
-        self.ensure_table()?;
-        if let Some(part) = self
-            .active
-            .table
-            .get_mut()
-            .unwrap()
-            .as_ref()
-            .unwrap()
+        let table = self.table()?;
+        if let Some(part) = table
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .lookup(p, coarse)
         {
             return Ok(part.clone());
         }
-        self.ensure_cube()?;
-        self.partition_shared(p, coarse)?
-            .ok_or_else(|| SessionError::source("internal: prepared pipeline missed a point query"))
+        let cube = self.cube()?;
+        let config = if coarse {
+            DpConfig::coarse_ties()
+        } else {
+            DpConfig::default()
+        };
+        let partition = cube.aggregate(p, &config).partition(cube);
+        self.dp_runs.fetch_add(1, Ordering::Relaxed);
+        self.record(|t| t.insert_point(p, coarse, partition.clone()))?;
+        Ok(partition)
     }
 
-    /// The `&self` twin of [`AnalysisSession::partition_at`], for sessions
-    /// already [`prepared`](AnalysisSession::prepare): serves the memo or
-    /// runs the DP on the resident cube, recording the result through the
-    /// table lock. Returns `Ok(None)` when the table or cube is not
-    /// materialized yet — the caller must fall back to the `&mut` path.
-    ///
-    /// Concurrent callers racing on the same fresh `(p, tie-breaking)`
-    /// query may each run the (deterministic) DP; the table keeps exactly
-    /// one copy of the identical result.
-    pub fn partition_shared(
-        &self,
-        p: f64,
-        coarse: bool,
-    ) -> Result<Option<Partition>, SessionError> {
-        validate_p(p)?;
-        {
-            let guard = self.active.table.read().unwrap();
-            match guard.as_ref() {
-                None => return Ok(None),
-                Some(table) => {
-                    if let Some(part) = table.lookup(p, coarse) {
-                        return Ok(Some(part.clone()));
-                    }
-                }
-            }
-        }
-        let Some(cube) = self.active.cube.as_ref() else {
-            return Ok(None);
-        };
-        let partition = cube.aggregate(p, &self.dp_config(coarse)).partition(cube);
-        self.dp_runs.fetch_add(1, Ordering::Relaxed);
-        self.active
-            .table
-            .write()
-            .unwrap()
-            .as_mut()
-            .unwrap()
-            .insert_point(p, coarse, partition.clone());
-        self.persist_table()?;
-        Ok(Some(partition))
+    /// Alias of [`AnalysisSession::partition_at`].
+    pub fn partition_shared(&self, p: f64, coarse: bool) -> Result<Partition, SessionError> {
+        self.partition_at(p, coarse)
     }
 
     /// All significant trade-off levels (the Ocelotl slider stops),
     /// memoized at the given dichotomy resolution. A table loaded from a
-    /// `.opart` artifact answers this with **zero** DP runs.
-    pub fn significant(&mut self, resolution: f64) -> Result<Vec<PEntry>, SessionError> {
+    /// `.opart` artifact answers this with **zero** DP runs and no cube.
+    pub fn significant(&self, resolution: f64) -> Result<Vec<PEntry>, SessionError> {
         validate_resolution(resolution)?;
-        self.ensure_table()?;
-        if let Some(entries) = self
-            .active
-            .table
-            .get_mut()
-            .unwrap()
-            .as_ref()
-            .unwrap()
+        let table = self.table()?;
+        if let Some(entries) = table
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .significant_at(resolution)
         {
             return Ok(entries.to_vec());
         }
-        self.ensure_cube()?;
-        self.significant_shared(resolution)?
-            .ok_or_else(|| SessionError::source("internal: prepared pipeline missed a level query"))
-    }
-
-    /// The `&self` twin of [`AnalysisSession::significant`] (see
-    /// [`AnalysisSession::partition_shared`] for the contract).
-    pub fn significant_shared(&self, resolution: f64) -> Result<Option<Vec<PEntry>>, SessionError> {
-        validate_resolution(resolution)?;
-        {
-            let guard = self.active.table.read().unwrap();
-            match guard.as_ref() {
-                None => return Ok(None),
-                Some(table) => {
-                    if let Some(entries) = table.significant_at(resolution) {
-                        return Ok(Some(entries.to_vec()));
-                    }
-                }
-            }
-        }
-        let Some(cube) = self.active.cube.as_ref() else {
-            return Ok(None);
-        };
-        let entries = cube.significant_partitions(&DpConfig::default(), resolution);
+        let entries = self
+            .cube()?
+            .significant_partitions(&DpConfig::default(), resolution);
         self.dp_runs.fetch_add(1, Ordering::Relaxed);
-        self.active
-            .table
-            .write()
-            .unwrap()
-            .as_mut()
-            .unwrap()
-            .significant = Some(SignificantSet {
-            resolution,
-            entries: entries.clone(),
-        });
-        self.persist_table()?;
-        Ok(Some(entries))
+        self.record(|t| {
+            t.significant = Some(SignificantSet {
+                resolution,
+                entries: entries.clone(),
+            })
+        })?;
+        Ok(entries)
     }
 }
 
@@ -1558,7 +1490,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_run_one_dp() {
-        let mut s = session_over(fig3_model(), 1);
+        let s = session_over(fig3_model(), 1);
         let a = s.partition_at(0.5, false).unwrap();
         let b = s.partition_at(0.5, false).unwrap();
         assert_eq!(a, b);
@@ -1617,13 +1549,13 @@ mod tests {
         let store = Arc::new(MemoryStore::new());
         let model = random_model(&[3, 2, 2], 11, 3, 99);
 
-        let mut cold = session_over(model.clone(), 42).with_store(Shared(store.clone()));
+        let cold = session_over(model.clone(), 42).with_store(Shared(store.clone()));
         let cold_part = cold.partition_at(0.4, false).unwrap();
         let cold_levels = cold.significant(1e-2).unwrap();
         assert_eq!(cold.cube_source(), Some(CubeSource::Cold));
         assert!(cold.dp_runs() >= 2);
 
-        let mut warm = session_over(model, 42).with_store(Shared(store));
+        let warm = session_over(model, 42).with_store(Shared(store));
         let warm_part = warm.partition_at(0.4, false).unwrap();
         let warm_levels = warm.significant(1e-2).unwrap();
         // Cached queries never even built the cube; forcing it must hit
@@ -1743,13 +1675,12 @@ mod tests {
         }
         assert_eq!(warm.session().dp_runs(), 0);
 
-        // After prepare, the first shared DP answers and builds the
-        // matrices; the next one reuses them.
-        let mut session = warm.into_session();
-        session.prepare().unwrap();
-        let fresh = session.partition_shared(0.3, false).unwrap().unwrap();
+        // The first DP answers and builds the matrices; the next one
+        // reuses them.
+        let session = warm.into_session();
+        let fresh = session.partition_at(0.3, false).unwrap();
         let dense = session.cube_if_built().unwrap().dense_if_built().unwrap();
-        session.partition_shared(0.7, false).unwrap().unwrap();
+        session.partition_at(0.7, false).unwrap();
         let again = session.cube_if_built().unwrap().dense_if_built().unwrap();
         assert!(std::ptr::eq(dense, again), "the matrices are built once");
         assert_eq!(session.dp_runs(), 2);
@@ -1776,7 +1707,7 @@ mod tests {
         let key_a = SessionConfig::default().key(1);
         store.store_cube(key_a, &CubeCore::build(&model));
         // A session over fingerprint 2 must not see fingerprint 1's cube.
-        let mut s = AnalysisSession::new(
+        let s = AnalysisSession::new(
             OwnedSource::new(model, 2),
             SessionConfig {
                 n_slices: 6,
@@ -1804,7 +1735,7 @@ mod tests {
         }
         let model = fig3_model();
         let n_slices = model.n_slices();
-        let mut s = AnalysisSession::new(
+        let s = AnalysisSession::new(
             NoFingerprint(model),
             SessionConfig {
                 n_slices,
@@ -1825,7 +1756,7 @@ mod tests {
 
     #[test]
     fn invalid_params_are_rejected() {
-        let mut s = session_over(fig3_model(), 3);
+        let s = session_over(fig3_model(), 3);
         assert!(matches!(
             s.partition_at(1.5, false),
             Err(SessionError::InvalidParam(_))
@@ -1853,50 +1784,59 @@ mod tests {
 
     #[test]
     fn shared_read_path_matches_exclusive_path() {
-        let mut s = session_over(fig3_model(), 9);
-        let exclusive = s.partition_at(0.5, false).unwrap();
-        let levels = s.significant(1e-2).unwrap();
-        s.prepare().unwrap();
+        let hi = HiResModel::new(Metric::States, random_model(&[2, 3], 4096, 2, 17));
+        let open = || {
+            AnalysisSession::new(
+                HiResSource(hi.clone()),
+                SessionConfig {
+                    n_slices: 64,
+                    ..SessionConfig::default()
+                },
+            )
+        };
+        // The sequential answers…
+        let seq = open();
+        let exclusive = seq.partition_at(0.5, false).unwrap();
+        let levels = seq.significant(1e-2).unwrap();
+        let fresh_seq = seq.partition_at(0.25, false).unwrap();
+        let stats = seq.ingest_stats().unwrap().cloned();
+        assert!(stats.is_some());
+        // …and four threads racing every stage of an unbuilt session
+        // through `&self`.
+        let s = open();
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
-            let s = &s;
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    scope.spawn(move || {
-                        // Memoized point + levels, plus a fresh point every
-                        // thread races on.
-                        let memo = s.partition_shared(0.5, false).unwrap().unwrap();
-                        let lvls = s.significant_shared(1e-2).unwrap().unwrap();
-                        let fresh = s.partition_shared(0.25, false).unwrap().unwrap();
-                        (memo, lvls, fresh)
+                    scope.spawn(|| {
+                        // A point, the levels, a fresh point every thread
+                        // races on, and the ingest stats.
+                        start.wait();
+                        let memo = s.partition_at(0.5, false).unwrap();
+                        let lvls = s.significant(1e-2).unwrap();
+                        let fresh = s.partition_at(0.25, false).unwrap();
+                        let st = s.ingest_stats().unwrap().cloned();
+                        (memo, lvls, fresh, st, s.cube_if_built().unwrap())
                     })
                 })
                 .collect();
             let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            for (memo, lvls, fresh) in &results {
+            for (memo, lvls, fresh, st, cube) in &results {
                 assert_eq!(*memo, exclusive);
                 assert_eq!(lvls.len(), levels.len());
+                assert_eq!(*lvls, levels);
                 assert_eq!(*fresh, results[0].2, "racing DPs agree");
+                assert_eq!(*fresh, fresh_seq);
+                assert_eq!(*st, stats);
+                assert!(std::ptr::eq(*cube, results[0].4), "one cube");
             }
         });
-        // The racing threads memoized p=0.25: the exclusive path now
-        // serves it without another DP.
+        assert_eq!(s.source_reads(), 1, "racing builds read the source once");
+        // The racing threads memoized p=0.25: asking again runs no DP.
         let before = s.dp_runs();
-        let via_mut = s.partition_at(0.25, false).unwrap();
-        assert_eq!(s.dp_runs(), before, "shared results serve the &mut path");
-        assert_eq!(
-            Some(&via_mut),
-            s.partition_shared(0.25, false).unwrap().as_ref()
-        );
-    }
-
-    #[test]
-    fn unprepared_session_declines_shared_queries() {
-        let s = session_over(fig3_model(), 10);
-        assert!(s.partition_shared(0.5, false).unwrap().is_none());
-        assert!(s.significant_shared(1e-2).unwrap().is_none());
-        // Invalid parameters still fail fast, prepared or not.
-        assert!(s.partition_shared(1.5, false).is_err());
-        assert!(s.significant_shared(0.0).is_err());
+        let again = s.partition_at(0.25, false).unwrap();
+        assert_eq!(s.dp_runs(), before, "racing results serve later queries");
+        assert_eq!(again, fresh_seq);
     }
 
     #[test]

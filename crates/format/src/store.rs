@@ -4,15 +4,18 @@
 //! on-disk layout is flat and self-describing:
 //!
 //! ```text
-//! <dir>/<stem>-<key:016x>.ocube    cube prefix sums (see `cube_cache`)
-//! <dir>/<stem>-<key:016x>.opart    partition table   (see `part_cache`)
+//! <dir>/<stem>-<key:016x>.omicro   hi-res intermediate (see `hires_cache`)
+//! <dir>/<stem>-<key:016x>.ocube    cube prefix sums    (see `cube_cache`)
+//! <dir>/<stem>-<key:016x>.opart    partition table     (see `part_cache`)
 //! ```
 //!
 //! where `stem` is the trace's file stem and `key` the session's
-//! content-addressed hash over (trace bytes, slicing params, metric,
-//! backend). Lookups are doubly guarded: the key is part of the file name
-//! *and* stored in the artifact header (so a renamed or copied file can
-//! never be served under the wrong key).
+//! content-addressed hash: over (trace bytes, slicing params, metric) for
+//! `.ocube` and `.opart`, over (trace bytes, metric) for `.omicro`, whose
+//! one grid serves a whole family of slice counts. Lookups are doubly
+//! guarded: the key is part of the file name *and* stored in the artifact
+//! header (so a renamed or copied file can never be served under the
+//! wrong key).
 //!
 //! **Stale-key invalidation** happens at two levels. Correctness is
 //! guaranteed by content-addressing alone: a changed trace or changed

@@ -69,10 +69,11 @@ const DETERMINISM_SCOPE: [&str; 8] = [
     "crates/format/src/part_cache.rs",
 ];
 
-/// Decoder paths, the ingest driver and per-connection server code: typed
-/// `FormatError`/`QueryError` are the contract, a panic is a lost
-/// connection (or a dead server thread).
-const PANIC_SCOPE: [&str; 8] = [
+/// Decoder paths, the ingest driver, the session and query engine every
+/// request runs on, and per-connection server code: typed
+/// `FormatError`/`SessionError`/`QueryError` are the contract, a panic is
+/// a lost connection (or a dead server thread).
+const PANIC_SCOPE: [&str; 10] = [
     "crates/format/src/io.rs",
     "crates/format/src/text.rs",
     "crates/format/src/binary.rs",
@@ -80,6 +81,8 @@ const PANIC_SCOPE: [&str; 8] = [
     "crates/format/src/paje.rs",
     "crates/format/src/gzip.rs",
     "crates/format/src/json.rs",
+    "crates/core/src/session.rs",
+    "crates/core/src/query.rs",
     "crates/cli/src/commands/serve.rs",
 ];
 
@@ -108,12 +111,11 @@ const GUARDED_MUTEXES: [&str; 2] = ["pool", "builds"];
 
 /// Calls that must never run under a pool/builds mutex guard: execution,
 /// warm-up and ingest belong outside the admission lock.
-const HEAVY_CALLS: [&str; 9] = [
+const HEAVY_CALLS: [&str; 8] = [
+    "answer",
     "execute",
     "execute_shared",
     "warm_up",
-    "prepare",
-    "prepare_points",
     "reslice",
     "ingest",
     "read_model",
@@ -868,6 +870,18 @@ mod tests {
             fn f(&self) {
                 let mut builds = lock_clean(&self.builds);
                 engine.execute(&req);
+            }
+        ";
+        let f = run("crates/cli/src/commands/serve.rs", src);
+        assert!(f.iter().any(|f| f.rule == "lock-scope"), "{f:?}");
+    }
+
+    #[test]
+    fn lock_scope_flags_slot_answer_under_guard() {
+        let src = "
+            fn f(&self) {
+                let pool = lock_clean(&self.pool);
+                let reply = slot.answer(config.n_slices, &request);
             }
         ";
         let f = run("crates/cli/src/commands/serve.rs", src);

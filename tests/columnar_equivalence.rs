@@ -455,7 +455,7 @@ fn warm_store_serves_windowed_reslice_with_zero_source_reads() {
 
     // Session 1 ingests fully and parks the hi-res intermediate.
     let (s1, _) = octf_session(&octf, 12);
-    let mut s1 = s1.with_store(store());
+    let s1 = s1.with_store(store());
     s1.model().unwrap();
     drop(s1);
 

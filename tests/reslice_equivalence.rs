@@ -308,7 +308,7 @@ fn warm_session_serves_slices_changes_with_zero_trace_reads() {
     for n in [60, 15] {
         s.reslice(n, None).unwrap();
         let warm = s.model().unwrap().clone();
-        let mut fresh = session_over_file(&path, n);
+        let fresh = session_over_file(&path, n);
         let fresh_model = fresh.model().unwrap().clone();
         assert_bit_identical(&warm, &fresh_model, &format!("session reslice {n}"));
         assert_eq!(
@@ -427,7 +427,7 @@ fn stats_less_sources_are_probed_once() {
     }
     let path = fixture();
     let counter = std::sync::atomic::AtomicUsize::new(0);
-    let mut s = AnalysisSession::new(
+    let s = AnalysisSession::new(
         NoStats(path.clone(), counter),
         SessionConfig {
             n_slices: 30,

@@ -140,7 +140,7 @@ fn warm_partitions_are_bit_identical_to_cold() {
     let model = MicroModel::from_trace(&trace, 30).unwrap();
     let dir = scratch("warm-identical");
 
-    let mut cold = session_for(model.clone(), fp, 30, DiskStore::new(&dir, "q"));
+    let cold = session_for(model.clone(), fp, 30, DiskStore::new(&dir, "q"));
     let cold_parts: Vec<Partition> = [0.0, 0.3, 0.5, 0.9, 1.0]
         .iter()
         .map(|&p| cold.partition_at(p, false).unwrap())
@@ -158,7 +158,7 @@ fn warm_partitions_are_bit_identical_to_cold() {
 
     // A brand-new session over the same artifacts: identical everything,
     // zero DP runs, trace never resliced.
-    let mut warm = session_for(model, fp, 30, DiskStore::new(&dir, "q"));
+    let warm = session_for(model, fp, 30, DiskStore::new(&dir, "q"));
     for (i, &p) in [0.0, 0.3, 0.5, 0.9, 1.0].iter().enumerate() {
         let part = warm.partition_at(p, false).unwrap();
         assert_eq!(part, cold_parts[i], "p = {p}");
@@ -188,32 +188,32 @@ fn changing_trace_or_params_invalidates_artifacts() {
     let model = MicroModel::from_trace(&trace, 20).unwrap();
     let dir = scratch("invalidation");
 
-    let mut first = session_for(model.clone(), fp, 20, DiskStore::new(&dir, "q"));
+    let first = session_for(model.clone(), fp, 20, DiskStore::new(&dir, "q"));
     first.partition_at(0.5, false).unwrap();
 
     // Same trace, same params → warm.
-    let mut same = session_for(model.clone(), fp, 20, DiskStore::new(&dir, "q"));
+    let same = session_for(model.clone(), fp, 20, DiskStore::new(&dir, "q"));
     same.cube().unwrap();
     assert_eq!(same.cube_source(), Some(CubeSource::Warm));
 
     // A changed trace (different fingerprint) → different key → cold:
     // stale bytes can never be *served* (content-addressing), even though
     // recent sibling artifacts are allowed to coexist for warmth.
-    let mut changed = session_for(model.clone(), fp ^ 1, 20, DiskStore::new(&dir, "q"));
+    let changed = session_for(model.clone(), fp ^ 1, 20, DiskStore::new(&dir, "q"));
     changed.partition_at(0.5, false).unwrap();
     changed.cube().unwrap();
     assert_eq!(changed.cube_source(), Some(CubeSource::Cold));
 
     // Different slicing params → different key → cold.
     let model36 = MicroModel::from_trace(&trace, 36).unwrap();
-    let mut resliced = session_for(model36, fp, 36, DiskStore::new(&dir, "q"));
+    let resliced = session_for(model36, fp, 36, DiskStore::new(&dir, "q"));
     resliced.cube().unwrap();
     assert_eq!(resliced.cube_source(), Some(CubeSource::Cold));
 
     // And the cache population is bounded: many distinct keys prune down
     // to the store's keep window instead of accumulating forever.
     for k in 0..8u64 {
-        let mut s = session_for(model.clone(), fp ^ (100 + k), 20, DiskStore::new(&dir, "q"));
+        let s = session_for(model.clone(), fp ^ (100 + k), 20, DiskStore::new(&dir, "q"));
         s.cube().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
@@ -318,7 +318,7 @@ fn omicro_warms_a_slices_change_across_sessions() {
     let trace_path = write_quickstart(&dir, "q.btf");
 
     // Session A ingests at 30 and persists the hi-res intermediate.
-    let mut a = file_session(&trace_path, 30, Some(DiskStore::new(&dir, "q")));
+    let a = file_session(&trace_path, 30, Some(DiskStore::new(&dir, "q")));
     let a30 = a.partition_at(0.5, false).unwrap();
     assert_eq!(a.source_reads(), 1);
 
@@ -332,7 +332,7 @@ fn omicro_warms_a_slices_change_across_sessions() {
         0,
         "a --slices change on a warm store must not touch the trace"
     );
-    let mut fresh = file_session(&trace_path, 60, None);
+    let fresh = file_session(&trace_path, 60, None);
     assert_eq!(b60, fresh.partition_at(0.5, false).unwrap());
 
     // And back at 30 the answers match session A exactly.
@@ -347,7 +347,7 @@ fn omicro_stale_keys_and_foreign_families_invalidate() {
     let dir = scratch("omicro-stale");
     let trace_path = write_quickstart(&dir, "q.btf");
 
-    let mut a = file_session(&trace_path, 30, Some(DiskStore::new(&dir, "q")));
+    let a = file_session(&trace_path, 30, Some(DiskStore::new(&dir, "q")));
     let _ = a.model().unwrap();
     assert_eq!(a.source_reads(), 1);
 
@@ -359,7 +359,7 @@ fn omicro_stale_keys_and_foreign_families_invalidate() {
         tb.push_state(LeafId(leaf), s, 0.0, 4.0);
     }
     ocelotl::format::write_trace(&tb.build(), &trace_path).unwrap();
-    let mut changed = file_session(&trace_path, 30, Some(DiskStore::new(&dir, "q")));
+    let changed = file_session(&trace_path, 30, Some(DiskStore::new(&dir, "q")));
     let n_leaves = changed.model().unwrap().n_leaves();
     assert_eq!(changed.source_reads(), 1, "stale key misses, re-ingests");
     assert_eq!(n_leaves, 8, "the NEW trace is served");
@@ -367,10 +367,10 @@ fn omicro_stale_keys_and_foreign_families_invalidate() {
     // A hi-res-resolution change (a slicing family the stored grid cannot
     // serve) also re-ingests — and overwrites the artifact, so its own
     // family is warm afterwards.
-    let mut foreign = file_session(&trace_path, 50, Some(DiskStore::new(&dir, "q")));
+    let foreign = file_session(&trace_path, 50, Some(DiskStore::new(&dir, "q")));
     let _ = foreign.model().unwrap();
     assert_eq!(foreign.source_reads(), 1, "50 is outside the stored family");
-    let mut warm50 = file_session(&trace_path, 50, Some(DiskStore::new(&dir, "q")));
+    let warm50 = file_session(&trace_path, 50, Some(DiskStore::new(&dir, "q")));
     let _ = warm50.model().unwrap();
     assert_eq!(warm50.source_reads(), 0, "the 50-family is now stored");
     std::fs::remove_dir_all(&dir).ok();
@@ -418,7 +418,7 @@ fn warm_vs_cold_bit_identity_survives_slices_changes() {
     // Cold reference runs, one fresh store-less session per resolution.
     let mut reference = Vec::new();
     for n in [30usize, 60, 15] {
-        let mut cold = file_session(&trace_path, n, None);
+        let cold = file_session(&trace_path, n, None);
         reference.push((n, cold.partition_at(0.4, false).unwrap()));
     }
 
@@ -455,12 +455,12 @@ fn warm_aggregate_is_at_least_5x_faster_at_t256() {
     let dir = scratch("speedup");
 
     let t0 = Instant::now();
-    let mut cold = session_for(model.clone(), fp, 256, DiskStore::new(&dir, "q"));
+    let cold = session_for(model.clone(), fp, 256, DiskStore::new(&dir, "q"));
     let cold_part = cold.partition_at(0.5, false).unwrap();
     let cold_elapsed = t0.elapsed();
 
     let t1 = Instant::now();
-    let mut warm = session_for(model, fp, 256, DiskStore::new(&dir, "q"));
+    let warm = session_for(model, fp, 256, DiskStore::new(&dir, "q"));
     let warm_part = warm.partition_at(0.5, false).unwrap();
     let warm_elapsed = t1.elapsed();
 
@@ -502,10 +502,10 @@ fn memory_store_gives_in_process_warmth() {
         metric: Metric::States,
         ..SessionConfig::default()
     };
-    let mut a =
+    let a =
         AnalysisSession::new(OwnedSource::new(model.clone(), 5), config).with_store(store.clone());
     let pa = a.partition_at(0.4, false).unwrap();
-    let mut b = AnalysisSession::new(OwnedSource::new(model, 5), config).with_store(store);
+    let b = AnalysisSession::new(OwnedSource::new(model, 5), config).with_store(store);
     let pb = b.partition_at(0.4, false).unwrap();
     assert_eq!(pa, pb);
     assert_eq!(b.dp_runs(), 0);
