@@ -1,5 +1,6 @@
-//! Ablation: the prefix-sum input stage (DESIGN.md §7) vs the naive direct
-//! evaluation of Eq. 2–3 per (node, interval).
+//! Ablation: the prefix-sum input stage (§III.E; README "Quality cube:
+//! chosen by size") vs the naive direct evaluation of Eq. 2–3 per (node,
+//! interval).
 //!
 //! The paper's input stage is `O(|S||T|²)` because the three per-state area
 //! sums are *additive*: prefix sums over time make any interval O(1). The

@@ -195,7 +195,8 @@ pub struct SensitivityPoint {
 }
 
 /// Sweep the case-A perturbation factor and measure detection at each
-/// point (ablation for DESIGN.md: how strong must an anomaly be?).
+/// point: an ablation of how strong an anomaly must be before the
+/// aggregation detects it.
 pub fn perturbation_sensitivity(factors: &[f64], scale: f64, seed: u64) -> Vec<SensitivityPoint> {
     use ocelotl::mpisim::{Network, Perturbation};
     factors

@@ -111,6 +111,59 @@ fn server_answers_every_kind_byte_identical_to_direct_engine() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A trace whose slices mix both states in uneven shares, so its optimal
+/// partition changes at breakpoints inside `(0, 1)`.
+fn mixed_fixture(tag: &str) -> PathBuf {
+    use ocelotl::prelude::*;
+    let mut b = TraceBuilder::new(Hierarchy::balanced(&[2, 2]));
+    let run = b.state("Run");
+    let wait = b.state("MPI_Wait");
+    for leaf in 0..4u32 {
+        for k in 0..10u32 {
+            let t = f64::from(k);
+            let split = t + 0.1 + 0.07 * f64::from(leaf) + 0.05 * f64::from(k * k % 7);
+            b.push_state(LeafId(leaf), run, t, split);
+            b.push_state(LeafId(leaf), wait, split, t + 1.0);
+        }
+    }
+    let path = std::env::temp_dir().join(format!(
+        "ocelotl-server-test-{}-{tag}.btf",
+        std::process::id()
+    ));
+    ocelotl::format::write_trace(&b.build(), &path).unwrap();
+    path
+}
+
+/// A dichotomy resolution finer than the float spacing around a
+/// breakpoint is answered (it once recursed until the stack overflowed,
+/// taking the whole server down), and the server goes on serving.
+#[test]
+fn significant_finer_than_float_spacing_is_answered() {
+    let trace = mixed_fixture("tiny-resolution");
+    let t = trace.display().to_string();
+    let config = SessionConfig {
+        n_slices: 10,
+        ..SessionConfig::default()
+    };
+    let server = spawn_tcp("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.address();
+
+    let mut direct = QueryEngine::new(build_session(&trace, config, None));
+    for request in [
+        AnalysisRequest::Significant { resolution: 1e-20 },
+        AnalysisRequest::Describe,
+    ] {
+        let wire = ocelotl::format::encode_wire_request(&t, &config, &request);
+        let served = roundtrip(&addr, &wire).unwrap();
+        let expected = ocelotl::format::encode_reply(&direct.execute(&request));
+        assert_eq!(served, expected, "kind {}", request.kind());
+        let reply = ocelotl::format::decode_reply(&served).unwrap();
+        assert!(reply.is_ok(), "{served}");
+    }
+    server.stop();
+    std::fs::remove_file(&trace).ok();
+}
+
 #[test]
 fn cli_json_equals_server_json() {
     let trace = fixture("json-parity");

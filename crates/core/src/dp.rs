@@ -14,11 +14,47 @@
 //! determines a hierarchy-and-order-consistent partition maximizing the
 //! criterion. Time `O(|S||T|³)`, space `O(|S||T|²)`.
 //!
-//! Deviations from the paper's pseudocode, both documented in DESIGN.md:
-//! the pseudocode's inner comparison uses a strict `>`, which is kept, but a
-//! small tolerance `epsilon` biases ties toward the coarser representation
-//! under floating-point noise; and the pseudocode's `pIC[i, cut]` is read as
-//! `pIC[i, cutt]` (obvious typo fix).
+//! Two deviations from the paper's pseudocode. Its inner comparison uses a
+//! strict `>`, which is kept, but a cut must win by more than a small
+//! tolerance `epsilon`, so floating-point noise cannot displace a coarser
+//! choice. And its `pIC[i, cut]` is read as `pIC[i, cutt]` (a typo).
+//!
+//! # The temporal-cut kernel
+//!
+//! A cell has up to `|T|` temporal cuts, so they are where a DP spends its
+//! time. Cell `(i, j)` compares `pIC[i, k] + pIC[k+1, j]` for `k = i, …,
+//! j−1`. In the row-major triangles the left operands are a prefix of row
+//! `i`, but the right operands run down column `j`. So while a node is
+//! solved, two scratch buffers hold its pIC values a second time:
+//!
+//! - a column-major mirror of the triangle: column `j` holds rows `0..=j`
+//!   contiguously, then `BLOCK − 1` cells of `−∞`. Each cell is written to
+//!   it when it is finalized;
+//! - row `i`, while it is solved, in a buffer `BLOCK − 1` cells longer than
+//!   the row. It is copied into the triangle when the row is done.
+//!
+//! The candidates of cell `(i, j)` are then two contiguous slices, lanes
+//! `0..j−i` of the row buffer and rows `i+1..=j` of mirror column `j`.
+//! Both are read in whole blocks of `BLOCK` = 8 lanes; a lane past the
+//! candidates has the mirror's `−∞` padding as its right operand, so its
+//! sum is `−∞` (or NaN) whatever the row buffer holds there.
+//!
+//! Each block is first tested without a branch per lane: does any sum
+//! exceed the lowest value the adoption rule could take? That floor is
+//! `best + ε`, or `min(best + ε, best − ε)` when
+//! [`DpConfig::prefer_coarse_ties`] is set. Only a block that passes runs
+//! the rule itself, lane by lane in order of `k`, as the plain loop does.
+//!
+//! This is exact. Within a cell `best` never falls (an adoption keeps
+//! `max(best, pIC)`), so neither does the floor: a sum at or below the
+//! floor at a block's start cannot be adopted anywhere in that block. A
+//! `−∞` or NaN sum exceeds no floor. So cuts, pIC bits and aggregate counts
+//! equal the plain loop's for every cube, tie rule and thread count; a
+//! property test pins the kernel to that loop.
+//!
+//! The price is scratch memory: per node being solved, the mirror's
+//! `|T|(|T| + 15)/2` floats (~245 KB at `|T| = 240`) and one padded row,
+//! freed when the node returns. Parallel sibling solves hold one set each.
 
 use crate::cube::QualityCube;
 use crate::partition::{Area, Partition};
@@ -214,7 +250,12 @@ fn solve<C: QualityCube>(
         .collect();
     let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
     let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
-    let result = solve_node(input, node, p, config, &child_pics, &child_counts);
+    let eps = config.epsilon;
+    let result = if config.prefer_coarse_ties {
+        solve_node::<C, true>(input, node, p, eps, &child_pics, &child_counts)
+    } else {
+        solve_node::<C, false>(input, node, p, eps, &child_pics, &child_counts)
+    };
     solved[node.index()].set(result).expect("node solved once");
 }
 
@@ -223,25 +264,95 @@ pub fn aggregate_default<C: QualityCube>(input: &C, p: f64) -> CutTree {
     aggregate(input, p, &DpConfig::default())
 }
 
-/// The per-node DP (cell iteration of Algorithm 1).
+/// Number of temporal-cut candidates the kernel tests at once.
+const BLOCK: usize = 8;
+
+/// Column-major copy of one node's pIC triangle, padded for whole blocks:
+/// column `j` holds rows `0..=j` contiguously, then `BLOCK − 1` cells of
+/// `−∞`.
+struct ColumnMirror {
+    data: Vec<f64>,
+}
+
+impl ColumnMirror {
+    fn new(n: usize) -> Self {
+        Self {
+            data: vec![f64::NEG_INFINITY; Self::start(n)],
+        }
+    }
+
+    /// Offset of column `j`: each column `c < j` takes `c + BLOCK` cells.
+    #[inline]
+    fn start(j: usize) -> usize {
+        j * (j + 2 * BLOCK - 1) / 2
+    }
+
+    /// Column `j`, padding included: `[0, j], [1, j], …, [j, j], −∞, …`.
+    #[inline]
+    fn column(&self, j: usize) -> &[f64] {
+        let start = Self::start(j);
+        &self.data[start..start + j + BLOCK]
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, j: usize, v: f64) {
+        self.data[Self::start(j) + i] = v;
+    }
+}
+
+/// Index of the first block where some `left[t] + right[t]` exceeds
+/// `floor`, or `left.len()`. Each block is tested without a branch per
+/// lane.
+#[inline]
+fn first_exceeding(left: &[[f64; BLOCK]], right: &[[f64; BLOCK]], floor: f64) -> usize {
+    left.iter()
+        .zip(right)
+        .position(|(l, r)| {
+            l.iter()
+                .zip(r)
+                .fold(false, |hit, (&a, &b)| hit | (a + b > floor))
+        })
+        .unwrap_or(left.len())
+}
+
+/// The per-node DP (cell iteration of Algorithm 1) with tie tolerance
+/// `eps`.
 ///
 /// Also tracks, per cell, the aggregate count of the chosen subpartition;
-/// when [`DpConfig::prefer_coarse_ties`] is set, pIC-equal cuts (within
-/// `epsilon`) with a lower count displace the current choice.
-fn solve_node<C: QualityCube>(
+/// when `COARSE` ([`DpConfig::prefer_coarse_ties`]) is set, pIC-equal cuts
+/// (within `eps`) with a lower count displace the current choice. The tie
+/// rule is a const parameter so that each rule gets its own loop, free of
+/// the other's tests.
+///
+/// The temporal cuts of cell `(i, j)` are scanned as two contiguous slices,
+/// the row being solved and column `j` of the `−∞`-padded mirror, in blocks
+/// of [`BLOCK`]; the adoption rule runs only in blocks that could adopt (see
+/// the module docs).
+fn solve_node<C: QualityCube, const COARSE: bool>(
     input: &C,
     node: NodeId,
     p: f64,
-    config: &DpConfig,
+    eps: f64,
     child_pics: &[&TriMatrix<f64>],
     child_counts: &[&TriMatrix<u32>],
 ) -> NodeResult {
     let n = input.n_slices();
-    let eps = config.epsilon;
-    let coarse = config.prefer_coarse_ties;
+    let coarse = COARSE;
+    // No temporal pIC at or below `floor_of(best)` can be adopted over
+    // `best` by the rule below.
+    let floor_of = |best: f64| {
+        if coarse {
+            (best + eps).min(best - eps)
+        } else {
+            best + eps
+        }
+    };
     let mut cut = TriMatrix::<i32>::new(n);
     let mut pic_m = TriMatrix::<f64>::new(n);
     let mut cnt_m = TriMatrix::<u32>::new(n);
+    let mut cols = ColumnMirror::new(n);
+    // Row `i` while it is solved: `pIC[i, i..j]`, then stale cells.
+    let mut row = vec![0.0; n + BLOCK - 1];
 
     for i in (0..n).rev() {
         for j in i..n {
@@ -265,24 +376,38 @@ fn solve_node<C: QualityCube>(
                 }
             }
 
-            // Temporal cut?
-            for k in i..j {
-                let pic_t = pic_m.get(i, k) + pic_m.get(k + 1, j);
-                let better = pic_t > best + eps;
-                let coarser_tie = coarse
-                    && pic_t > best - eps
-                    && cnt_m.get(i, k) + cnt_m.get(k + 1, j) < best_cnt;
-                if better || coarser_tie {
-                    best_cut = k as i32;
-                    best = best.max(pic_t);
-                    best_cnt = cnt_m.get(i, k) + cnt_m.get(k + 1, j);
+            // Temporal cuts, in order of `k`: lane `t` of block `b` is
+            // `k = i + b·BLOCK + t`, summing `pIC[i, k]` and `pIC[k+1, j]`.
+            let n_blocks = (j - i).div_ceil(BLOCK);
+            let (left, _) = row[..n_blocks * BLOCK].as_chunks::<BLOCK>();
+            let (right, _) = cols.column(j)[i + 1..i + 1 + n_blocks * BLOCK].as_chunks::<BLOCK>();
+            let mut b = 0;
+            loop {
+                b += first_exceeding(&left[b..], &right[b..], floor_of(best));
+                let (Some(l), Some(r)) = (left.get(b), right.get(b)) else {
+                    break;
+                };
+                for (k, (&a, &c)) in (i + b * BLOCK..).zip(l.iter().zip(r)) {
+                    let pic_t = a + c;
+                    let better = pic_t > best + eps;
+                    let coarser_tie = coarse
+                        && pic_t > best - eps
+                        && cnt_m.get(i, k) + cnt_m.get(k + 1, j) < best_cnt;
+                    if better || coarser_tie {
+                        best_cut = k as i32;
+                        best = best.max(pic_t);
+                        best_cnt = cnt_m.get(i, k) + cnt_m.get(k + 1, j);
+                    }
                 }
+                b += 1;
             }
 
             cut.set(i, j, best_cut);
-            pic_m.set(i, j, best);
             cnt_m.set(i, j, best_cnt);
+            row[j - i] = best;
+            cols.set(i, j, best);
         }
+        pic_m.row_mut(i).copy_from_slice(&row[..n - i]);
     }
     (cut, pic_m, cnt_m)
 }
@@ -293,6 +418,110 @@ mod tests {
     use crate::input::AggregationInput;
     use ocelotl_trace::synthetic::{block_model, fig3_model, random_model, Block};
     use ocelotl_trace::{Hierarchy, StateRegistry};
+
+    /// The plain cell loop the kernel replaced: every candidate `k` in
+    /// order, each read through the row-major triangles. The kernel must
+    /// match it bit for bit.
+    fn solve_node_oracle<C: QualityCube>(
+        input: &C,
+        node: NodeId,
+        p: f64,
+        config: &DpConfig,
+        child_pics: &[&TriMatrix<f64>],
+        child_counts: &[&TriMatrix<u32>],
+    ) -> NodeResult {
+        let n = input.n_slices();
+        let eps = config.epsilon;
+        let coarse = config.prefer_coarse_ties;
+        let mut cut = TriMatrix::<i32>::new(n);
+        let mut pic_m = TriMatrix::<f64>::new(n);
+        let mut cnt_m = TriMatrix::<u32>::new(n);
+
+        for i in (0..n).rev() {
+            for j in i..n {
+                let (g, l) = input.gain_loss(node, i, j);
+                let mut best_cut = j as i32;
+                let mut best = p * g - (1.0 - p) * l;
+                let mut best_cnt = 1u32;
+
+                if !child_pics.is_empty() {
+                    let pic_s: f64 = child_pics.iter().map(|m| m.get(i, j)).sum();
+                    let cnt_s: u32 = child_counts.iter().map(|m| m.get(i, j)).sum();
+                    let better = pic_s > best + eps;
+                    let coarser_tie = coarse && cnt_s < best_cnt && (pic_s - best).abs() <= eps;
+                    if better || coarser_tie {
+                        best_cut = -1;
+                        best = best.max(pic_s);
+                        best_cnt = cnt_s;
+                    }
+                }
+
+                for k in i..j {
+                    let pic_t = pic_m.get(i, k) + pic_m.get(k + 1, j);
+                    let better = pic_t > best + eps;
+                    let coarser_tie = coarse
+                        && pic_t > best - eps
+                        && cnt_m.get(i, k) + cnt_m.get(k + 1, j) < best_cnt;
+                    if better || coarser_tie {
+                        best_cut = k as i32;
+                        best = best.max(pic_t);
+                        best_cnt = cnt_m.get(i, k) + cnt_m.get(k + 1, j);
+                    }
+                }
+
+                cut.set(i, j, best_cut);
+                pic_m.set(i, j, best);
+                cnt_m.set(i, j, best_cnt);
+            }
+        }
+        (cut, pic_m, cnt_m)
+    }
+
+    /// [`aggregate`] over the oracle: nodes in post-order, one thread.
+    fn aggregate_oracle<C: QualityCube>(input: &C, p: f64, config: &DpConfig) -> CutTree {
+        let h = input.hierarchy();
+        let mut solved: Vec<Option<NodeResult>> = (0..h.len()).map(|_| None).collect();
+        for &node in h.post_order() {
+            let result = {
+                let children: Vec<&NodeResult> = h
+                    .children(node)
+                    .iter()
+                    .map(|c| solved[c.index()].as_ref().expect("children first"))
+                    .collect();
+                let pics: Vec<&TriMatrix<f64>> = children.iter().map(|r| &r.1).collect();
+                let counts: Vec<&TriMatrix<u32>> = children.iter().map(|r| &r.2).collect();
+                solve_node_oracle(input, node, p, config, &pics, &counts)
+            };
+            solved[node.index()] = Some(result);
+        }
+        let (mut cuts, mut pic, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+        for (c, q, n) in solved.into_iter().map(|r| r.expect("every node solved")) {
+            cuts.push(c);
+            pic.push(q);
+            counts.push(n);
+        }
+        CutTree {
+            p,
+            cuts,
+            pic,
+            counts,
+            n_slices: input.n_slices(),
+        }
+    }
+
+    /// Every cell of every node: the same cut, the same pIC bits and the
+    /// same aggregate count.
+    fn assert_same_cells(kernel: &CutTree, oracle: &CutTree, what: &str) {
+        let pic_bits = |t: &CutTree| -> Vec<Vec<u64>> {
+            t.pic
+                .iter()
+                .map(|m| m.iter().map(|(_, _, v)| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(kernel.cuts, oracle.cuts, "cuts differ: {what}");
+        assert_eq!(pic_bits(kernel), pic_bits(oracle), "pIC differs: {what}");
+        assert_eq!(kernel.counts, oracle.counts, "counts differ: {what}");
+    }
 
     fn seq_and_par(input: &AggregationInput, p: f64) -> (CutTree, CutTree) {
         let seq = aggregate(
@@ -646,6 +875,120 @@ mod tests {
                         <= aggregate_default(&input, p).optimal_n_areas(&input),
                     "coarse ties must not increase the area count (seed={seed} p={p})"
                 );
+            }
+        }
+    }
+
+    /// Hierarchy shapes for the kernel property: flat, two levels, and
+    /// single-child chains (whose spatial cut ties with "keep").
+    const SHAPES: [&[usize]; 4] = [&[3], &[2, 3], &[2, 1, 2], &[1, 2, 2]];
+
+    /// `|T|` below, at and around the block width.
+    const SLICE_COUNTS: [usize; 8] = [1, 7, 8, 9, 16, 17, 33, 64];
+
+    /// A random trace: every leaf runs through random states (and idle
+    /// gaps) over `[0, 100)`.
+    fn random_trace(shape: &[usize], n_states: usize, seed: u64) -> ocelotl_trace::Trace {
+        let h = Hierarchy::balanced(shape);
+        let n_leaves = h.n_leaves();
+        let mut b = ocelotl_trace::TraceBuilder::new(h);
+        let states: Vec<_> = (0..n_states).map(|x| b.state(&format!("s{x}"))).collect();
+        let mut rng = ocelotl_trace::synthetic::SplitMix64(seed);
+        for leaf in 0..n_leaves {
+            let mut t = 0.0;
+            while t < 100.0 {
+                let end = (t + rng.range(0.05, 6.0)).min(100.0);
+                if rng.below(5) > 0 {
+                    let x = states[rng.below(n_states)];
+                    b.push_state(ocelotl_trace::LeafId(leaf as u32), x, t, end);
+                }
+                t = end;
+            }
+        }
+        b.build()
+    }
+
+    /// A pure model: every leaf-slice cell is one-hot (or empty) and the
+    /// cells form a few homogeneous blocks, so every zero-loss partition
+    /// ties.
+    fn pure_random_blocks(
+        shape: &[usize],
+        n_slices: usize,
+        n_states: usize,
+        seed: u64,
+    ) -> ocelotl_trace::MicroModel {
+        let h = Hierarchy::balanced(shape);
+        let n_leaves = h.n_leaves();
+        let names: Vec<String> = (0..n_states).map(|x| format!("s{x}")).collect();
+        let mut rng = ocelotl_trace::synthetic::SplitMix64(seed);
+        let one_hot = |x: usize| (0..n_states).map(|y| f64::from(u8::from(x == y))).collect();
+        let mut blocks = vec![Block {
+            leaves: 0..n_leaves,
+            slices: 0..n_slices,
+            rho: one_hot(0),
+        }];
+        for _ in 0..rng.below(4) {
+            let l0 = rng.below(n_leaves);
+            let s0 = rng.below(n_slices);
+            blocks.push(Block {
+                leaves: l0..l0 + 1 + rng.below(n_leaves - l0),
+                slices: s0..s0 + 1 + rng.below(n_slices - s0),
+                // `n_states` selects the empty (all-zero) cell.
+                rho: one_hot(rng.below(n_states + 1)),
+            });
+        }
+        block_model(h, StateRegistry::from_names(names), n_slices, &blocks)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// The kernel (column mirror, block skip) equals the plain cell
+        /// loop on every cell of every node, for both cubes, both tie
+        /// rules, sequential and parallel, at `p` = 0, 1, random values and
+        /// the significant set's boundaries.
+        #[test]
+        fn kernel_matches_oracle_on_every_cell(
+            shape in 0..SHAPES.len(),
+            slices in 0..SLICE_COUNTS.len(),
+            n_states in 1usize..5,
+            kind in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            random_p in (0.0f64..=1.0, 0.0f64..=1.0),
+        ) {
+            let (shape, t) = (SHAPES[shape], SLICE_COUNTS[slices]);
+            let from_trace = |metric: crate::session::Metric| {
+                metric
+                    .build_model(&random_trace(shape, n_states, seed), t)
+                    .expect("every random trace has intervals")
+            };
+            let model = match kind {
+                0 => random_model(shape, t, n_states, seed),
+                1 => from_trace(crate::session::Metric::States),
+                2 => from_trace(crate::session::Metric::Density),
+                _ => pure_random_blocks(shape, t, n_states, seed),
+            };
+            let dense = crate::cube::DenseCube::build(&model);
+            let lazy = crate::cube::LazyCube::build(&model);
+
+            let mut ps = vec![0.0, 1.0, random_p.0, random_p.1];
+            let levels = crate::pvalues::significant_partitions(&dense, &DpConfig::default(), 0.05);
+            ps.extend(levels.iter().skip(1).take(4).map(|e| e.p_low));
+
+            for &p in &ps {
+                for coarse in [false, true] {
+                    let oracle_config = DpConfig { prefer_coarse_ties: coarse, ..DpConfig::default() };
+                    let oracle = aggregate_oracle(&dense, p, &oracle_config);
+                    for parallel in [false, true] {
+                        let config = DpConfig { parallel, ..oracle_config };
+                        let what = format!(
+                            "shape {shape:?}, |T| {t}, {n_states} states, kind {kind}, \
+                             seed {seed}, p {p}, coarse {coarse}, parallel {parallel}"
+                        );
+                        assert_same_cells(&aggregate(&dense, p, &config), &oracle, &format!("dense, {what}"));
+                        assert_same_cells(&aggregate(&lazy, p, &config), &oracle, &format!("lazy, {what}"));
+                    }
+                }
             }
         }
     }

@@ -69,11 +69,13 @@ fn explore(
     if plo == phi {
         return;
     }
-    if hi - lo <= resolution {
+    let mid = 0.5 * (lo + hi);
+    // A resolution finer than the float spacing around `lo` is reached once
+    // no float lies strictly between the ends.
+    if hi - lo <= resolution || !(lo < mid && mid < hi) {
         out.push((hi, phi.clone()));
         return;
     }
-    let mid = 0.5 * (lo + hi);
     let pmid = part_at(mid);
     explore(part_at, lo, plo, mid, &pmid, resolution, out);
     explore(part_at, mid, &pmid, hi, phi, resolution, out);
@@ -135,6 +137,32 @@ mod tests {
                 part, e.partition,
                 "representative p={p} does not reproduce its interval's partition"
             );
+        }
+    }
+
+    #[test]
+    fn resolution_below_float_spacing_terminates() {
+        // Around p = 0.5 adjacent floats are ~1.1e-16 apart, so these
+        // resolutions stop only where no float lies between the ends.
+        let cfg = DpConfig::default();
+        for m in [fig3_model(), random_model(&[3, 2], 9, 3, 77)] {
+            let input = AggregationInput::build(&m);
+            let coarse = significant_partitions(&input, &cfg, 1e-3);
+            for resolution in [1e-300, 5e-324] {
+                let entries = significant_partitions(&input, &cfg, resolution);
+                assert_eq!(entries[0].p_low, 0.0);
+                assert_eq!(entries[entries.len() - 1].p_high, 1.0);
+                for w in entries.windows(2) {
+                    assert!(w[0].p_low < w[0].p_high);
+                    assert_eq!(w[0].p_high, w[1].p_low);
+                }
+                for level in &coarse {
+                    assert!(
+                        entries.iter().any(|e| e.partition == level.partition),
+                        "resolution {resolution} lost a level found at 1e-3"
+                    );
+                }
+            }
         }
     }
 

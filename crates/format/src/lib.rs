@@ -1,7 +1,9 @@
 //! # ocelotl-format — trace serialization
 //!
 //! Substrate crate standing in for the paper's Score-P/OTF2 + Paje trace
-//! files (see DESIGN.md §2 for the substitution rationale). Two encodings:
+//! files: that toolchain is not part of this workspace, so it defines its
+//! own formats carrying the same content (per-resource state intervals and
+//! point events over a resource hierarchy). The encodings:
 //!
 //! - **PTF** ([`text`]): Paje-inspired plain text, self-describing,
 //!   diff-friendly;

@@ -4,7 +4,7 @@
 //! (§V): NAS CG and LU runs on Grid'5000 sites, traced per MPI call. Since
 //! the real testbed is unavailable, a discrete-event simulator executes
 //! calibrated communication skeletons over platform models with the paper's
-//! cluster shapes and interconnect heterogeneity (see DESIGN.md §2).
+//! cluster shapes and interconnect heterogeneity.
 //!
 //! - [`platform`] — site/cluster/machine/core descriptions, Table II cases;
 //! - [`network`] — latency/bandwidth links, jitter, perturbation windows;
