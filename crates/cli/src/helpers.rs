@@ -361,6 +361,9 @@ pub fn session_config(args: &Args) -> Result<SessionConfig, CliError> {
         metric: args.get_or("metric", Metric::States)?,
         ..SessionConfig::default()
     };
+    config
+        .validate()
+        .map_err(|e| CliError::Usage(e.to_string()))?;
     config.cache_keep = match args.get("cache-keep")? {
         Some(s) => s
             .parse::<usize>()

@@ -110,6 +110,34 @@ fn gantt_on_cache_is_a_usage_error() {
 }
 
 #[test]
+fn zero_slices_is_a_usage_error_and_an_overflowing_count_a_typed_one() {
+    let w = Workdir::new("bad-slices");
+    let trace = w.path("t.btf");
+    cli(&format!(
+        "simulate --app ep --machines 2 --cores 2 --out {trace}"
+    ))
+    .unwrap();
+    for (command, flags) in [
+        ("aggregate", ""),
+        ("info", "--stats"),
+        ("render", "--ascii"),
+    ] {
+        let run = |slices: usize| cli(&format!("{command} {trace} {flags} --slices {slices}"));
+        let err = run(0).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{command}: {err}");
+        assert!(
+            err.to_string().contains("--slices must be at least 1"),
+            "{err}"
+        );
+        for huge in [1usize << 62, usize::MAX] {
+            let err = run(huge).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{command} --slices {huge}: {err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+    }
+}
+
+#[test]
 fn density_metric_flows_through_describe() {
     let w = Workdir::new("density");
     let trace = w.path("t.btf");

@@ -780,3 +780,172 @@ fn subscribed_stats_stream_the_one_shot_error_in_either_order() {
         );
     }
 }
+
+/// A slice count of zero or one whose model size overflows the address
+/// space gets a typed error reply, and the same connection goes on to
+/// answer a 30-slice `aggregate` byte-identical to the direct engine.
+#[test]
+fn zero_and_overflowing_slice_counts_are_refused_typed() {
+    use ocelotl::core::query::QueryError;
+    use ocelotl_cli::commands::query::roundtrip_many;
+    let trace = fixture("bad-slices");
+    let t = trace.display().to_string();
+    let server = spawn_tcp("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let aggregate = AnalysisRequest::Aggregate {
+        p: 0.4,
+        coarse: false,
+        compare: false,
+        diff_p: None,
+    };
+    let wire = |n_slices| {
+        let config = SessionConfig {
+            n_slices,
+            ..SessionConfig::default()
+        };
+        ocelotl::format::encode_wire_request(&t, &config, &aggregate)
+    };
+    let replies = roundtrip_many(&server.address(), &[wire(0), wire(1 << 62), wire(30)]).unwrap();
+    let decoded = |line: &str| ocelotl::format::decode_reply(line).unwrap();
+    assert!(
+        matches!(decoded(&replies[0]), Err(QueryError::InvalidRequest(_))),
+        "{}",
+        replies[0]
+    );
+    assert!(
+        matches!(decoded(&replies[1]), Err(QueryError::Source(_))),
+        "{}",
+        replies[1]
+    );
+    let config = SessionConfig {
+        n_slices: 30,
+        ..SessionConfig::default()
+    };
+    let mut direct = QueryEngine::new(build_session(&trace, config, None));
+    let expected = ocelotl::format::encode_reply(&direct.execute(&aggregate));
+    assert_eq!(replies[2], expected);
+    server.stop();
+    std::fs::remove_file(&trace).ok();
+}
+
+/// A live engine over six resources in two groups and two states: 4096
+/// hi-res periods over [0, 8), pinned to `n_slices`.
+fn grouped_live_engine(n_slices: usize) -> QueryEngine {
+    use ocelotl::core::{AnalysisSession, HiResModel, Metric};
+    use ocelotl::trace::{Hierarchy, MicroModel, StateRegistry, TimeGrid};
+    let raw = MicroModel::from_dense(
+        Hierarchy::balanced(&[2, 3]),
+        StateRegistry::from_names(["A", "B"]),
+        TimeGrid::new(0.0, 8.0, 4096),
+        vec![0.0; 6 * 2 * 4096],
+    );
+    let config = SessionConfig {
+        n_slices,
+        ..SessionConfig::default()
+    };
+    let session = AnalysisSession::live(config, HiResModel::new(Metric::States, raw)).unwrap();
+    QueryEngine::new(session)
+}
+
+/// Two subscribers of one live session, at `p = 0.5` and at `p = 0.3` with
+/// coarse ties, over a locally shuffled feed in uneven batches: every
+/// `watch` reply equals the one-shot reply of a fresh live session fed the
+/// events that reply counts. Both answer each refresh concurrently under
+/// the engine's read lock, reusing the previous refresh's cut trees.
+#[test]
+fn live_subscribers_match_a_fresh_session_fed_the_same_events() {
+    use ocelotl::core::query::AnalysisReply;
+    use ocelotl::core::LiveEvent;
+    use ocelotl::trace::synthetic::SplitMix64;
+    use ocelotl::trace::{LeafId, StateId};
+    use ocelotl_cli::commands::serve::spawn_live_tcp;
+    use std::io::{BufRead, BufReader, Write as _};
+
+    const N_SLICES: usize = 16;
+    let mut rng = SplitMix64(2026);
+    let mut events: Vec<LiveEvent> = (0..400)
+        .map(|_| {
+            let begin = rng.range(0.0, 7.5);
+            let leaf = LeafId(rng.below(6) as u32);
+            (
+                leaf,
+                StateId(rng.below(2) as u16),
+                begin,
+                begin + rng.range(0.01, 0.5),
+            )
+        })
+        .collect();
+    events.sort_by(|x, y| x.2.total_cmp(&y.2));
+    for run in events.chunks_mut(8) {
+        run.reverse();
+    }
+    let aggregate = |p, coarse| AnalysisRequest::Aggregate {
+        p,
+        coarse,
+        compare: false,
+        diff_p: None,
+    };
+    let inners = [aggregate(0.5, false), aggregate(0.3, true)];
+
+    let (server, feeder) = spawn_live_tcp(
+        "127.0.0.1:0",
+        ServeOptions::default(),
+        "live",
+        grouped_live_engine(N_SLICES),
+    )
+    .unwrap();
+    let config = SessionConfig {
+        n_slices: N_SLICES,
+        ..SessionConfig::default()
+    };
+    let mut subscribers: Vec<_> = inners
+        .iter()
+        .map(|inner| {
+            let conn = std::net::TcpStream::connect(server.address()).unwrap();
+            let request = AnalysisRequest::Subscribe {
+                inner: Box::new(inner.clone()),
+            };
+            let line = ocelotl::format::encode_wire_request("live", &config, &request);
+            let mut w = conn.try_clone().unwrap();
+            w.write_all(line.as_bytes()).unwrap();
+            w.write_all(b"\n").unwrap();
+            BufReader::new(conn)
+        })
+        .collect();
+    eventually("both subscribers registered", || feeder.subscribers() == 2);
+
+    // Lockstep: each subscriber answers a refresh before the next batch,
+    // so the events a reply counts are exactly the ones fed so far.
+    let check = |subscribers: &mut Vec<BufReader<std::net::TcpStream>>, fed: usize| {
+        let mut fresh = grouped_live_engine(N_SLICES);
+        fresh.session_mut().advance(&events[..fed]).unwrap();
+        for (reader, inner) in subscribers.iter_mut().zip(&inners) {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let Ok(AnalysisReply::Watch(watch)) = ocelotl::format::decode_reply(&line).unwrap()
+            else {
+                panic!("not a watch reply: {line}");
+            };
+            assert_eq!(watch.events, fed as u64, "{line}");
+            assert_eq!(
+                ocelotl::format::encode_reply(&Ok(*watch.reply)),
+                ocelotl::format::encode_reply(&fresh.execute(inner)),
+                "{} after {fed} events",
+                inner.kind()
+            );
+        }
+    };
+    let mut fed = 0;
+    for size in [1, 7, 30, 3, 12, 64, 2, 25].into_iter().cycle() {
+        if fed == events.len() {
+            break;
+        }
+        let take = size.min(events.len() - fed);
+        feeder.feed(&events[fed..fed + take]).unwrap();
+        fed += take;
+        check(&mut subscribers, fed);
+    }
+    feeder.finish();
+    check(&mut subscribers, fed);
+    eventually("subscribers done", || feeder.subscribers() == 0);
+    server.stop();
+}

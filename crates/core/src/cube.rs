@@ -24,7 +24,7 @@
 //! prefix sums and lets the first DP build the dense matrices when they
 //! fit under [`DENSE_LIMIT_BYTES`].
 
-use crate::dp::{aggregate, CutTree, DpConfig};
+use crate::dp::{aggregate, aggregate_reusing, CutTree, DpConfig, Reuse};
 use crate::measures::{xlog2x, AreaSums};
 use crate::pvalues::{significant_partitions, PEntry};
 use crate::tri::TriMatrix;
@@ -763,6 +763,18 @@ impl SessionCube {
         match self.dense() {
             Some(dense) => aggregate(dense, p, config),
             None => aggregate(&self.lazy, p, config),
+        }
+    }
+
+    /// Algorithm 1 at trade-off `p`, reusing a tree of an earlier version
+    /// of the model (see [`aggregate_reusing`]). It runs on the dense
+    /// matrices only when an earlier DP already built them: one DP reads
+    /// each cell once, so building them for it would cost as much as the
+    /// prefix sums it saves.
+    pub(crate) fn aggregate_reusing(&self, p: f64, config: &DpConfig, reuse: Reuse<'_>) -> CutTree {
+        match self.dense_if_built() {
+            Some(dense) => aggregate_reusing(dense, p, config, reuse),
+            None => aggregate_reusing(&self.lazy, p, config, reuse),
         }
     }
 

@@ -55,6 +55,26 @@
 //! The price is scratch memory: per node being solved, the mirror's
 //! `|T|(|T| + 15)/2` floats (~245 KB at `|T| = 240`) and one padded row,
 //! freed when the node returns. Parallel sibling solves hold one set each.
+//!
+//! # Reusing a tree
+//!
+//! A live refresh changes a few slices of a model the previous refresh
+//! already solved. `aggregate_reusing` takes that tree, the first slice
+//! `a` whose data may have changed, and the last slice `z` that holds data
+//! in either version. Cell `(i, j)` reads only cells inside `[i, j]` of its
+//! node's subtree, and those read the cube's prefix sums at `i` and `j + 1`
+//! and between. So when `j < a` every input is a sum of unchanged slices,
+//! and when `i > z` every slice it spans is zero before and after (a
+//! difference of equal prefix sums is `+0.0`, and an empty area's gain and
+//! loss are `0.0`). Either way the inputs are the same bits, so the cell is
+//! copied; the others are solved as above. Which cells to solve is decided
+//! once per row — columns `max(i, a)..|T|`, or none when `i > z` — and the
+//! copy is compiled only into the reusing kernel (a const parameter), so a
+//! full DP runs the same loop as before. A cell after the band whose
+//! slices hold data must be solved: it reads prefix sums shifted by the
+//! band's new values, and a difference of shifted sums can round
+//! differently. A property test pins reused trees to the full DP at every
+//! cell.
 
 use crate::cube::QualityCube;
 use crate::partition::{Area, Partition};
@@ -200,14 +220,58 @@ impl CutTree {
 /// One node's solved DP: cut, pIC and aggregate-count matrices.
 type NodeResult = (TriMatrix<i32>, TriMatrix<f64>, TriMatrix<u32>);
 
+/// A tree computed on an earlier version of the same model, and where the
+/// two versions may differ: see [`aggregate_reusing`].
+#[derive(Clone, Copy)]
+pub(crate) struct Reuse<'a> {
+    /// The earlier DP, at the same `p` and tie rule.
+    pub tree: &'a CutTree,
+    /// `a`: every slice before it holds the same data in both versions.
+    pub first_changed: usize,
+    /// `z`: every slice after it holds only zeros in both versions.
+    pub last_data: usize,
+}
+
 /// Run Algorithm 1 on any quality cube for trade-off `p`.
 pub fn aggregate<C: QualityCube>(input: &C, p: f64, config: &DpConfig) -> CutTree {
+    aggregate_with(input, p, config, None)
+}
+
+/// Algorithm 1 on a model that differs from the one `reuse.tree` was
+/// computed on only in slices `a..=z` (`reuse.first_changed`,
+/// `reuse.last_data`); every slice after `z` is zero in both. Cells that
+/// cannot have changed are copied from the old tree, the others are solved
+/// as [`aggregate`] solves them, and the result equals [`aggregate`] on
+/// the new model at every cell: cut, pIC bits and aggregate count. See
+/// the module docs for why.
+pub(crate) fn aggregate_reusing<C: QualityCube>(
+    input: &C,
+    p: f64,
+    config: &DpConfig,
+    reuse: Reuse<'_>,
+) -> CutTree {
+    let tree = reuse.tree;
+    assert!(
+        tree.p.to_bits() == p.to_bits()
+            && tree.n_slices == input.n_slices()
+            && tree.cuts.len() == input.hierarchy().len(),
+        "a reused tree must come from the same problem at the same p"
+    );
+    aggregate_with(input, p, config, Some(reuse))
+}
+
+fn aggregate_with<C: QualityCube>(
+    input: &C,
+    p: f64,
+    config: &DpConfig,
+    reuse: Option<Reuse<'_>>,
+) -> CutTree {
     assert!((0.0..=1.0).contains(&p), "p must lie in [0, 1], got {p}");
     let n_nodes = input.hierarchy().len();
     // Results land in per-node OnceLocks: each node is written exactly
     // once, after its children.
     let solved: Vec<OnceLock<NodeResult>> = (0..n_nodes).map(|_| OnceLock::new()).collect();
-    solve(input.hierarchy().root(), input, p, config, &solved);
+    solve(input.hierarchy().root(), input, p, config, reuse, &solved);
 
     let mut cuts = Vec::with_capacity(n_nodes);
     let mut pic = Vec::with_capacity(n_nodes);
@@ -235,10 +299,11 @@ fn solve<C: QualityCube>(
     input: &C,
     p: f64,
     config: &DpConfig,
+    reuse: Option<Reuse<'_>>,
     solved: &[OnceLock<NodeResult>],
 ) {
     let children = input.hierarchy().children(node);
-    let visit = |&c: &NodeId| solve(c, input, p, config, solved);
+    let visit = |&c: &NodeId| solve(c, input, p, config, reuse, solved);
     if config.parallel {
         children.par_iter().for_each(visit);
     } else {
@@ -251,10 +316,12 @@ fn solve<C: QualityCube>(
     let child_pics: Vec<&TriMatrix<f64>> = child_results.iter().map(|r| &r.1).collect();
     let child_counts: Vec<&TriMatrix<u32>> = child_results.iter().map(|r| &r.2).collect();
     let eps = config.epsilon;
-    let result = if config.prefer_coarse_ties {
-        solve_node::<C, true>(input, node, p, eps, &child_pics, &child_counts)
-    } else {
-        solve_node::<C, false>(input, node, p, eps, &child_pics, &child_counts)
+    let (pics, counts) = (&child_pics[..], &child_counts[..]);
+    let result = match (config.prefer_coarse_ties, reuse.is_some()) {
+        (true, true) => solve_node::<C, true, true>(input, node, p, eps, pics, counts, reuse),
+        (true, false) => solve_node::<C, true, false>(input, node, p, eps, pics, counts, reuse),
+        (false, true) => solve_node::<C, false, true>(input, node, p, eps, pics, counts, reuse),
+        (false, false) => solve_node::<C, false, false>(input, node, p, eps, pics, counts, reuse),
     };
     solved[node.index()].set(result).expect("node solved once");
 }
@@ -327,14 +394,18 @@ fn first_exceeding(left: &[[f64; BLOCK]], right: &[[f64; BLOCK]], floor: f64) ->
 /// The temporal cuts of cell `(i, j)` are scanned as two contiguous slices,
 /// the row being solved and column `j` of the `−∞`-padded mirror, in blocks
 /// of [`BLOCK`]; the adoption rule runs only in blocks that could adopt (see
-/// the module docs).
-fn solve_node<C: QualityCube, const COARSE: bool>(
+/// the module docs). With a reused tree (`REUSE`), row `i` copies its cells
+/// before column `max(i, a)` from it, or the whole row when `i > z`; like
+/// the tie rule, this is a const parameter, so a full DP runs a loop free of
+/// the copy.
+fn solve_node<C: QualityCube, const COARSE: bool, const REUSE: bool>(
     input: &C,
     node: NodeId,
     p: f64,
     eps: f64,
     child_pics: &[&TriMatrix<f64>],
     child_counts: &[&TriMatrix<u32>],
+    reuse: Option<Reuse<'_>>,
 ) -> NodeResult {
     let n = input.n_slices();
     let coarse = COARSE;
@@ -355,7 +426,21 @@ fn solve_node<C: QualityCube, const COARSE: bool>(
     let mut row = vec![0.0; n + BLOCK - 1];
 
     for i in (0..n).rev() {
-        for j in i..n {
+        // Row `i` solves columns `from..n`; a reused tree supplies the rest.
+        let mut from = i;
+        if let (true, Some(old)) = (REUSE, reuse) {
+            let (a, z) = (old.first_changed, old.last_data);
+            from = if i > z { n } else { i.max(a) };
+            let k = node.index();
+            for j in i..from {
+                let v = old.tree.pic[k].get(i, j);
+                cut.set(i, j, old.tree.cuts[k].get(i, j));
+                cnt_m.set(i, j, old.tree.counts[k].get(i, j));
+                row[j - i] = v;
+                cols.set(i, j, v);
+            }
+        }
+        for j in from..n {
             // No cut: the area itself as one aggregate. `gain_loss` lets a
             // lazy cube evaluate the cell in a single pass over the states.
             let (g, l) = input.gain_loss(node, i, j);
@@ -987,6 +1072,112 @@ mod tests {
                         );
                         assert_same_cells(&aggregate(&dense, p, &config), &oracle, &format!("dense, {what}"));
                         assert_same_cells(&aggregate(&lazy, p, &config), &oracle, &format!("lazy, {what}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A duration model over `shape` at `t` slices of length 1: every
+    /// leaf-state cell of slices `0..=z` holds a random share of its slice
+    /// (a fifth stay empty), every later slice is zero. `other`, when
+    /// given, is the model to copy outside `band`: the cells of its slices
+    /// inside `band` are drawn afresh.
+    fn durations_up_to(
+        shape: &[usize],
+        t: usize,
+        n_states: usize,
+        z: usize,
+        other: Option<(&ocelotl_trace::MicroModel, (usize, usize))>,
+        rng: &mut ocelotl_trace::synthetic::SplitMix64,
+    ) -> ocelotl_trace::MicroModel {
+        let h = Hierarchy::balanced(shape);
+        let n_leaves = h.n_leaves();
+        let names: Vec<String> = (0..n_states).map(|x| format!("s{x}")).collect();
+        let mut data = vec![0.0; n_leaves * n_states * t];
+        for leaf in 0..n_leaves {
+            for x in 0..n_states {
+                let row = (leaf * n_states + x) * t;
+                for slice in 0..=z {
+                    data[row + slice] = match other {
+                        Some((m, (a, b))) if slice < a || slice > b => m.duration(
+                            ocelotl_trace::LeafId(leaf as u32),
+                            ocelotl_trace::StateId(x as u16),
+                            slice,
+                        ),
+                        _ if rng.below(5) == 0 => 0.0,
+                        _ => rng.next_f64() / n_states as f64,
+                    };
+                }
+            }
+        }
+        ocelotl_trace::MicroModel::from_dense(
+            h,
+            StateRegistry::from_names(names),
+            ocelotl_trace::TimeGrid::new(0.0, t as f64, t),
+            data,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// A DP that reuses the tree of an earlier model equals the full DP
+        /// on the new model at every cell, when the two models differ only
+        /// in slices `a..=b` and are zero after `z ≥ b`: for both cubes,
+        /// both tie rules, sequential and parallel, with `a = 0` and
+        /// `z = |T| − 1` among the cases.
+        #[test]
+        fn reuse_matches_full_dp_on_every_cell(
+            shape in 0..SHAPES.len(),
+            slices in 0..SLICE_COUNTS.len(),
+            n_states in 1usize..5,
+            seed in proptest::prelude::any::<u64>(),
+            edges in 0usize..4,
+            band in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            random_p in 0.0f64..=1.0,
+        ) {
+            let (shape, t) = (SHAPES[shape], SLICE_COUNTS[slices]);
+            let pick = |u: f64, n: usize| ((u * n as f64) as usize).min(n - 1);
+            let z = if edges & 1 == 1 { t - 1 } else { pick(band.2, t) };
+            let b = pick(band.1, z + 1);
+            let a = if edges & 2 == 2 { 0 } else { pick(band.0, b + 1) };
+            let mut rng = ocelotl_trace::synthetic::SplitMix64(seed);
+            let old_model = durations_up_to(shape, t, n_states, z, None, &mut rng);
+            let new_model =
+                durations_up_to(shape, t, n_states, z, Some((&old_model, (a, b))), &mut rng);
+            let cubes = |m: &ocelotl_trace::MicroModel| {
+                (crate::cube::DenseCube::build(m), crate::cube::LazyCube::build(m))
+            };
+            let (old_dense, old_lazy) = cubes(&old_model);
+            let (new_dense, new_lazy) = cubes(&new_model);
+            for p in [0.0, 1.0, random_p] {
+                for coarse in [false, true] {
+                    for parallel in [false, true] {
+                        let config = DpConfig {
+                            prefer_coarse_ties: coarse,
+                            parallel,
+                            ..DpConfig::default()
+                        };
+                        let what = format!(
+                            "shape {shape:?}, |T| {t}, {n_states} states, seed {seed}, \
+                             a {a}, b {b}, z {z}, p {p}, coarse {coarse}, parallel {parallel}"
+                        );
+                        let full = aggregate(&new_dense, p, &config);
+                        let old = aggregate(&old_dense, p, &config);
+                        let reuse = Reuse { tree: &old, first_changed: a, last_data: z };
+                        assert_same_cells(
+                            &aggregate_reusing(&new_dense, p, &config, reuse),
+                            &full,
+                            &format!("dense, {what}"),
+                        );
+                        let old = aggregate(&old_lazy, p, &config);
+                        let reuse = Reuse { tree: &old, first_changed: a, last_data: z };
+                        assert_same_cells(
+                            &aggregate_reusing(&new_lazy, p, &config, reuse),
+                            &full,
+                            &format!("lazy, {what}"),
+                        );
                     }
                 }
             }

@@ -30,10 +30,22 @@
 //! the peak normalization of `event_density` is applied once per derived
 //! model, at the target resolution — again the same arithmetic a fresh
 //! ingest performs.
+//!
+//! ## Live appends
+//!
+//! [`HiResModel::append`] folds a live batch into the resident array and
+//! reports the hi-res slices it touched. A live session turns them into a
+//! band of coarse slices and re-derives only that band of its previous
+//! model (`rederive_band`), through the same kernel as a full derive: a
+//! coarse slice is the left-to-right sum of its own hi-res cells, so the
+//! slices outside the band already hold the full derive's bits. The
+//! density metric always re-derives in full, since its peak normalization
+//! can rescale every cell.
 
 use crate::session::Metric;
 use ocelotl_trace::{fold_interval, LeafId, MicroModel, StateId, TimeGrid};
 use std::fmt;
+use std::ops::Range;
 
 pub use ocelotl_trace::{hi_res_slices, HI_RES_CELL_BUDGET, HI_RES_FACTOR, HI_RES_MIN_SLICES};
 
@@ -109,6 +121,19 @@ impl HiResModel {
     /// `H`: the super-resolution slice count.
     pub fn n_slices(&self) -> usize {
         self.raw.n_slices()
+    }
+
+    /// The last hi-res slice holding any cell other than `+0.0`; `None`
+    /// when the array is all zeros.
+    pub(crate) fn last_data_slice(&self) -> Option<usize> {
+        let (n_leaves, n_states) = (self.raw.n_leaves(), self.raw.n_states());
+        (0..n_leaves)
+            .flat_map(|leaf| (0..n_states).map(move |x| (LeafId(leaf as u32), StateId(x as u16))))
+            .filter_map(|(leaf, x)| {
+                let series = self.raw.series(leaf, x);
+                series.iter().rposition(|v| v.to_bits() != 0)
+            })
+            .max()
     }
 
     /// Resident footprint of the raw array in bytes.
@@ -309,10 +334,33 @@ impl HiResModel {
         ))
     }
 
-    /// The one rebinning kernel: coarse cell `t` is the left-to-right sum
-    /// of its `count / n_slices` hi-res cells. Density models are peak-
-    /// normalized at the target resolution afterwards (exactly
-    /// `event_density`'s arithmetic over the rebinned counts).
+    /// Re-derive coarse slices `lo..=hi` of `model` in place, through the
+    /// same kernel as [`HiResModel::derive_at`]. `model` is a full-range
+    /// states model derived from an earlier version of this grid, at a
+    /// resolution dividing `H`, and the two versions differ only in hi-res
+    /// slices inside the band. Each coarse slice is the left-to-right sum
+    /// of its own hi-res cells, so the slices outside the band already
+    /// hold what a full derive would give them, and the result is that
+    /// derive bit for bit. Density models never take this path: their
+    /// peak normalization can rescale every cell.
+    pub(crate) fn rederive_band(&self, model: &mut MicroModel, (lo, hi): (usize, usize)) {
+        let n_slices = model.n_slices();
+        debug_assert!(self.metric == Metric::States && hi < n_slices && lo <= hi);
+        debug_assert!(self.raw.n_slices().is_multiple_of(n_slices));
+        let f = self.raw.n_slices() / n_slices;
+        for leaf in 0..self.raw.n_leaves() {
+            for x in 0..self.raw.n_states() {
+                let (leaf, x) = (LeafId(leaf as u32), StateId(x as u16));
+                let series = self.raw.series(leaf, x);
+                rebin_series(series, 0, f, model.series_mut(leaf, x), lo..hi + 1);
+            }
+        }
+    }
+
+    /// Coarse cell `t` is the left-to-right sum of its `count / n_slices`
+    /// hi-res cells. Density models are peak-normalized at the target
+    /// resolution afterwards (exactly `event_density`'s arithmetic over
+    /// the rebinned counts).
     fn rebin(&self, first: usize, count: usize, n_slices: usize) -> MicroModel {
         let f = count / n_slices;
         let hi_grid = self.raw.grid();
@@ -327,14 +375,8 @@ impl HiResModel {
             for x in 0..n_states {
                 let series = self.raw.series(LeafId(leaf as u32), StateId(x as u16));
                 let dst = (leaf * n_states + x) * n_slices;
-                for t in 0..n_slices {
-                    let mut sum = 0.0f64;
-                    let base = first + t * f;
-                    for cell in &series[base..base + f] {
-                        sum += cell;
-                    }
-                    data[dst + t] = sum;
-                }
+                let out = &mut data[dst..dst + n_slices];
+                rebin_series(series, first, f, out, 0..n_slices);
             }
         }
         if self.metric == Metric::Density {
@@ -346,6 +388,20 @@ impl HiResModel {
             grid,
             data,
         )
+    }
+}
+
+/// The one rebinning kernel: for every coarse slice `t` in `slices`,
+/// `out[t]` is the left-to-right sum of the `f` hi-res cells of `series`
+/// from `first + t·f` on.
+fn rebin_series(series: &[f64], first: usize, f: usize, out: &mut [f64], slices: Range<usize>) {
+    for t in slices {
+        let base = first + t * f;
+        let mut sum = 0.0f64;
+        for cell in &series[base..base + f] {
+            sum += cell;
+        }
+        out[t] = sum;
     }
 }
 

@@ -42,9 +42,38 @@
 //! cells through the same [`CubeCore::eval_cell`], while `.opart` stores
 //! partitions exactly; cached partitions are only served for *exactly* the
 //! `(p, tie-breaking)` query that produced them.
+//!
+//! ## Live refresh
+//!
+//! A live session ([`AnalysisSession::live`]) grows by
+//! [`AnalysisSession::advance`], and every batch that lands replaces the
+//! active full-grid pipeline. A refresh costs what its batch touched, not
+//! what the model holds: [`HiResModel::append`] reports the hi-res slices
+//! the batch touched, which make a band of coarse slices at the active
+//! resolution, and the replaced pipeline passes two things on.
+//!
+//! - Its model. The next model re-derives only the band's coarse slices
+//!   through the one rebin kernel; a coarse slice is the left-to-right sum
+//!   of its own hi-res cells, so the others are already right.
+//! - The cut tree of each DP it ran, one per `(p, tie rule)`. The next DP
+//!   at that `(p, tie rule)` copies every cell that cannot have changed and
+//!   solves the others on the prefix sums: a cell `(i, j)` is copied when
+//!   `j < a` or `i > z`, where `a` is the first coarse slice touched since
+//!   the tree was computed and `z` the last coarse slice any append of the
+//!   session ever reported (see `dp::aggregate_reusing` for why this is
+//!   exact).
+//!
+//! Advances with no query between them widen the band: the model
+//! re-derives from the smallest first slice to the largest last one, and a
+//! pipeline that ran no DP passes on the trees it inherited. Nothing passes
+//! on, and the refresh takes the full path, when the batch grew the grid
+//! (that widens every coarse slice), on the density metric (its peak
+//! normalization can rescale every cell), from a windowed pipeline, on the
+//! first refresh, and for a `(p, tie rule)` the previous pipeline did not
+//! run. The replies are the same bytes either way.
 
 use crate::cube::{CubeCore, SessionCube, DENSE_LIMIT_BYTES};
-use crate::dp::DpConfig;
+use crate::dp::{CutTree, DpConfig, Reuse};
 use crate::hires::{AppendOutcome, HiResModel, LiveEvent};
 use crate::partition::Partition;
 use crate::pvalues::PEntry;
@@ -93,6 +122,16 @@ pub(crate) fn validate_p(p: f64) -> Result<(), SessionError> {
         return Err(SessionError::InvalidParam(format!(
             "--p must lie in [0, 1], got {p}"
         )));
+    }
+    Ok(())
+}
+
+/// Shared parameter check for the slice count.
+fn validate_slices(n_slices: usize) -> Result<(), SessionError> {
+    if n_slices < 1 {
+        return Err(SessionError::InvalidParam(
+            "--slices must be at least 1".into(),
+        ));
     }
     Ok(())
 }
@@ -208,6 +247,12 @@ impl Default for SessionConfig {
 }
 
 impl SessionConfig {
+    /// Check the parameters where a config enters the system (the CLI's
+    /// options, a wire request): the model needs at least one slice.
+    pub fn validate(&self) -> Result<(), SessionError> {
+        validate_slices(self.n_slices)
+    }
+
     /// Artifact key: hash of (trace fingerprint, slicing params, metric).
     /// Any change to the inputs or parameters changes the key, which is
     /// what makes stale cache hits impossible. Retention
@@ -673,6 +718,39 @@ struct Derived {
     cube: Stage<(SessionCube, CubeSource)>,
     table: Stage<RwLock<PartitionTable>>,
     stats: Stage<Option<IngestStats>>,
+    /// The cut trees of the DPs run on this pipeline, one per `(p, tie
+    /// rule)`: kept by live full-grid pipelines only, for the next refresh.
+    trees: Mutex<Vec<KeptTree>>,
+    /// What the pipeline inherited from the one an advance replaced.
+    carry: Carry,
+}
+
+/// The cut tree of one `(p, tie rule)` DP.
+struct KeptTree {
+    p: f64,
+    coarse: bool,
+    tree: CutTree,
+}
+
+impl KeptTree {
+    fn is(&self, p: f64, coarse: bool) -> bool {
+        self.p.to_bits() == p.to_bits() && self.coarse == coarse
+    }
+}
+
+/// What a live full-grid pipeline inherits when
+/// [`AnalysisSession::advance`] replaces the active one; empty on every
+/// other pipeline.
+#[derive(Default)]
+struct Carry {
+    /// An earlier model and the coarse slices `(lo, hi)` that changed since
+    /// it was derived. The model build takes it and re-derives the band.
+    model: Mutex<Option<(MicroModel, (usize, usize))>>,
+    /// Cut trees computed on an earlier model.
+    trees: Vec<KeptTree>,
+    /// `a`: the first coarse slice any advance touched since `trees` were
+    /// computed.
+    first_changed: usize,
 }
 
 /// Recently used derived pipelines kept parked besides the active one
@@ -735,6 +813,9 @@ pub struct AnalysisSession {
     /// Bumped on every [`AnalysisSession::advance`] that changed a cell
     /// or grew the grid.
     generation: u64,
+    /// The last hi-res slice any append reported, or that held data when
+    /// the live session opened: every later slice holds only zeros.
+    last_data: Option<usize>,
 }
 
 impl AnalysisSession {
@@ -756,6 +837,7 @@ impl AnalysisSession {
             live: false,
             live_events: 0,
             generation: 0,
+            last_data: None,
         }
     }
 
@@ -782,6 +864,7 @@ impl AnalysisSession {
             )));
         }
         let mut s = Self::new(LiveSource, config);
+        s.last_data = hi_res.last_data_slice();
         s.hi_res.value = OnceLock::from(Some((hi_res, Telemetry::Unread)));
         s.live = true;
         Ok(s)
@@ -884,6 +967,12 @@ impl AnalysisSession {
     /// width (in multiples of the session's `n_slices`, so the active
     /// resolution keeps dividing the grid), which leaves every untouched
     /// window's time range — and therefore its derived cells — unchanged.
+    ///
+    /// A replaced full-grid pipeline passes its built model and its cut
+    /// trees on to the next one, so a refresh recomputes only what the
+    /// batch touched: the next model re-derives only the coarse slices of
+    /// the batch's band, and the next DP at a carried `(p, tie rule)`
+    /// solves only the cells that band can change. See the module docs.
     pub fn advance(&mut self, events: &[LiveEvent]) -> Result<AppendOutcome, SessionError> {
         if !self.live {
             return Err(SessionError::InvalidParam(
@@ -896,21 +985,69 @@ impl AnalysisSession {
         let outcome = hi
             .append(events, self.config.n_slices)
             .map_err(|e| SessionError::Source(format!("append refused: {e}")))?;
+        let h = hi.n_slices();
         self.live_events += events.len() as u64;
         let Some((lo, hi_slice)) = outcome.touched else {
             return Ok(outcome);
         };
         self.generation += 1;
+        self.last_data = self.last_data.max(Some(hi_slice));
         let stale = |win: Option<(usize, usize)>| match win {
             // Full-grid pipelines see every new contribution.
             None => true,
             Some((first, count)) => first <= hi_slice && lo < first + count,
         };
         if stale(self.window.map(|w| (w.first, w.count))) {
-            self.active = Derived::default();
+            let old = std::mem::take(&mut self.active);
+            self.active.carry = self.carry_over(old, (lo, hi_slice), outcome.grown, h);
         }
         self.parked.retain(|((_, win), _)| !stale(*win));
         Ok(outcome)
+    }
+
+    /// What the pipeline an advance replaces passes on to the next one,
+    /// given the hi-res slices `(lo, hi)` the batch touched and the grid's
+    /// `h` periods after it:
+    /// - its model (or, if it built none, the model it inherited), with
+    ///   the coarse slices to re-derive widened to the batch's band;
+    /// - the cut trees of the DPs it ran, stale from the band's first
+    ///   slice on. A pipeline that ran no DP passes on the trees it
+    ///   inherited, stale from the smaller first slice.
+    ///
+    /// Nothing passes when the batch grew the grid (that changes the width
+    /// of every coarse slice) or from a pipeline that keeps no trees.
+    fn carry_over(&self, old: Derived, (lo, hi): (usize, usize), grown: usize, h: usize) -> Carry {
+        let n = self.config.n_slices;
+        if grown > 0 || !self.keeps_trees() || !h.is_multiple_of(n) {
+            return Carry::default();
+        }
+        let band = (lo / (h / n), hi / (h / n));
+        let Derived {
+            model,
+            trees,
+            carry,
+            ..
+        } = old;
+        let inherited = carry
+            .model
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let model = match (model.value.into_inner(), inherited) {
+            (Some((model, _)), _) => Some((model, band)),
+            (None, Some((model, (a, b)))) => Some((model, (a.min(band.0), b.max(band.1)))),
+            (None, None) => None,
+        };
+        let own = trees.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let (trees, first_changed) = if own.is_empty() {
+            (carry.trees, carry.first_changed.min(band.0))
+        } else {
+            (own, band.0)
+        };
+        Carry {
+            model: Mutex::new(model),
+            trees,
+            first_changed,
+        }
     }
 
     /// The artifact store, when it applies to the active derived pipeline:
@@ -1019,6 +1156,10 @@ impl AnalysisSession {
             return Ok((model, telemetry.clone()));
         }
         if let Some((hi, telemetry)) = self.hi_res(n)? {
+            if let Some((mut model, band)) = lock(&self.active.carry.model).take() {
+                hi.rederive_band(&mut model, band);
+                return Ok((model, telemetry.clone()));
+            }
             if let Some(model) = hi.derive(n) {
                 return Ok((model, telemetry.clone()));
             }
@@ -1104,11 +1245,7 @@ impl AnalysisSession {
         n_slices: usize,
         window: Option<(f64, f64)>,
     ) -> Result<(), SessionError> {
-        if n_slices < 1 {
-            return Err(SessionError::InvalidParam(
-                "--slices must be at least 1".into(),
-            ));
-        }
+        validate_slices(n_slices)?;
         let win = window
             .map(|(t0, t1)| self.snap_window(n_slices, t0, t1))
             .transpose()?;
@@ -1324,10 +1461,55 @@ impl AnalysisSession {
         } else {
             DpConfig::default()
         };
-        let partition = cube.aggregate(p, &config).partition(cube);
+        let tree = match self.reuse(p, coarse) {
+            Some(reuse) => cube.aggregate_reusing(p, &config, reuse),
+            None => cube.aggregate(p, &config),
+        };
+        let partition = tree.partition(cube);
         self.dp_runs.fetch_add(1, Ordering::Relaxed);
+        self.keep_tree(p, coarse, tree);
         self.record(|t| t.insert_point(p, coarse, partition.clone()))?;
         Ok(partition)
+    }
+
+    /// The inherited tree a DP at `(p, coarse)` may reuse, with the band
+    /// it is stale in: from the first slice touched since it was computed
+    /// to the last slice that ever held data (see
+    /// [`AnalysisSession::advance`]).
+    fn reuse(&self, p: f64, coarse: bool) -> Option<Reuse<'_>> {
+        let carry = &self.active.carry;
+        let kept = carry.trees.iter().find(|t| t.is(p, coarse))?;
+        let f = self.hi_res_slices()? / self.config.n_slices;
+        Some(Reuse {
+            tree: &kept.tree,
+            first_changed: carry.first_changed,
+            last_data: self.last_data? / f,
+        })
+    }
+
+    /// Whether the active pipeline keeps its cut trees and passes them on:
+    /// live full-grid pipelines only, and not on the density metric, whose
+    /// peak normalization can rescale every cell.
+    fn keeps_trees(&self) -> bool {
+        self.live && self.window.is_none() && self.config.metric == Metric::States
+    }
+
+    /// Keep a live full-grid pipeline's cut tree for the next refresh,
+    /// once per `(p, tie rule)`: a racing reader's identical tree is
+    /// dropped.
+    fn keep_tree(&self, p: f64, coarse: bool, tree: CutTree) {
+        if !self.keeps_trees() {
+            return;
+        }
+        let mut trees = lock(&self.active.trees);
+        if !trees.iter().any(|t| t.is(p, coarse)) {
+            // The DP's worker threads allocated the tree in their own
+            // malloc arenas, where a tree kept across refreshes pins freed
+            // memory: on perfbench live-refresh it raised the peak RSS by
+            // ~15 MB in about one run in six. The kept copy is made here.
+            let tree = tree.clone();
+            trees.push(KeptTree { p, coarse, tree });
+        }
     }
 
     /// Alias of [`AnalysisSession::partition_at`].
@@ -1852,5 +2034,127 @@ mod tests {
         // Re-inserting the same query is a no-op.
         t.insert_point(0.5, false, part);
         assert_eq!(t.points.len(), 1);
+    }
+
+    /// A live session over `n_leaves` flat resources and two states: 1024
+    /// hi-res periods over `[0, 8)`, a dyadic grid whose growth is exact.
+    fn empty_live(metric: Metric, n_leaves: usize, n_slices: usize) -> AnalysisSession {
+        use ocelotl_trace::{Hierarchy, StateRegistry, TimeGrid};
+        let raw = MicroModel::from_dense(
+            Hierarchy::flat(n_leaves, "p"),
+            StateRegistry::from_names(["A", "B"]),
+            TimeGrid::new(0.0, 8.0, 1024),
+            vec![0.0; n_leaves * 2 * 1024],
+        );
+        let config = SessionConfig {
+            n_slices,
+            metric,
+            ..SessionConfig::default()
+        };
+        AnalysisSession::live(config, HiResModel::new(metric, raw)).unwrap()
+    }
+
+    fn assert_same_trees(a: &CutTree, b: &CutTree, model: &MicroModel, what: &str) {
+        let n = model.n_slices();
+        for node in model.hierarchy().node_ids() {
+            for i in 0..n {
+                for j in i..n {
+                    let cell = format!("{what}: node {node:?}, cell ({i}, {j})");
+                    assert_eq!(a.cut(node, i, j), b.cut(node, i, j), "cut, {cell}");
+                    assert_eq!(
+                        a.pic(node, i, j).to_bits(),
+                        b.pic(node, i, j).to_bits(),
+                        "pIC, {cell}"
+                    );
+                    assert_eq!(
+                        a.n_areas(node, i, j),
+                        b.n_areas(node, i, j),
+                        "count, {cell}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// After every batch of a locally shuffled live feed, the model and
+        /// the cut tree of every DP asked equal, cell for cell, a fresh live
+        /// session fed the same events in one batch: whether the refresh
+        /// re-derived a band and reused a tree or fell back to the full
+        /// path (growth, the density metric, a `(p, tie rule)` not asked
+        /// on the previous refresh).
+        #[test]
+        fn a_refresh_equals_a_fresh_session_at_every_cell(
+            n_leaves in 1usize..5,
+            n_slices_log2 in 1u32..6,
+            raw_events in proptest::collection::vec(
+                (0u32..8, 0u16..2, 0.0f64..1.0, 0.0001f64..0.4), 1..120),
+            batch_sizes in proptest::collection::vec(1usize..10, 1..8),
+            asks in proptest::collection::vec(0usize..16, 1..8),
+            grow in proptest::prelude::any::<bool>(),
+            density in proptest::prelude::any::<bool>(),
+        ) {
+            use ocelotl_trace::{LeafId, StateId};
+            let n_slices = 1usize << n_slices_log2;
+            let metric = if density { Metric::Density } else { Metric::States };
+            // Time-ordered, then reversed within runs of 8, so a batch often
+            // ends before the last one did; past the 8.0 horizon only when
+            // the grid should grow.
+            let span = if grow { 11.0 } else { 7.9 };
+            let mut events: Vec<LiveEvent> = raw_events
+                .iter()
+                .map(|&(leaf, state, b, d)| {
+                    let b = b * span + 0.000_137;
+                    (LeafId(leaf % n_leaves as u32), StateId(state), b, b + d)
+                })
+                .collect();
+            events.sort_by(|x, y| x.2.total_cmp(&y.2));
+            for run in events.chunks_mut(8) {
+                run.reverse();
+            }
+            let questions = [(0.5, false), (0.5, true), (0.3, false), (0.3, true)];
+            let mut live = empty_live(metric, n_leaves, n_slices);
+            let (mut fed, mut round) = (0, 0);
+            while fed < events.len() {
+                let take = batch_sizes[round % batch_sizes.len()].min(events.len() - fed);
+                live.advance(&events[fed..fed + take]).unwrap();
+                fed += take;
+                let mut fresh = empty_live(metric, n_leaves, n_slices);
+                fresh.advance(&events[..fed]).unwrap();
+                let what = format!("{} after {fed} events", metric.tag());
+                let model = fresh.model().unwrap();
+                let ask = asks[round % asks.len()];
+                round += 1;
+                if ask == 0 {
+                    continue;
+                }
+                let bits = |m: &MicroModel, leaf: usize, x: usize| -> Vec<u64> {
+                    let series = m.series(LeafId(leaf as u32), StateId(x as u16));
+                    series.iter().map(|v| v.to_bits()).collect()
+                };
+                let refreshed = live.model().unwrap();
+                for leaf in 0..n_leaves {
+                    for x in 0..2 {
+                        let (a, b) = (bits(refreshed, leaf, x), bits(model, leaf, x));
+                        assert_eq!(a, b, "{what}: model series ({leaf}, {x})");
+                    }
+                }
+                for (k, &(p, coarse)) in questions.iter().enumerate() {
+                    if ask & (1 << k) == 0 {
+                        continue;
+                    }
+                    let config = if coarse { DpConfig::coarse_ties() } else { DpConfig::default() };
+                    let expected = fresh.cube().unwrap().aggregate(p, &config);
+                    let partition = live.partition_at(p, coarse).unwrap();
+                    let what = format!("{what}, p {p}, coarse {coarse}");
+                    assert_eq!(partition, expected.partition(fresh.cube().unwrap()), "{what}");
+                    if let Some(kept) = lock(&live.active.trees).iter().find(|t| t.is(p, coarse)) {
+                        assert_same_trees(&kept.tree, &expected, model, &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -1168,11 +1168,13 @@ fn config_to_json(config: &SessionConfig) -> Json {
 /// (which also sent a `memory` backend choice) still parse.
 fn config_from_json(j: &Json) -> Result<SessionConfig, QueryError> {
     let metric: Metric = as_str(j, "metric")?.parse().map_err(|e: String| bad(e))?;
-    Ok(SessionConfig {
+    let config = SessionConfig {
         n_slices: as_usize(j, "slices")?,
         metric,
         ..SessionConfig::default()
-    })
+    };
+    config.validate()?;
+    Ok(config)
 }
 
 /// Encode a server-side request line: the trace to analyze, the session

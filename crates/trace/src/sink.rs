@@ -236,6 +236,9 @@ pub enum ModelSinkError {
     EmptyRange,
     /// The decoder never reached `begin` (empty stream).
     NoHeader,
+    /// The model's byte count (`|S|·|X|·|T|` floats) overflows the address
+    /// space; nothing was allocated.
+    TooLarge,
 }
 
 impl fmt::Display for ModelSinkError {
@@ -246,6 +249,12 @@ impl fmt::Display for ModelSinkError {
             }
             ModelSinkError::EmptyRange => write!(f, "trace has an empty time range"),
             ModelSinkError::NoHeader => write!(f, "stream ended before any declarations"),
+            ModelSinkError::TooLarge => {
+                write!(
+                    f,
+                    "the model's size overflows the address space (too many slices)"
+                )
+            }
         }
     }
 }
@@ -697,8 +706,17 @@ impl EventSink for ModelSink {
         } else {
             self.n_slices
         };
+        let size = header
+            .hierarchy
+            .n_leaves()
+            .checked_mul(header.states.len())
+            .and_then(|cells| cells.checked_mul(n_slices))
+            .filter(|&cells| cells.checked_mul(std::mem::size_of::<f64>()).is_some());
+        let Some(size) = size else {
+            self.refusal = Some(ModelSinkError::TooLarge);
+            return false;
+        };
         let grid = TimeGrid::new(lo, hi, n_slices);
-        let size = header.hierarchy.n_leaves() * header.states.len() * n_slices;
         self.acc = Some(Accum {
             hierarchy: header.hierarchy.clone(),
             states: header.states.clone(),

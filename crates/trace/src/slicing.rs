@@ -37,11 +37,13 @@ pub const HI_RES_CELL_BUDGET: usize = 1 << 25;
 /// re-ingests.
 pub fn hi_res_slices(n_slices: usize, n_leaves: usize, n_states: usize) -> usize {
     let n = n_slices.max(1);
-    let target = HI_RES_MIN_SLICES.max(HI_RES_FACTOR * n);
-    let per_slice = (n_leaves * n_states.max(1)).max(1);
+    // Saturating: a request too large for the address space must not wrap
+    // to a small grid; the model build refuses its cell count instead.
+    let target = HI_RES_MIN_SLICES.max(HI_RES_FACTOR.saturating_mul(n));
+    let per_slice = n_leaves.saturating_mul(n_states.max(1)).max(1);
     let cap = (HI_RES_CELL_BUDGET / per_slice).max(n);
     let mut h = n;
-    while h < target && h * 2 <= cap {
+    while h < target && h.checked_mul(2).is_some_and(|h2| h2 <= cap) {
         h *= 2;
     }
     h

@@ -392,3 +392,94 @@ fn ptf_without_range_header_is_still_bit_identical() {
     assert_eq!(report.mode, ocelotl::format::IngestMode::TwoPass);
     std::fs::remove_file(&path).ok();
 }
+
+// ---------------------------------------------------------------------------
+// Live refresh equivalence: a refresh re-derives only the slices its batch
+// touched and reuses the previous refresh's cut trees, yet every reply must
+// be the reply of a fresh live session fed the same prefix in one batch.
+// ---------------------------------------------------------------------------
+
+use ocelotl::core::{AnalysisSession, SessionConfig};
+use ocelotl::format::encode_reply;
+
+/// An empty live engine: `n_leaves` flat resources, two states, 1024
+/// hi-res periods over the dyadic range `[0, 8)`.
+fn live_engine(metric: Metric, n_leaves: usize, n_slices: usize) -> QueryEngine {
+    let config = SessionConfig {
+        n_slices,
+        metric,
+        ..SessionConfig::default()
+    };
+    let hi = live_empty(metric, n_leaves, 1024, (0.0, 8.0));
+    QueryEngine::new(AnalysisSession::live(config, hi).expect("live session"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random batch sizes over a locally shuffled feed, both metrics, with
+    /// and without grid growth. After each batch a random subset of
+    /// `aggregate` at two `p` values × both tie rules and
+    /// `render_overview` is asked; each reply equals, byte for byte, that
+    /// of a fresh live session fed the same prefix in one batch.
+    #[test]
+    fn live_refresh_replies_equal_a_fresh_session_fed_the_prefix(
+        n_leaves in 1usize..6,
+        n_slices_log2 in 1u32..6,
+        raw_events in proptest::collection::vec(
+            (0u32..8, 0u16..2, 0.0f64..1.0, 0.0001f64..0.6), 1..160),
+        batch_sizes in proptest::collection::vec(1usize..12, 1..8),
+        asks in proptest::collection::vec(0usize..32, 1..8),
+        grow in any::<bool>(),
+        density in any::<bool>(),
+    ) {
+        let n_slices = 1usize << n_slices_log2;
+        let metric = if density { Metric::Density } else { Metric::States };
+        // Time-ordered, then reversed within runs of 8, so a batch often
+        // ends before the last one did; past the 8.0 horizon only when the
+        // grid should grow.
+        let span = if grow { 11.0 } else { 7.9 };
+        let mut events: Vec<LiveEvent> = raw_events
+            .iter()
+            .map(|&(leaf, state, b, d)| {
+                let b = b * span + 0.000_137;
+                (LeafId(leaf % n_leaves as u32), StateId(state), b, b + d)
+            })
+            .collect();
+        events.sort_by(|x, y| x.2.total_cmp(&y.2));
+        for run in events.chunks_mut(8) {
+            run.reverse();
+        }
+        let requests: Vec<AnalysisRequest> = [(0.5, false), (0.5, true), (0.25, false), (0.25, true)]
+            .into_iter()
+            .map(|(p, coarse)| AnalysisRequest::Aggregate { p, coarse, compare: false, diff_p: None })
+            .chain([AnalysisRequest::RenderOverview {
+                p: 0.5,
+                coarse: false,
+                min_rows: 0.0,
+                level_resolution: None,
+            }])
+            .collect();
+        let mut live = live_engine(metric, n_leaves, n_slices);
+        let (mut fed, mut round) = (0, 0);
+        while fed < events.len() {
+            let take = batch_sizes[round % batch_sizes.len()].min(events.len() - fed);
+            live.session_mut().advance(&events[fed..fed + take]).unwrap();
+            fed += take;
+            let ask = asks[round % asks.len()];
+            round += 1;
+            let mut fresh = live_engine(metric, n_leaves, n_slices);
+            fresh.session_mut().advance(&events[..fed]).unwrap();
+            for (k, request) in requests.iter().enumerate() {
+                if ask & (1 << k) == 0 {
+                    continue;
+                }
+                prop_assert_eq!(
+                    encode_reply(&live.execute(request)),
+                    encode_reply(&fresh.execute(request)),
+                    "{} after {} events: {}", metric.tag(), fed, request.kind()
+                );
+            }
+        }
+    }
+}
