@@ -18,7 +18,8 @@
 //!    `BENCH_COLUMNAR_JSON`) for CI artifacts.
 //!
 //! Acceptance, asserted at the 10⁷-event preset (sizes below that only
-//! report): the windowed `.octf` ingest reads ≥5× fewer bytes and runs
+//! report): the windowed `.octf` ingest reads ≥5× fewer bytes (each
+//! report's `bytes_read`: the ingest's own reads) and runs
 //! ≥3× faster than the windowed full-pass `.ptf` ingest, and the
 //! full-trace `.octf` ingest stays within 1.5× of the full `.ptf` one.
 

@@ -9,19 +9,17 @@
 //!    a pool of `s` threads (wall time) and once on one thread (each
 //!    task's own time, free of contention), draining the per-ingest
 //!    timing channel;
-//! 3. checks every configuration agrees with the 1-shard ingest
-//!    (fingerprint and model mass — full bit-identity is pinned by
-//!    `tests/shard_equivalence.rs`);
+//! 3. checks every configuration agrees with the 1-shard ingest (model
+//!    mass — full bit-identity is pinned by `tests/shard_equivalence.rs`);
 //! 4. emits one `BENCH {...}` line per (size, shards) point plus a
 //!    machine-readable `BENCH_shard.json` (path override:
 //!    `BENCH_SHARD_JSON`) for CI artifacts.
 //!
-//! Every ingest runs the same task list on one pool — the fingerprint's
-//! `HASH_CHUNK_BYTES` chunk tasks, then one decode task per shard — so the
-//! 1-shard baseline hashes exactly like the sharded runs. The **estimate**
-//! replays the one-thread task times on `s` workers the way the pool hands
-//! them out (each next task to the first idle worker) and adds planning
-//! and merging: `plan + makespan + merge`. A schedule on `s` workers
+//! Every ingest runs one decode task per shard on one pool (an ingest
+//! does not hash). The **estimate** replays the one-thread task times on
+//! `s` workers the way the pool hands them out (each next task to the
+//! first idle worker) and adds planning and merging:
+//! `plan + makespan(decode units) + merge`. A schedule on `s` workers
 //! cannot finish before total work / `s`, so the estimated speedup over
 //! the 1-shard baseline stays within `s`× unless sharding shrinks the work
 //! itself.
@@ -32,9 +30,7 @@
 //! shards on the largest size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ocelotl::format::{
-    read_model_with, take_last_ingest_timing, IngestOptions, ShardMode, HASH_CHUNK_BYTES,
-};
+use ocelotl::format::{read_model_with, take_last_ingest_timing, IngestOptions, ShardMode};
 use ocelotl::mpisim::{scenario_with_events, CaseId};
 use ocelotl::trace::ModelKind;
 use ocelotl_bench::scratch;
@@ -73,8 +69,6 @@ struct Point {
     wall_ms: f64,
     estimate_ms: f64,
     plan_ms: f64,
-    hash_ms: f64,
-    hash_total_ms: f64,
     slowest_shard_ms: f64,
     merge_ms: f64,
     speedup: f64,
@@ -106,8 +100,8 @@ fn bench_sharded(_c: &mut Criterion) {
             read_model_with(&path, SLICES, ModelKind::States, &opts).expect("sharded ingest")
         };
 
-        // (wall, estimate, fingerprint, mass bits) of the 1-shard ingest.
-        let mut baseline: Option<(f64, f64, u64, u64)> = None;
+        // (wall, estimate, mass bits) of the 1-shard ingest.
+        let mut baseline: Option<(f64, f64, u64)> = None;
         for &s in &SHARD_COUNTS {
             // Pass 1 — a pool of `s` threads: this machine's wall time.
             let _ = take_last_ingest_timing(); // drain stale entries
@@ -122,16 +116,13 @@ fn bench_sharded(_c: &mut Criterion) {
             let serial = ingest(s, 1);
             let timing = take_last_ingest_timing().expect("ingest records timing");
             assert_eq!(
-                serial.fingerprint, report.fingerprint,
+                serial.model.grand_total().to_bits(),
+                report.model.grand_total().to_bits(),
                 "worker count must not change the output"
             );
 
             let ms = |nanos: u64| nanos as f64 / 1e6;
-            let n_chunks = file_bytes.div_ceil(HASH_CHUNK_BYTES).max(1);
-            let chunk_ms = ms(timing.hash_total_nanos) / n_chunks as f64;
-            let tasks = (0..n_chunks)
-                .map(|_| chunk_ms)
-                .chain(timing.shard_nanos.iter().map(|&t| ms(t)));
+            let tasks = timing.shard_nanos.iter().map(|&t| ms(t));
             let (plan_ms, merge_ms) = (ms(timing.plan_nanos), ms(timing.merge_nanos));
             let estimate_ms = plan_ms + makespan(tasks, s) + merge_ms;
             let slowest_ms = ms(timing.shard_nanos.iter().copied().max().unwrap_or(0));
@@ -140,14 +131,10 @@ fn bench_sharded(_c: &mut Criterion) {
             let mass = report.model.grand_total();
             let (base_wall, base_estimate) = match &baseline {
                 None => {
-                    baseline = Some((wall, estimate_ms, report.fingerprint, mass.to_bits()));
+                    baseline = Some((wall, estimate_ms, mass.to_bits()));
                     (wall, estimate_ms)
                 }
-                Some((w, e, fp, mass_bits)) => {
-                    assert_eq!(
-                        report.fingerprint, *fp,
-                        "fingerprint invariant at {s} shards"
-                    );
+                Some((w, e, mass_bits)) => {
                     let base_mass = f64::from_bits(*mass_bits);
                     assert!(
                         (mass - base_mass).abs() <= 1e-9 * base_mass.abs().max(1.0),
@@ -173,8 +160,6 @@ fn bench_sharded(_c: &mut Criterion) {
                 wall_ms: wall,
                 estimate_ms,
                 plan_ms,
-                hash_ms: ms(timing.hash_nanos),
-                hash_total_ms: ms(timing.hash_total_nanos),
                 slowest_shard_ms: slowest_ms,
                 merge_ms,
                 speedup,
@@ -205,8 +190,8 @@ fn bench_sharded(_c: &mut Criterion) {
             format!(
                 "{{\"bench\":\"ingest_sharded\",\"target_events\":{},\"events\":{},\
                  \"file_bytes\":{},\"shards\":{},\"cores\":{},\"wall_ms\":{:.3},\
-                 \"estimate_ms\":{:.3},\"plan_ms\":{:.3},\"hash_ms\":{:.3},\
-                 \"hash_total_ms\":{:.3},\"slowest_shard_ms\":{:.3},\"merge_ms\":{:.3},\
+                 \"estimate_ms\":{:.3},\"plan_ms\":{:.3},\"slowest_shard_ms\":{:.3},\
+                 \"merge_ms\":{:.3},\
                  \"speedup\":{:.3},\"speedup_kind\":\"{}\"}}",
                 p.target,
                 p.events,
@@ -216,8 +201,6 @@ fn bench_sharded(_c: &mut Criterion) {
                 p.wall_ms,
                 p.estimate_ms,
                 p.plan_ms,
-                p.hash_ms,
-                p.hash_total_ms,
                 p.slowest_shard_ms,
                 p.merge_ms,
                 p.speedup,

@@ -9,8 +9,7 @@
 //!    `mpisim` writer (`run_to_file`, never holding the event list);
 //! 2. ingests it **materialized**: `read_trace` (O(|events|) memory) then
 //!    `MicroModel::from_trace`;
-//! 3. ingests it **streaming**: `read_model` (O(model) memory, fingerprint
-//!    hashed beside the decode on the same pool);
+//! 3. ingests it **streaming**: `read_model` (O(model) memory, one pass);
 //! 4. checks the two models agree and emits one `BENCH {...}` line per
 //!    size, plus a machine-readable `BENCH_ingest.json` (path override:
 //!    `BENCH_INGEST_JSON`) for CI artifacts.
@@ -83,7 +82,7 @@ fn bench_ingest(_c: &mut Criterion) {
             + trace.points.len() as u64 * std::mem::size_of::<PointEvent>() as u64
             + model_bytes(&mat_model);
 
-        // Streaming: model + fingerprint in one pass, O(model) memory.
+        // Streaming: the model in one pass, O(model) memory.
         let t0 = Instant::now();
         let report = read_model(&path, SLICES, ModelKind::States).expect("streaming ingest");
         let streaming = t0.elapsed();

@@ -24,7 +24,6 @@ use ocelotl::core::{
 use ocelotl::format::DiskStore;
 use ocelotl::trace::{MicroModel, Trace};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 pub use ocelotl::core::Metric;
 
@@ -84,12 +83,12 @@ pub fn obtain_model(path: &Path, n_slices: usize, metric: Metric) -> Result<Micr
     Ok(obtain_report(path, n_slices, metric)?.model)
 }
 
-/// [`obtain_model`] plus the ingestion telemetry (fingerprint, bytes,
-/// mode) — the one streaming entry point every CLI command goes through.
-/// `.omm` caches synthesize a report carrying only what a cache load can
-/// know (the model, the file hash and its size; zero event counts) —
-/// that is enough for the session path, and the commands that *display*
-/// telemetry (`info --stats`, `describe`) reject `.omm` inputs.
+/// [`obtain_model`] plus the ingestion telemetry (bytes, counts, mode) —
+/// the one streaming entry point every CLI command goes through. `.omm`
+/// caches synthesize a report carrying only what a cache load can know
+/// (the model and the file size; zero event counts) — that is enough for
+/// the session path, and the commands that *display* telemetry
+/// (`info --stats`, `describe`) reject `.omm` inputs.
 pub fn obtain_report(
     path: &Path,
     n_slices: usize,
@@ -116,10 +115,8 @@ pub fn obtain_report_with(
     if is_micro_cache(path) {
         let model = ocelotl::format::load_micro(path)?;
         let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        let fingerprint = ocelotl::format::hash_file(path)?;
         return Ok(ocelotl::format::IngestReport {
             model,
-            fingerprint,
             bytes_read: bytes,
             intervals: 0,
             points: 0,
@@ -158,16 +155,13 @@ fn ingest_options(workers: usize) -> ocelotl::format::IngestOptions {
 }
 
 /// The file-backed [`ModelSource`]: streams the model straight from the
-/// file and computes the content fingerprint beside the decode, on the
-/// same ingest pool. A fingerprint obtained as a by-product of a model
-/// build is cached, so a store-less session costs one ingest; only a
-/// warm-capable session (artifact store attached, which must key before
-/// deciding whether to read at all) pays a separate raw hash pass.
+/// file. An ingest does not hash; [`ModelSource::fingerprint`] is
+/// `hash_trace_input` of the path, which the session asks for only where
+/// a key is used (an attached artifact store, a `stats` reply) and
+/// memoizes. A store-less session that answers no `stats` request reads
+/// the trace once and never hashes it.
 pub struct FileSource {
     path: PathBuf,
-    /// Lock-free once the value is set: concurrent queries on a server's
-    /// shared sessions never contend on a held (or poisoned) lock.
-    fingerprint: OnceLock<u64>,
     /// Shard-worker cap for ingests through this source (0 = the
     /// process-wide `--threads` budget). Never affects output bits.
     workers: usize,
@@ -178,7 +172,6 @@ impl FileSource {
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
-            fingerprint: OnceLock::new(),
             workers: 0,
         }
     }
@@ -202,7 +195,6 @@ fn report_stats(report: &ocelotl::format::IngestReport) -> IngestStats {
         ocelotl::format::Format::Columnar => "octf",
     };
     IngestStats {
-        fingerprint: report.fingerprint,
         bytes_read: report.bytes_read,
         intervals: report.intervals,
         points: report.points,
@@ -223,13 +215,8 @@ fn report_stats(report: &ocelotl::format::IngestReport) -> IngestStats {
 
 impl ModelSource for FileSource {
     fn fingerprint(&self) -> Result<u64, SessionError> {
-        if let Some(fp) = self.fingerprint.get() {
-            return Ok(*fp);
-        }
-        let fp = ocelotl::format::hash_trace_input(&self.path).map_err(|e| {
-            SessionError::source(format!("cannot hash {}: {e}", self.path.display()))
-        })?;
-        Ok(*self.fingerprint.get_or_init(|| fp))
+        ocelotl::format::hash_trace_input(&self.path)
+            .map_err(|e| SessionError::source(format!("cannot hash {}: {e}", self.path.display())))
     }
 
     fn model(&self, n_slices: usize, metric: Metric) -> Result<MicroModel, SessionError> {
@@ -243,7 +230,6 @@ impl ModelSource for FileSource {
     ) -> Result<(MicroModel, Option<IngestStats>), SessionError> {
         let report = obtain_report_with(&self.path, n_slices, metric, self.workers)
             .map_err(|e| SessionError::source(e.to_string()))?;
-        let _ = self.fingerprint.set(report.fingerprint);
         let stats = report_stats(&report);
         Ok((report.model, Some(stats)))
     }
@@ -265,7 +251,6 @@ impl ModelSource for FileSource {
             &ingest_options(self.workers),
         )
         .map_err(|e| SessionError::source(e.to_string()))?;
-        let _ = self.fingerprint.set(report.fingerprint);
         let stats = report_stats(&report);
         Ok(Some((HiResModel::new(metric, report.model), Some(stats))))
     }
@@ -278,8 +263,7 @@ impl ModelSource for FileSource {
         if !is_plain_columnar(&self.path) {
             return Ok(None);
         }
-        // The chunk index alone answers the probe: no event decode, no
-        // fingerprint (a store-less windowed re-slice stays hash-free).
+        // The chunk index alone answers the probe: no event decode.
         let Ok(plan) = ocelotl::format::plan_columnar(&self.path) else {
             return Ok(None);
         };
@@ -316,7 +300,6 @@ impl ModelSource for FileSource {
             &ingest_options(self.workers),
         )
         .map_err(|e| SessionError::source(e.to_string()))?;
-        let _ = self.fingerprint.set(report.fingerprint);
         let stats = report_stats(&report);
         Ok(Some((HiResModel::new(metric, report.model), Some(stats))))
     }

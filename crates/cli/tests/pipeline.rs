@@ -133,7 +133,32 @@ fn zero_slices_is_a_usage_error_and_an_overflowing_count_a_typed_one() {
             let err = run(huge).unwrap_err();
             assert_eq!(err.exit_code(), 1, "{command} --slices {huge}: {err}");
             assert!(err.to_string().contains("overflows"), "{err}");
+            assert!(!err.to_string().contains("parse error"), "{err}");
         }
+    }
+}
+
+/// A DP whose tables would exceed the bound is refused before it
+/// allocates them (it used to abort the process), naming the bytes it
+/// needs and the bound.
+#[test]
+fn a_dp_too_large_to_allocate_is_refused_typed() {
+    let w = Workdir::new("huge-dp");
+    let trace = w.path("t.btf");
+    cli(&format!(
+        "simulate --app ep --machines 2 --cores 2 --out {trace}"
+    ))
+    .unwrap();
+    for command in ["aggregate", "pvalues"] {
+        let err = cli(&format!("{command} {trace} --slices 100000 --no-cache")).unwrap_err();
+        let bound = ocelotl::core::DP_LIMIT_BYTES.to_string();
+        let message = err.to_string();
+        assert!(message.contains(&bound), "{command}: {message}");
+        assert!(
+            message.contains("640006400000 bytes"),
+            "{command}: {message}"
+        );
+        assert_eq!(err.exit_code(), 2, "{command}: {message}");
     }
 }
 

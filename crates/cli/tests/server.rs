@@ -827,6 +827,116 @@ fn zero_and_overflowing_slice_counts_are_refused_typed() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A DP whose tables would exceed the bound gets an `invalid-request`
+/// reply before it allocates them (at 100,000 slices one node's cut table
+/// alone is 20 GB, which used to abort the whole server), and the same
+/// connection goes on to answer a 30-slice `aggregate` byte-identical to
+/// the direct engine.
+#[test]
+fn dp_tables_over_the_bound_are_refused_typed() {
+    use ocelotl::core::query::QueryError;
+    use ocelotl_cli::commands::query::roundtrip_many;
+    let trace = fixture("huge-dp");
+    let t = trace.display().to_string();
+    let server = spawn_tcp("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let aggregate = AnalysisRequest::Aggregate {
+        p: 0.4,
+        coarse: false,
+        compare: false,
+        diff_p: None,
+    };
+    let significant = AnalysisRequest::Significant { resolution: 1e-2 };
+    let wire = |n_slices, request: &AnalysisRequest| {
+        let config = SessionConfig {
+            n_slices,
+            ..SessionConfig::default()
+        };
+        ocelotl::format::encode_wire_request(&t, &config, request)
+    };
+    let lines = [
+        wire(100_000, &aggregate),
+        wire(100_000, &significant),
+        wire(30, &aggregate),
+    ];
+    let replies = roundtrip_many(&server.address(), &lines).unwrap();
+    for reply in &replies[..2] {
+        let decoded = ocelotl::format::decode_reply(reply).unwrap();
+        assert!(
+            matches!(&decoded, Err(QueryError::InvalidRequest(m)) if m.contains("bytes")),
+            "{reply}"
+        );
+    }
+    let config = SessionConfig {
+        n_slices: 30,
+        ..SessionConfig::default()
+    };
+    let mut direct = QueryEngine::new(build_session(&trace, config, None));
+    let expected = ocelotl::format::encode_reply(&direct.execute(&aggregate));
+    assert_eq!(replies[2], expected);
+    server.stop();
+    std::fs::remove_file(&trace).ok();
+}
+
+/// The `stats` fingerprint is `hash_trace_input` of the path for every
+/// kind of input, from a direct engine and through `serve` alike; and
+/// `bytes_read` counts the ingest's own reads, so a single-pass `.btf`
+/// reads exactly its length (hashing it for the fingerprint is not an
+/// ingest read).
+#[test]
+fn stats_carry_the_input_hash_and_the_ingest_reads() {
+    use ocelotl::core::AnalysisReply;
+    use ocelotl::format::{gzip_stored, hash_trace_input, read_trace, write_columnar_chunked};
+    use std::io::Write;
+    let btf = fixture("fingerprint");
+    let trace = read_trace(&btf).unwrap();
+    let dir = btf.with_extension("inputs");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("mixed")).unwrap();
+    let at = |name: &str| dir.join(name);
+    for name in ["t.ptf", "t.paje", "mixed/a.btf", "mixed/b.ptf"] {
+        ocelotl::format::write_trace(&trace, &at(name)).unwrap();
+    }
+    let mut octf = std::io::BufWriter::new(std::fs::File::create(at("t.octf")).unwrap());
+    write_columnar_chunked(&trace, &mut octf, 16).unwrap();
+    octf.flush().unwrap();
+    std::fs::copy(at("t.octf"), at("mixed/c.octf")).unwrap();
+    std::fs::write(at("t.btf.gz"), gzip_stored(&std::fs::read(&btf).unwrap())).unwrap();
+
+    let config = SessionConfig {
+        n_slices: 10,
+        ..SessionConfig::default()
+    };
+    let server = spawn_tcp("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let inputs = [
+        btf.clone(),
+        at("t.ptf"),
+        at("t.paje"),
+        at("t.octf"),
+        at("t.btf.gz"),
+        at("mixed"),
+    ];
+    for path in &inputs {
+        let what = path.display().to_string();
+        let mut direct = QueryEngine::new(build_session(path, config, None));
+        let reply = direct.execute(&AnalysisRequest::Stats);
+        let Ok(AnalysisReply::Stats(stats)) = &reply else {
+            panic!("{what}: {reply:?}");
+        };
+        let want = format!("{:016x}", hash_trace_input(path).unwrap());
+        assert_eq!(stats.fingerprint, want, "{what}");
+        if path == &btf {
+            assert_eq!(stats.mode, "single-pass", "{what}");
+            assert_eq!(stats.bytes_read, std::fs::metadata(path).unwrap().len());
+        }
+        let wire = ocelotl::format::encode_wire_request(&what, &config, &AnalysisRequest::Stats);
+        let served = roundtrip(&server.address(), &wire).unwrap();
+        assert_eq!(served, ocelotl::format::encode_reply(&reply), "{what}");
+    }
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&btf).ok();
+}
+
 /// A live engine over six resources in two groups and two states: 4096
 /// hi-res periods over [0, 8), pinned to `n_slices`.
 fn grouped_live_engine(n_slices: usize) -> QueryEngine {

@@ -681,6 +681,21 @@ impl QualityCube for LazyCube {
 /// materializes them; above it the DP runs on the prefix sums.
 pub const DENSE_LIMIT_BYTES: usize = 1 << 30; // 1 GiB
 
+/// Ceiling on the DP's own tables (an `i32` cut, an `f64` pIC and a `u32`
+/// area count per interval per node): a session refuses a DP that would
+/// allocate more, before it runs. A constant rather than a probe of free
+/// memory, so the refusal is a pure function of the problem.
+pub const DP_LIMIT_BYTES: u64 = 16 << 30; // 16 GiB
+
+/// Bytes the DP allocates for its tables on a `|S|`-node, `|T|`-slice
+/// problem (see [`DP_LIMIT_BYTES`]); `None` when the count overflows a
+/// `u64`.
+pub(crate) fn dp_table_bytes(n_nodes: usize, n_slices: usize) -> Option<u64> {
+    let n = n_slices as u64;
+    let cells = n.checked_mul(n.checked_add(1)?)? / 2;
+    cells.checked_mul(n_nodes as u64)?.checked_mul(16)
+}
+
 /// Whether the dense matrices of a `|S|`-node, `|T|`-slice problem fit
 /// under `limit` bytes.
 fn dense_fits(n_nodes: usize, n_slices: usize, limit: usize) -> bool {
@@ -881,5 +896,16 @@ mod tests {
             backend_footprint(big_nodes, big_slices, 3),
             ("lazy", 2 * prefix)
         );
+    }
+
+    #[test]
+    fn dp_bound_admits_case_a_at_2048_slices_and_refuses_a_million() {
+        // 8 nodes × 10 slices: 16 bytes per node and interval.
+        assert_eq!(dp_table_bytes(8, 10), Some(16 * 8 * 55));
+        // Case A's 74 nodes: |T| = 2048 needs ~2.5 GB of tables,
+        // |T| = 10^6 some 5.9·10^14 bytes; usize::MAX slices overflow.
+        assert!(dp_table_bytes(74, 2048).is_some_and(|b| b <= DP_LIMIT_BYTES));
+        assert!(dp_table_bytes(74, 1_000_000).is_some_and(|b| b > DP_LIMIT_BYTES));
+        assert_eq!(dp_table_bytes(74, usize::MAX), None);
     }
 }

@@ -78,7 +78,7 @@ pub use analysis::{
 };
 pub use cube::{
     backend_footprint, dense_matrix_bytes, CubeCore, DenseCube, LazyCube, QualityCube, SessionCube,
-    DENSE_LIMIT_BYTES,
+    DENSE_LIMIT_BYTES, DP_LIMIT_BYTES,
 };
 pub use dp::{aggregate, aggregate_default, Cut, CutTree, DpConfig};
 pub use hires::{

@@ -714,7 +714,9 @@ pub struct StatsReply {
     pub intervals: u64,
     /// Point records decoded.
     pub points: u64,
-    /// Bytes read from disk.
+    /// Bytes the ingest read from disk: its plan's headers and indexes,
+    /// extent scans and decodes. Hashing the trace for `fingerprint` is
+    /// not an ingest read and is not counted.
     pub bytes_read: u64,
     /// Peak resident footprint of the streaming accumulator (bytes).
     pub peak_bytes: u64,
@@ -722,7 +724,8 @@ pub struct StatsReply {
     pub mode: String,
     /// Trace format tag (`+gzip` suffix for compressed inputs).
     pub format: String,
-    /// Content fingerprint of the trace bytes, as 16 hex digits.
+    /// Content fingerprint of the trace input (the artifact store's key
+    /// input, `hash_trace_input`), as 16 hex digits.
     pub fingerprint: String,
     /// Shard count of the ingest (1 for sequential).
     pub shard_count: u64,
@@ -1232,6 +1235,7 @@ impl QueryEngine {
         // query never builds the quality cube (its whole point is
         // measuring the O(model) ingestion path).
         let dims = Self::model_dims(self.session.model()?);
+        let fingerprint = self.session.fingerprint()?;
         Ok(StatsReply {
             shape: self.shape(&dims),
             hierarchy_nodes: dims.hierarchy.len(),
@@ -1243,7 +1247,7 @@ impl QueryEngine {
             peak_bytes: stats.peak_bytes,
             mode: stats.mode,
             format: stats.format,
-            fingerprint: format!("{:016x}", stats.fingerprint),
+            fingerprint: format!("{fingerprint:016x}"),
             shard_count: stats.shards.len() as u64,
             shard_bytes: stats.shards,
             chunks_total: stats.chunks_total,
@@ -1464,7 +1468,6 @@ mod tests {
                 Ok((
                     self.model(n, m)?,
                     Some(IngestStats {
-                        fingerprint: 0xabcd,
                         bytes_read: 100,
                         intervals: 40,
                         points: 3,

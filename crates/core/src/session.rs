@@ -72,7 +72,9 @@
 //! first refresh, and for a `(p, tie rule)` the previous pipeline did not
 //! run. The replies are the same bytes either way.
 
-use crate::cube::{CubeCore, SessionCube, DENSE_LIMIT_BYTES};
+use crate::cube::{
+    dp_table_bytes, CubeCore, QualityCube, SessionCube, DENSE_LIMIT_BYTES, DP_LIMIT_BYTES,
+};
 use crate::dp::{CutTree, DpConfig, Reuse};
 use crate::hires::{AppendOutcome, HiResModel, LiveEvent};
 use crate::partition::Partition;
@@ -134,6 +136,21 @@ fn validate_slices(n_slices: usize) -> Result<(), SessionError> {
         ));
     }
     Ok(())
+}
+
+/// Refuse a DP whose tables would exceed [`DP_LIMIT_BYTES`], before it
+/// allocates them.
+fn check_dp_size(cube: &SessionCube) -> Result<(), SessionError> {
+    let (nodes, n) = (cube.hierarchy().len(), cube.n_slices());
+    let bytes = dp_table_bytes(nodes, n);
+    if bytes.is_some_and(|b| b <= DP_LIMIT_BYTES) {
+        return Ok(());
+    }
+    let need = bytes.map_or("more than 2^64".to_string(), |b| b.to_string());
+    Err(SessionError::InvalidParam(format!(
+        "the DP's tables for {n} slices over {nodes} hierarchy nodes need {need} bytes, \
+         over the {DP_LIMIT_BYTES}-byte bound; ask for fewer slices"
+    )))
 }
 
 /// Shared parameter check for the dichotomy resolution.
@@ -279,10 +296,9 @@ impl SessionConfig {
 /// paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Content hash of the trace bytes (equals `hash_trace_input`).
-    pub fingerprint: u64,
-    /// Total bytes read from disk: the fingerprint's reads, extent scans
-    /// and decodes.
+    /// Bytes the ingest read from disk: its plan's headers and indexes,
+    /// extent scans and decodes (a fingerprint's reads are not an
+    /// ingest's).
     pub bytes_read: u64,
     /// Interval records decoded.
     pub intervals: u64,
@@ -346,7 +362,10 @@ pub struct PushdownProbe {
 /// `&self`).
 pub trait ModelSource: Send + Sync {
     /// Stable fingerprint of the underlying trace bytes. Two sources with
-    /// the same fingerprint must describe the same trace.
+    /// the same fingerprint must describe the same trace. The session asks
+    /// for it only where a key is used — to key its artifact store and to
+    /// answer a `stats` request — and memoizes it
+    /// ([`AnalysisSession::fingerprint`]).
     fn fingerprint(&self) -> Result<u64, SessionError>;
 
     /// Produce the microscopic model (the expensive cold-path stage).
@@ -354,8 +373,8 @@ pub trait ModelSource: Send + Sync {
     fn model(&self, n_slices: usize, metric: Metric) -> Result<MicroModel, SessionError>;
 
     /// Produce the model plus ingestion telemetry, when the source can
-    /// report it (file-backed sources fuse both into one disk pass). The
-    /// default wraps [`ModelSource::model`] with no stats.
+    /// report it (file-backed sources measure the ingest that built the
+    /// model). The default wraps [`ModelSource::model`] with no stats.
     fn model_with_stats(
         &self,
         n_slices: usize,
@@ -892,7 +911,9 @@ impl AnalysisSession {
         Ok(*self.active.key.get_or_init(|| self.config.key(fp)))
     }
 
-    fn fingerprint(&self) -> Result<u64, SessionError> {
+    /// The source's content fingerprint, memoized for the session and
+    /// shared across threads.
+    pub fn fingerprint(&self) -> Result<u64, SessionError> {
         if let Some(fp) = self.fingerprint.get() {
             return Ok(*fp);
         }
@@ -1456,6 +1477,7 @@ impl AnalysisSession {
             return Ok(part.clone());
         }
         let cube = self.cube()?;
+        check_dp_size(cube)?;
         let config = if coarse {
             DpConfig::coarse_ties()
         } else {
@@ -1530,9 +1552,9 @@ impl AnalysisSession {
         {
             return Ok(entries.to_vec());
         }
-        let entries = self
-            .cube()?
-            .significant_partitions(&DpConfig::default(), resolution);
+        let cube = self.cube()?;
+        check_dp_size(cube)?;
+        let entries = cube.significant_partitions(&DpConfig::default(), resolution);
         self.dp_runs.fetch_add(1, Ordering::Relaxed);
         self.record(|t| {
             t.significant = Some(SignificantSet {
@@ -1775,7 +1797,6 @@ mod tests {
             _metric: Metric,
         ) -> Result<Option<(HiResModel, Option<IngestStats>)>, SessionError> {
             let stats = IngestStats {
-                fingerprint: 64,
                 bytes_read: 0,
                 intervals: 0,
                 points: 0,

@@ -1,5 +1,6 @@
 //! Error type shared by the trace format readers/writers.
 
+use ocelotl_trace::ModelSinkError;
 use std::fmt;
 
 /// Errors produced while reading or writing trace files.
@@ -26,6 +27,15 @@ pub enum FormatError {
         file: String,
         /// Zero-based chunk index within the file.
         chunk: u64,
+    },
+    /// The model sink refused the stream: nothing failed to parse, but the
+    /// input cannot become a model (no time range to slice, or a model
+    /// too large to address).
+    Refused {
+        /// The input whose stream was refused.
+        file: String,
+        /// Why the sink refused it.
+        refusal: ModelSinkError,
     },
 }
 
@@ -54,6 +64,7 @@ impl fmt::Display for FormatError {
                     write!(f, "{file}: chunk {chunk} failed its checksum")
                 }
             }
+            FormatError::Refused { file, refusal } => write!(f, "{file}: {refusal}"),
         }
     }
 }
@@ -90,5 +101,14 @@ mod tests {
         assert!(e.to_string().contains("PTF 9"));
         let e: FormatError = std::io::Error::other("boom").into();
         assert!(e.to_string().contains("boom"));
+        let e = FormatError::Refused {
+            file: "t.btf".into(),
+            refusal: ModelSinkError::TooLarge,
+        };
+        let msg = e.to_string();
+        assert!(
+            msg.starts_with("t.btf: the model's size overflows"),
+            "{msg}"
+        );
     }
 }

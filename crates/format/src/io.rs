@@ -17,13 +17,10 @@
 //!   file too small to split, or one file of a directory), a
 //!   newline-aligned PTF byte range, a BTF record range, or a group of
 //!   OCTF chunks without the chunks the predicate rules out;
-//! - one **hash plan**: [`HASH_CHUNK_BYTES`] ranges of every raw file, the
-//!   chunk-index fold of a plain `.octf`, folded in file order for a
-//!   directory, so the fingerprint equals [`crate::store::hash_trace_input`];
 //! - one **grid range**: the predicate window, else the declared header
 //!   range, else a scan of the units.
 //!
-//! One driver runs the scan, hash and decode tasks on one `rayon` pool
+//! One driver runs the scan and decode tasks on one `rayon` pool
 //! capped at [`IngestOptions::max_workers`] and merges the units'
 //! [`PartialModel`]s in unit order: `absorb` for the parts of one stream,
 //! `mount` at its leaf offset for a directory file. A directory is one
@@ -32,6 +29,9 @@
 //! file's own; every union cell has one contributing file, so the mount is
 //! exact. The plan is a pure function of the input content (never of the
 //! worker count), so every output bit is the same at any `--threads`.
+//!
+//! An ingest does not hash: the content fingerprint is
+//! [`crate::store::hash_trace_input`], computed only where a key is used.
 //!
 //! Format detection sniffs the leading bytes (decompressing gzip heads)
 //! and falls back to the file extension (a Pajé file may start with
@@ -43,7 +43,6 @@ use crate::columnar::{self, ColumnarPlan};
 use crate::error::{FormatError, Result};
 use crate::gzip::{is_gzip, GzipReader};
 use crate::paje;
-use crate::store::{combine_chunk_hashes, combine_file_hashes, hash_file_chunk, HASH_CHUNK_BYTES};
 use crate::text;
 use ocelotl_trace::{
     hi_res_slices, EventSink, Hierarchy, HierarchyBuilder, LeafId, MicroModel, ModelKind,
@@ -200,7 +199,7 @@ fn annotate(e: FormatError, path: &Path, chosen: Format, ext: Option<Format>) ->
             file: at.to_string(),
             chunk,
         },
-        corrupt @ FormatError::ChunkCorrupt { .. } => corrupt,
+        named @ (FormatError::ChunkCorrupt { .. } | FormatError::Refused { .. }) => named,
     }
 }
 
@@ -295,10 +294,9 @@ pub enum ShardMode {
 /// Row restriction an ingest should honor. On columnar sources the
 /// planner pushes this down to the chunk index and skips whole chunks
 /// whose time extent or resource mask cannot match; on every other
-/// format it is applied sink-side (same model, no I/O savings). Skipped
-/// chunks still feed the index-combined fingerprint via their stored
-/// checksums, so the artifact key — and therefore every cache hit — is
-/// unchanged by pushdown.
+/// format it is applied sink-side (same model, no I/O savings). The
+/// artifact key never depends on the predicate: a plain `.octf`'s
+/// fingerprint folds the stored checksums of every chunk, skipped or not.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Predicate {
     /// Restrict the model grid to this time window `[t0, t1]`; also the
@@ -356,11 +354,10 @@ pub const MAX_SHARDS: usize = 16;
 pub struct ShardTiming {
     /// Time spent planning (detection, header parses, split points).
     pub plan_nanos: u64,
-    /// Slowest fingerprint task — the hash stage's critical path (hash
-    /// tasks run independently on the pool).
+    /// Always 0: an ingest does not hash. Kept only because perfbench
+    /// reads it; it goes with `LAST_TIMING` when ingest timing moves to
+    /// explicit stage spans.
     pub hash_nanos: u64,
-    /// Sum of all fingerprint task times — the hash stage's total work.
-    pub hash_total_nanos: u64,
     /// Per-unit decode times (a unit's extent scan included), in unit
     /// order.
     pub shard_nanos: Vec<u64>,
@@ -384,11 +381,9 @@ pub fn take_last_ingest_timing() -> Option<ShardTiming> {
 pub struct IngestReport {
     /// The microscopic model.
     pub model: MicroModel,
-    /// The content fingerprint ([`crate::store::hash_trace_input`]),
-    /// computed by hash tasks beside the decode.
-    pub fingerprint: u64,
-    /// Total bytes read from disk: fingerprint reads, split-plan headers,
-    /// extent scans and unit decodes.
+    /// Bytes the ingest read from disk: split-plan headers, `.octf`
+    /// chunk indexes, extent scans and unit decodes. A pure function of
+    /// the input bytes and the request.
     pub bytes_read: u64,
     /// Interval records decoded.
     pub intervals: u64,
@@ -448,7 +443,7 @@ pub fn read_model_with(
 /// `hi_res_slices(n_slices, |S|)` periods and the density metric stays
 /// unnormalized, so `ocelotl_core::HiResModel` can derive this and any
 /// compatible resolution by exact rebinning — no further disk passes.
-/// Telemetry (fingerprint, bytes, counts, mode) is reported exactly like
+/// Telemetry (bytes, counts, mode) is reported exactly like
 /// [`read_model`]; `model` carries the raw hi-res array.
 pub fn read_hi_res(path: &Path, n_slices: usize, kind: ModelKind) -> Result<IngestReport> {
     read_model_impl(path, n_slices, kind, true, &IngestOptions::default())
@@ -593,6 +588,15 @@ impl Layout {
             Layout::Text(plan) => &plan.header,
             Layout::Binary(plan) => &plan.header,
             Layout::Columnar(plan) => &plan.header,
+        }
+    }
+
+    /// The header and chunk-index bytes a plain `.octf` plan read before
+    /// any unit; 0 for every other layout.
+    fn index_bytes(&self) -> u64 {
+        match self {
+            Layout::Columnar(plan) => plan.header_bytes + (plan.file_len - plan.footer_offset),
+            _ => 0,
         }
     }
 }
@@ -775,37 +779,6 @@ impl Input {
             Unit::Chunks(chunks, _) => chunks.iter().map(|(_, c)| c.stored_bytes()).sum(),
         }
     }
-
-    /// This file's fingerprint tasks; [`combine_chunk_hashes`] over their
-    /// digests is the file's content hash.
-    fn hash_jobs(&self) -> Vec<HashJob<'_>> {
-        if let Layout::Columnar(plan) = &self.layout {
-            return vec![HashJob::Index(plan)];
-        }
-        let starts = (0..self.len.div_ceil(HASH_CHUNK_BYTES).max(1)).map(|k| k * HASH_CHUNK_BYTES);
-        let len = |at: u64| (self.len - at).min(HASH_CHUNK_BYTES);
-        starts.map(|at| HashJob::Range(at, len(at))).collect()
-    }
-
-    /// Run one fingerprint task; returns its digest and the bytes it read.
-    fn hash(&self, job: HashJob) -> Result<(u64, u64)> {
-        Ok(match job {
-            HashJob::Range(at, len) => (hash_file_chunk(&self.path, at, len)?, len),
-            HashJob::Index(plan) => {
-                let read = plan.header_bytes + (plan.file_len - plan.footer_offset);
-                (plan.fingerprint(&self.path)?, read)
-            }
-        })
-    }
-}
-
-/// One fingerprint task of a file.
-#[derive(Clone, Copy)]
-enum HashJob<'a> {
-    /// Raw FNV-1a of the bytes `[start, start + len)`.
-    Range(u64, u64),
-    /// The chunk-index fold of a plain `.octf` (header and footer only).
-    Index(&'a ColumnarPlan),
 }
 
 /// Everything the driver needs to run one ingest of `path`.
@@ -913,22 +886,9 @@ fn on_pool<T: Send, R: Send>(
     done.into_iter().collect()
 }
 
-/// One pool task: a fingerprint job or a decode unit of an input.
-enum Task<'a> {
-    Hash(&'a Input, HashJob<'a>),
-    Decode(&'a Input, &'a Unit),
-}
-
-/// What a task produced: a digest and the bytes it hashed, or a unit's
-/// partial model and its peak accumulator bytes.
-enum Done {
-    Hash(u64, u64),
-    Decode(Box<PartialModel>, u64),
-}
-
 /// Run a plan: settle the grid range (scanning the units when nothing
-/// declares it), run the hash and decode tasks on one pool, merge the
-/// partial models in unit order and assemble the report.
+/// declares it), decode the units on one pool, merge the partial models
+/// in unit order and assemble the report.
 fn ingest(
     plan: Plan,
     kind: ModelKind,
@@ -983,71 +943,28 @@ fn ingest(
         }
     };
 
-    // One pool, two kinds of task: fingerprint jobs first, then the units.
+    // One pool task per unit.
     let slices = plan.slices;
-    let jobs: Vec<_> = plan.inputs.iter().map(Input::hash_jobs).collect();
-    let hash_tasks = plan
-        .inputs
-        .iter()
-        .zip(&jobs)
-        .flat_map(|(input, jobs)| jobs.iter().map(move |&job| Task::Hash(input, job)));
-    let tasks = hash_tasks.chain(units.iter().map(|&(input, unit)| Task::Decode(input, unit)));
-    let done = on_pool(&pool, tasks.collect(), |task| {
-        let t = Instant::now();
-        let done = match task {
-            Task::Hash(input, job) => {
-                let (digest, bytes) = input.hash(job).map_err(|e| input.annotate(e))?;
-                Done::Hash(digest, bytes)
-            }
-            Task::Decode(input, unit) => {
-                let mut sink = ModelSink::with_range(kind, slices, range);
-                if let Some(keep) = &input.filter {
-                    sink.set_resource_filter(keep);
-                }
-                input
-                    .decode(unit, &mut sink)
-                    .map_err(|e| input.annotate(e))?;
-                if let Unit::Chunks(_, [send, recv, marker]) = *unit {
-                    sink.note_point_kinds(send, recv, marker);
-                }
-                let peak = sink.peak_bytes();
-                let part = sink.finish_partial().map_err(|e| e.to_string());
-                let part = part.map_err(|e| input.annotate(FormatError::parse(e, None)))?;
-                Done::Decode(Box::new(part), peak)
-            }
-        };
-        Ok((done, nanos(t)))
-    })?;
-
-    // Digests arrive in job order (grouped by file), parts in unit order.
-    let (mut digests, mut parts) = (Vec::new(), Vec::new());
-    let (mut hash_nanos, mut hash_total_nanos, mut hash_bytes, mut peak_bytes) = (0, 0, 0, 0);
-    let mut spent = unit_nanos.iter_mut();
-    for (done, nanos) in done {
-        match done {
-            Done::Hash(digest, bytes) => {
-                digests.push(digest);
-                (hash_nanos, hash_total_nanos) = (hash_nanos.max(nanos), hash_total_nanos + nanos);
-                hash_bytes += bytes;
-            }
-            Done::Decode(part, peak) => {
-                parts.push(*part);
-                peak_bytes += peak;
-                if let Some(t) = spent.next() {
-                    *t += nanos;
-                }
-            }
+    let decoded = on_pool(&pool, units.clone(), |(input, unit)| {
+        let (t, mut sink) = (Instant::now(), ModelSink::with_range(kind, slices, range));
+        if let Some(keep) = &input.filter {
+            sink.set_resource_filter(keep);
         }
-    }
-    let mut digests = digests.into_iter();
-    let file_hashes: Vec<u64> = jobs
-        .iter()
-        .map(|jobs| combine_chunk_hashes(&digests.by_ref().take(jobs.len()).collect::<Vec<_>>()))
-        .collect();
-    let fingerprint = match (mounted, file_hashes.as_slice()) {
-        (false, [one]) => *one,
-        _ => combine_file_hashes(&file_hashes),
-    };
+        input
+            .decode(unit, &mut sink)
+            .map_err(|e| input.annotate(e))?;
+        if let Unit::Chunks(_, [send, recv, marker]) = *unit {
+            sink.note_point_kinds(send, recv, marker);
+        }
+        let peak = sink.peak_bytes();
+        let part = sink
+            .finish_partial()
+            .map_err(|refusal| FormatError::Refused {
+                file: input.path.display().to_string(),
+                refusal,
+            })?;
+        Ok((part, peak, nanos(t)))
+    })?;
 
     // Merge in unit order: the parts of one stream absorb left to right
     // (the canonical summation order); directory files mount at their
@@ -1055,8 +972,11 @@ fn ingest(
     let t_merge = Instant::now();
     let grid = TimeGrid::new(range.0, range.1, slices);
     let seed = |(h, states)| PartialModel::empty(kind, h, states, grid);
-    let mut merged = plan.union.map(seed);
-    for (&(input, _), part) in units.iter().zip(parts) {
+    let (mut merged, mut peak_bytes) = (plan.union.map(seed), 0);
+    let owners = units.iter().zip(&mut unit_nanos);
+    for ((part, peak, spent), (&(input, _), total)) in decoded.into_iter().zip(owners) {
+        *total += spent;
+        peak_bytes += peak;
         match merged.as_mut() {
             None => merged = Some(part),
             Some(union) if mounted => union.mount(part, input.leaf_offset),
@@ -1071,16 +991,18 @@ fn ingest(
     let shards: Vec<u64> = units.iter().map(|&(i, unit)| i.unit_bytes(unit)).collect();
     *LAST_TIMING.lock().unwrap_or_else(PoisonError::into_inner) = Some(ShardTiming {
         plan_nanos,
-        hash_nanos,
-        hash_total_nanos,
+        hash_nanos: 0,
         shard_nanos: unit_nanos,
         merge_nanos,
     });
     let [chunks_total, chunks_read, bytes_skipped] = plan.chunks;
+    // Every byte the ingest read: split headers, `.octf` indexes, extent
+    // scans and the units themselves.
+    let index_bytes: u64 = plan.inputs.iter().map(|i| i.layout.index_bytes()).sum();
+    let bytes_read = plan.plan_bytes + index_bytes + scan_bytes + shards.iter().sum::<u64>();
     Ok(IngestReport {
         model,
-        fingerprint,
-        bytes_read: hash_bytes + plan.plan_bytes + scan_bytes + shards.iter().sum::<u64>(),
+        bytes_read,
         intervals,
         points,
         peak_bytes,
@@ -1146,7 +1068,7 @@ fn graft(b: &mut HierarchyBuilder, parent: NodeId, h: &Hierarchy, name: &str) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{hash_file, hash_trace_input};
+    use crate::store::hash_trace_input;
     use crate::text::align_to_line;
     use ocelotl_trace::{Hierarchy, LeafId, StateId, TraceBuilder};
 
@@ -1220,7 +1142,6 @@ mod tests {
             write_trace(&t, &p).unwrap();
             let report = read_model(&p, 5, ModelKind::States).unwrap();
             assert_eq!(report.mode, mode, "{name}");
-            assert_eq!(report.fingerprint, hash_file(&p).unwrap(), "{name}");
             assert!(report.bytes_read >= std::fs::metadata(&p).unwrap().len());
             assert_eq!(report.intervals, 2, "{name}");
             assert!(report.peak_bytes > 0);
@@ -1238,7 +1159,6 @@ mod tests {
         assert_eq!(report.mode, IngestMode::TwoPass);
         assert_eq!(report.model.grid().start(), 1.0);
         assert_eq!(report.model.grid().end(), 5.0);
-        assert_eq!(report.fingerprint, hash_file(&p).unwrap());
         std::fs::remove_file(&p).ok();
     }
 
@@ -1365,7 +1285,6 @@ mod tests {
                 ocelotl_trace::hi_res_slices(3, 2, 1),
                 "{name}"
             );
-            assert_eq!(report.fingerprint, hash_file(&p).unwrap(), "{name}");
             assert_eq!(report.intervals, 2, "{name}");
             // Mass is conserved by the refinement.
             let direct = read_model(&p, 3, ModelKind::States).unwrap().model;
@@ -1422,8 +1341,6 @@ mod tests {
             let report = read_model(&p, 4, ModelKind::States).unwrap();
             assert!(report.gzip, "{name}");
             assert_eq!(report.format, inner, "{name}");
-            // The fingerprint covers the compressed on-disk bytes.
-            assert_eq!(report.fingerprint, hash_file(&p).unwrap(), "{name}");
             // Bit-identical to the uncompressed ingest.
             let plain = tmpdir().join(name.trim_end_matches(".gz"));
             write_trace(&t, &plain).unwrap();
@@ -1500,7 +1417,6 @@ mod tests {
                 let many = read_model_with(&p, 6, kind, &opts(s, 8)).unwrap();
                 assert_eq!(one.shards.len(), s, "{name}/{s}");
                 assert_eq!(one.shards, many.shards, "{name}/{s}");
-                assert_eq!(one.fingerprint, many.fingerprint, "{name}/{s}");
                 assert_eq!(
                     (one.intervals, one.points),
                     (many.intervals, many.points),
@@ -1524,7 +1440,6 @@ mod tests {
             let seq = read_model(&p, 5, ModelKind::Density).unwrap();
             for s in 2..=8 {
                 let sh = read_model_with(&p, 5, ModelKind::Density, &opts(s, 4)).unwrap();
-                assert_eq!(sh.fingerprint, seq.fingerprint, "{name}/{s}");
                 assert_bits_equal(&sh.model, &seq.model, &format!("{name}/{s}"));
             }
             std::fs::remove_file(&p).ok();
@@ -1539,8 +1454,6 @@ mod tests {
             write_trace(&t, &p).unwrap();
             let seq = read_model(&p, 5, ModelKind::States).unwrap();
             let sh = read_model_with(&p, 5, ModelKind::States, &opts(4, 4)).unwrap();
-            assert_eq!(sh.fingerprint, seq.fingerprint, "{name}");
-            assert_eq!(sh.fingerprint, hash_file(&p).unwrap(), "{name}");
             assert_eq!((sh.intervals, sh.points), (seq.intervals, seq.points));
             assert_eq!(sh.model.grid(), seq.model.grid(), "{name}");
             assert!(sh.bytes_read >= std::fs::metadata(&p).unwrap().len());
@@ -1580,7 +1493,6 @@ mod tests {
         let sh = read_model_with(&p, 5, ModelKind::States, &opts(3, 2)).unwrap();
         assert_eq!(sh.mode, IngestMode::TwoPass);
         assert_eq!(sh.model.grid(), seq.model.grid());
-        assert_eq!(sh.fingerprint, seq.fingerprint);
         std::fs::remove_file(&p).ok();
     }
 
@@ -1637,7 +1549,6 @@ mod tests {
         assert_eq!(report.intervals, 24);
         // Leaves 0..2 belong to rank0, 2..5 to rank1; cells match per-file
         // ingests rebuilt over the union grid.
-        assert_eq!(report.fingerprint, hash_trace_input(&d).unwrap());
         std::fs::remove_dir_all(&d).ok();
     }
 

@@ -78,7 +78,7 @@ pub use micro_cache::{load_micro, read_micro_cache, save_micro, write_micro};
 pub use paje::{decode_paje, read_paje, write_paje};
 pub use part_cache::{load_partitions, read_partitions, save_partitions, write_partitions};
 pub use store::{
-    combine_chunk_hashes, hash_file, hash_file_chunk, hash_reader, hash_trace, hash_trace_input,
-    DiskStore, HASH_CHUNK_BYTES, KEEP_PER_KIND,
+    hash_file, hash_file_chunk, hash_reader, hash_trace, hash_trace_input, DiskStore,
+    HASH_CHUNK_BYTES, KEEP_PER_KIND,
 };
 pub use text::{decode_text, read_text, write_text};

@@ -32,13 +32,14 @@
 //! plain streamed FNV-1a, and the per-chunk digests folded — 8
 //! little-endian bytes each, in chunk order — into an outer FNV-1a.
 //! Inputs that fit in one chunk keep the plain FNV-1a value, so keys of
-//! small traces are unchanged by the chunking. The indirection exists
-//! because raw FNV-1a does not compose over byte ranges: with per-chunk
-//! digests ingestion fingerprints every raw file as chunk tasks on its
-//! pool, beside the decode, and [`combine_chunk_hashes`] reproduces the
-//! exact key one sequential read ([`hash_file`]) yields.
-//! [`hash_trace_input`] is the key of any trace input: files, plain
-//! `.octf` chunk indexes and directories.
+//! small traces are unchanged by the chunking.
+//!
+//! [`hash_trace_input`] is the one content fingerprint of a trace input
+//! (files, plain `.octf` chunk indexes and directories); apart from the
+//! `.octf` index fold it calls (`ColumnarPlan::fingerprint`), nothing else
+//! computes one. An ingest does not hash: a session asks for the
+//! fingerprint only where a key is used, to key its artifact store or to
+//! answer a `stats` request.
 
 use crate::cube_cache::{load_cube, save_cube};
 use crate::error::{FormatError, Result};
@@ -128,24 +129,6 @@ impl ChunkedFnv {
     }
 }
 
-/// Combine per-chunk raw FNV-1a digests (in chunk order) into the input's
-/// fingerprint — the parallel counterpart of [`hash_file`]: hashing each
-/// [`HASH_CHUNK_BYTES`] chunk independently and combining here yields the
-/// same key as one sequential pass.
-pub fn combine_chunk_hashes(chunks: &[u64]) -> u64 {
-    match chunks {
-        [] => FNV_SEED,
-        [one] => *one,
-        many => {
-            let mut outer = FNV_SEED;
-            for c in many {
-                outer = fnv1a(outer, &c.to_le_bytes());
-            }
-            outer
-        }
-    }
-}
-
 /// Content hash of a file (the trace fingerprint of file-backed
 /// sessions): chunk-combined FNV-1a over the raw bytes.
 pub fn hash_file(path: &Path) -> std::io::Result<u64> {
@@ -161,10 +144,10 @@ pub fn hash_file(path: &Path) -> std::io::Result<u64> {
     }
 }
 
-/// Raw FNV-1a digest of one [`HASH_CHUNK_BYTES`]-aligned byte range of a
-/// file — the unit of work for parallel fingerprinting. Reads exactly
-/// `len` bytes starting at `start`; a short file is an error (the caller
-/// planned the chunks from the same metadata).
+/// Raw FNV-1a digest of the byte range `[start, start + len)` of a file —
+/// what [`crate::columnar::ColumnarPlan::fingerprint`] folds for a plain
+/// `.octf`'s header and footer. Reads exactly `len` bytes; a short file is
+/// an error (the caller planned the range from the same metadata).
 pub fn hash_file_chunk(path: &Path, start: u64, len: u64) -> std::io::Result<u64> {
     use std::io::{Seek, SeekFrom};
     let mut f = File::open(path)?;
@@ -189,18 +172,18 @@ pub fn hash_file_chunk(path: &Path, start: u64, len: u64) -> std::io::Result<u64
 
 /// Combine per-file content hashes into a directory's fingerprint: an FNV
 /// fold over the 8-byte little-endian hashes in sorted file order.
-pub(crate) fn combine_file_hashes(hashes: &[u64]) -> u64 {
+fn combine_file_hashes(hashes: &[u64]) -> u64 {
     hashes
         .iter()
         .fold(FNV_SEED, |acc, h| fnv1a(acc, &h.to_le_bytes()))
 }
 
-/// Content fingerprint of a trace input — the key ingestion reports, so
-/// artifact keys agree. A plain `.octf` file folds its chunk index (header
-/// and footer bytes only, so pushdown ingests key identically to full
-/// ones); any other file, gzip-framed `.octf` included, is [`hash_file`]
-/// of its on-disk bytes; a directory folds its files' hashes in sorted
-/// file order.
+/// Content fingerprint of a trace input — the one function that computes
+/// it (module docs). A plain `.octf` file folds its chunk index (header
+/// and footer bytes only, so the key never depends on which chunks an
+/// ingest reads); any other file, gzip-framed `.octf` included, is
+/// [`hash_file`] of its on-disk bytes; a directory folds its files' hashes
+/// in sorted file order.
 pub fn hash_trace_input(path: &Path) -> std::io::Result<u64> {
     let invalid = |e: FormatError| std::io::Error::new(ErrorKind::InvalidData, e.to_string());
     if path.is_dir() {
@@ -560,6 +543,19 @@ mod tests {
             hash_trace(&b2.build()).unwrap()
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Combine per-chunk raw FNV-1a digests (in chunk order) into the
+    /// input's fingerprint: the scheme of the module docs, written out
+    /// directly as the reference [`hash_file`] must match.
+    fn combine_chunk_hashes(chunks: &[u64]) -> u64 {
+        match chunks {
+            [] => FNV_SEED,
+            [one] => *one,
+            many => many
+                .iter()
+                .fold(FNV_SEED, |outer, c| fnv1a(outer, &c.to_le_bytes())),
+        }
     }
 
     /// Reference chunked digest built the slow, obvious way: raw FNV per

@@ -10,7 +10,11 @@
 //! Causality: a receive completes at `max(receiver clock, message arrival)`;
 //! arrival is `send time + transfer time` from the [`Network`]. Execution
 //! order therefore never violates message ordering, and runs are
-//! deterministic for a fixed seed.
+//! deterministic for a fixed seed — their memory use too: the engine's maps
+//! hash with fixed keys (`FixedKeys`), so a seed replays the same
+//! allocations and frees. `HashMap`'s default per-process random keys
+//! would free the channel queues in a different order on every run and
+//! leave the heap of the process a different shape each time.
 
 use crate::network::Network;
 use crate::platform::Platform;
@@ -18,7 +22,13 @@ use ocelotl_trace::{LeafId, StateId, StateRegistry, Trace, TraceBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+
+/// The hasher of the engine's maps: the standard hasher with the same keys
+/// in every process (see the module docs).
+type FixedKeys = BuildHasherDefault<DefaultHasher>;
 
 /// One instruction of a rank's program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -237,8 +247,8 @@ impl<'a> Engine<'a> {
             })
             .collect();
 
-        let mut channels: HashMap<(u32, u32), VecDeque<f64>> = HashMap::new();
-        let mut collectives: HashMap<usize, Collective> = HashMap::new();
+        let mut channels: HashMap<(u32, u32), VecDeque<f64>, FixedKeys> = HashMap::default();
+        let mut collectives: HashMap<usize, Collective, FixedKeys> = HashMap::default();
         let mut heap: BinaryHeap<Reverse<(TimeKey, u32)>> = BinaryHeap::new();
         for r in 0..n as u32 {
             heap.push(Reverse((TimeKey(0.0), r)));

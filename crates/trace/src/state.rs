@@ -4,7 +4,7 @@
 //! function call and its return, §III.A(3)). The paper deliberately puts no
 //! algebraic structure on `X`; we only intern names to dense ids.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Dense identifier of a state within a [`StateRegistry`].
@@ -28,10 +28,14 @@ impl fmt::Display for StateId {
 /// Interning table for state names.
 ///
 /// Ids are dense (`0..len`) so per-state data can live in flat arrays.
+/// The name index is ordered, so dropping a registry frees its names in
+/// the same order in every process (a `HashMap` frees them in the order of
+/// its per-process random keys, which leaves the heap a different shape
+/// on each run).
 #[derive(Debug, Clone, Default)]
 pub struct StateRegistry {
     names: Vec<String>,
-    index: HashMap<String, StateId>,
+    index: BTreeMap<String, StateId>,
 }
 
 impl StateRegistry {

@@ -34,7 +34,7 @@
 //! assert!((model.rho(LeafId(0), hot, 7) - 1.0).abs() < 1e-12);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::event::Time;
@@ -66,7 +66,7 @@ impl fmt::Display for VariableId {
 #[derive(Debug, Clone, Default)]
 pub struct VariableRegistry {
     names: Vec<String>,
-    index: HashMap<String, VariableId>,
+    index: BTreeMap<String, VariableId>,
 }
 
 impl VariableRegistry {

@@ -11,11 +11,10 @@
 //!   non-overlapping chunks derives the same window bits as a full
 //!   ingest followed by `derive_window`, and a predicate-restricted
 //!   model equals the sink-side filtered model of a row format.
-//! - **Cache-key invariance** — the index-combined fingerprint is the
-//!   same on the full and every pushdown route (and equals
-//!   `hash_trace_input`), so pushdown ingests hit the same artifacts a
-//!   full ingest wrote; a warm `.omicro` store serves a windowed
-//!   re-slice with zero source reads.
+//! - **Cache-key invariance** — the index-combined fingerprint reads no
+//!   chunk payload and equals `hash_trace_input`, so pushdown ingests hit
+//!   the same artifacts a full ingest wrote; a warm `.omicro` store
+//!   serves a windowed re-slice with zero source reads.
 //! - **Deterministic telemetry** — `chunks_total`/`chunks_read`/
 //!   `bytes_skipped` are pure functions of the index and the predicate.
 //! - **Fault isolation** — a corrupted chunk fails with a typed error
@@ -24,9 +23,9 @@
 
 use ocelotl::core::{HiResModel, IngestStats, Metric, ModelSource, PushdownProbe, SessionError};
 use ocelotl::format::{
-    gzip_stored, hash_file, hash_trace_input, plan_columnar, read_hi_res, read_hi_res_window,
-    read_model, read_model_with, write_columnar_chunked, write_trace, FormatError, IngestMode,
-    IngestOptions, Predicate, ShardMode,
+    gzip_stored, hash_trace_input, plan_columnar, read_hi_res, read_hi_res_window, read_model,
+    read_model_with, write_columnar_chunked, write_trace, FormatError, IngestMode, IngestOptions,
+    Predicate, ShardMode,
 };
 use ocelotl::prelude::*;
 use ocelotl::trace::{hi_res_slices, ModelKind, PointEvent, PointKind};
@@ -139,7 +138,6 @@ fn sharded_octf_equals_sequential_at_any_worker_count() {
                 let par = read_model_with(&octf, 12, kind, &opts(shards, workers)).unwrap();
                 let tag = format!("{kind:?} shards={shards} workers={workers}");
                 assert_bit_identical(&par.model, &seq.model, &tag);
-                assert_eq!(par.fingerprint, seq.fingerprint, "{tag}: fingerprint");
                 assert_eq!(par.chunks_total, 9, "{tag}: chunk count");
                 assert_eq!(par.chunks_read, 9, "{tag}: full ingest reads all");
                 assert_eq!(par.bytes_skipped, 0, "{tag}");
@@ -161,9 +159,6 @@ fn gzip_framed_octf_matches_plain() {
     let framed = read_model(&gz, 12, ModelKind::States).unwrap();
     assert_bit_identical(&framed.model, &plain.model, "gzip octf");
     assert!(framed.gzip && !plain.gzip);
-    // Compressed fingerprints hash the on-disk bytes (no random access
-    // into a DEFLATE stream), exactly like every other .gz input.
-    assert_eq!(framed.fingerprint, hash_file(&gz).unwrap());
     std::fs::remove_file(&octf).ok();
     std::fs::remove_file(&gz).ok();
 }
@@ -183,7 +178,6 @@ fn windowed_pushdown_equals_full_ingest_then_derive_window() {
         (ModelKind::Density, Metric::Density),
     ] {
         let full = read_hi_res(&octf, n, kind).unwrap();
-        let full_key = full.fingerprint;
         let h = full.model.n_slices();
         assert_eq!(h, hi_res_slices(n, 6, trace.states.len()));
         let resident = HiResModel::new(metric, full.model);
@@ -204,8 +198,6 @@ fn windowed_pushdown_equals_full_ingest_then_derive_window() {
             let windowed = HiResModel::new(metric, push.model);
             let got = windowed.derive_window(first, count, n).unwrap();
             assert_bit_identical(&got, &want, &format!("{metric:?} window {first}+{count}"));
-            // Pushdown never changes the artifact key.
-            assert_eq!(push.fingerprint, full_key);
         }
     }
     std::fs::remove_file(&octf).ok();
@@ -280,12 +272,10 @@ fn pushdown_fingerprint_equals_full_ingest_key() {
     let trace = fixture_trace();
     let octf = scratch("octf");
     write_octf(&trace, &octf, 32);
-    let full = read_model(&octf, 12, ModelKind::States).unwrap();
     // The index-combined fingerprint is computable without reading chunk
     // payloads and equals the canonical input hash.
-    assert_eq!(full.fingerprint, hash_trace_input(&octf).unwrap());
     assert_eq!(
-        full.fingerprint,
+        hash_trace_input(&octf).unwrap(),
         plan_columnar(&octf).unwrap().fingerprint(&octf).unwrap()
     );
     let pred = IngestOptions {
@@ -297,7 +287,6 @@ fn pushdown_fingerprint_equals_full_ingest_key() {
     };
     let a = read_model_with(&octf, 12, ModelKind::States, &pred).unwrap();
     let b = read_model_with(&octf, 12, ModelKind::States, &pred).unwrap();
-    assert_eq!(a.fingerprint, full.fingerprint, "pushdown key == full key");
     // Telemetry is a pure function of index × predicate.
     assert_eq!(a.chunks_read, b.chunks_read);
     assert_eq!(a.bytes_skipped, b.bytes_skipped);
@@ -320,7 +309,6 @@ struct OctfSource {
 impl OctfSource {
     fn stats(report: &ocelotl::format::IngestReport) -> IngestStats {
         IngestStats {
-            fingerprint: report.fingerprint,
             bytes_read: report.bytes_read,
             intervals: report.intervals,
             points: report.points,
@@ -460,7 +448,7 @@ fn warm_store_serves_windowed_reslice_with_zero_source_reads() {
     drop(s1);
 
     // Session 2 (same store): the windowed re-slice finds the artifact —
-    // keyed by the same fingerprint a pushdown ingest reports — and never
+    // keyed by the trace's index-combined fingerprint — and never
     // touches the trace.
     let (s2, reads2) = octf_session(&octf, 12);
     let mut s2 = s2.with_store(store());

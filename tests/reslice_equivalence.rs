@@ -227,7 +227,6 @@ impl ModelSource for CountingFileSource {
         let report = read_hi_res(&self.path, n_slices, self.metric_kind)
             .map_err(|e| SessionError::source(e.to_string()))?;
         let stats = IngestStats {
-            fingerprint: report.fingerprint,
             bytes_read: report.bytes_read,
             intervals: report.intervals,
             points: report.points,

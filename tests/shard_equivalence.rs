@@ -4,7 +4,7 @@
 //! The contracts pinned here, for every format and metric:
 //!
 //! - **Worker invariance** — a fixed shard plan produces bit-identical
-//!   models, fingerprints and telemetry at any worker count. The plan is a
+//!   models and telemetry at any worker count. The plan is a
 //!   pure function of the trace content; `--threads` only redistributes
 //!   work.
 //! - **Density exactness** — density cells are raw event counts until one
@@ -16,13 +16,11 @@
 //!   exact), so the union model equals a single concatenated file holding
 //!   the same events, bitwise, for both metrics.
 //! - **Gzip transparency** — a `.gz` member decodes to the same bits as the
-//!   plain file, while the fingerprint covers the on-disk (compressed)
-//!   bytes, matching `hash_file` in every case.
+//!   plain file.
 
 use ocelotl::format::{
-    gzip_stored, hash_file, hash_trace_input, read_model, read_model_with, read_trace, trace_files,
-    write_binary, write_columnar_chunked, write_text, write_trace, IngestOptions, Predicate,
-    ShardMode,
+    gzip_stored, read_model, read_model_with, read_trace, trace_files, write_binary,
+    write_columnar_chunked, write_text, write_trace, IngestOptions, Predicate, ShardMode,
 };
 use ocelotl::prelude::*;
 use ocelotl::trace::{ModelKind, ModelSink, PartialModel, PointEvent, PointKind};
@@ -105,8 +103,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fixed shard plans × {1,2,8} workers × both metrics × both seekable
-    /// formats: every output bit, the fingerprint and the decoded counts
-    /// must be worker-invariant (the plan is content-only; workers just
+    /// formats: every output bit and the decoded counts must be
+    /// worker-invariant (the plan is content-only; workers just
     /// race through it).
     #[test]
     fn sharded_ingest_is_worker_invariant(
@@ -129,7 +127,6 @@ proptest! {
                     let other =
                         read_model_with(&path, n_slices, kind, &opts(shards, workers)).unwrap();
                     let what = format!("{ext}/{kind:?}/{shards}sh/{workers}w");
-                    prop_assert_eq!(base.fingerprint, other.fingerprint, "{}", &what);
                     prop_assert_eq!(&base.shards, &other.shards, "{}", &what);
                     prop_assert_eq!(
                         (base.intervals, base.points),
@@ -161,7 +158,6 @@ proptest! {
             for shards in 2..=8usize {
                 let sh =
                     read_model_with(&path, n_slices, ModelKind::Density, &opts(shards, 4)).unwrap();
-                prop_assert_eq!(sh.fingerprint, seq.fingerprint);
                 assert_bit_identical(&sh.model, &seq.model, &format!("{ext}/{shards}"));
             }
             std::fs::remove_file(&path).ok();
@@ -169,8 +165,7 @@ proptest! {
     }
 
     /// Gzip members decode to the same bits as the plain file for every
-    /// format and metric; the fingerprint covers the compressed on-disk
-    /// bytes (= `hash_file` of the `.gz`).
+    /// format and metric.
     #[test]
     fn gzip_ingest_matches_plain_bitwise(
         n_leaves in 1usize..4,
@@ -188,7 +183,6 @@ proptest! {
                 let a = read_model(&plain, n_slices, kind).unwrap();
                 let b = read_model(&gz, n_slices, kind).unwrap();
                 prop_assert!(b.gzip, "{}: gzip flag", ext);
-                prop_assert_eq!(b.fingerprint, hash_file(&gz).unwrap(), "{}", ext);
                 assert_bit_identical(&a.model, &b.model, &format!("{ext}/{kind:?}"));
             }
             std::fs::remove_file(&plain).ok();
@@ -197,9 +191,7 @@ proptest! {
     }
 
     /// A directory of per-rank files vs one concatenated file carrying the
-    /// same events on the union layout: bit-identical for both metrics,
-    /// and the directory fingerprint is reproducible via
-    /// `hash_trace_input`.
+    /// same events on the union layout: bit-identical for both metrics.
     #[test]
     fn multi_file_matches_concatenated_single_file(
         ev_a in proptest::collection::vec(
@@ -251,7 +243,6 @@ proptest! {
             let fused = read_model(&single, n_slices, kind).unwrap();
             prop_assert_eq!(union.shards.len(), 2);
             assert_bit_identical(&union.model, &fused.model, &format!("mf/{kind:?}"));
-            prop_assert_eq!(union.fingerprint, hash_trace_input(&dir).unwrap());
         }
         std::fs::remove_file(&single).ok();
         std::fs::remove_dir_all(&dir).ok();
@@ -350,7 +341,6 @@ fn degenerate_shard_plans_are_harmless() {
         // 3 intervals + 1 point across 8 requested shards: several shards
         // decode nothing at all.
         let sh = read_model_with(&path, 4, ModelKind::Density, &opts(8, 3)).unwrap();
-        assert_eq!(sh.fingerprint, seq.fingerprint, "{ext}");
         assert_eq!((sh.intervals, sh.points), (seq.intervals, seq.points));
         assert_bit_identical(&sh.model, &seq.model, ext);
         std::fs::remove_file(&path).ok();
@@ -386,8 +376,7 @@ fn auto_plan_ignores_worker_budget() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Multi-file ingestion accepts mixed formats and gzip members; the union
-/// fingerprint tracks content and sorted file order.
+/// Multi-file ingestion accepts mixed formats and gzip members.
 #[test]
 fn mixed_format_directory_ingests_and_fingerprints() {
     let dir = scratch("mixed");
@@ -406,7 +395,6 @@ fn mixed_format_directory_ingests_and_fingerprints() {
     assert_eq!(report.model.n_leaves(), 4);
     assert!(report.gzip, "any gzip member flags the report");
     assert_eq!(report.shards.len(), 2);
-    assert_eq!(report.fingerprint, hash_trace_input(&dir).unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -524,10 +512,9 @@ fn directory_predicates_match_the_concatenated_file() {
 }
 
 /// Every kind of unit in one directory: a plain `.octf` (chunk index
-/// extent and fingerprint), a range-less `.ptf` (scanned), a `.paje`
-/// (scanned, no point events) and a `.btf.gz` (gzip stream). The union is
-/// bit-identical to the concatenated file at any worker count, and its
-/// fingerprint is `hash_trace_input` of the directory.
+/// extent), a range-less `.ptf` (scanned), a `.paje` (scanned, no point
+/// events) and a `.btf.gz` (gzip stream). The union is bit-identical to
+/// the concatenated file at any worker count.
 #[test]
 fn every_unit_kind_in_one_directory_matches_the_concatenated_file() {
     let dir = scratch("mf-all");
@@ -574,7 +561,6 @@ fn every_unit_kind_in_one_directory_matches_the_concatenated_file() {
             let union = read_model_with(&dir, 7, kind, &opts).unwrap();
             let what = format!("{kind:?}/{workers}w");
             assert_eq!(union.shards.len(), 4, "{what}: one unit per file");
-            assert_eq!(union.fingerprint, hash_trace_input(&dir).unwrap(), "{what}");
             assert_eq!(
                 (union.intervals, union.points),
                 (fused.intervals, fused.points),
