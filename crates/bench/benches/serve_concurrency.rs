@@ -13,16 +13,22 @@
 //! asserts ≥3× throughput at 4 clients vs 1, and that every reply is
 //! byte-identical to the single-client bytes.
 //!
+//! **Alternating phase.** 4 clients replay the same stream, alternating
+//! the session's resolution and twice that on every request (perfbench
+//! serve-mixed's 64/128 pattern), all against the one pooled session. Its
+//! throughput is reported next to the one-resolution rows.
+//!
 //! **Head-of-line phase.** p95 warm-read latency is sampled uncontended,
 //! then re-sampled while a much larger trace cold-ingests on a second
 //! connection. The run asserts the contended p95 stays within 2× of the
 //! baseline: the cold build holds no lock a warm reader needs.
 //!
 //! Emits one `BENCH {...}` line per measurement plus
-//! `BENCH_concurrency.json` (path override: `BENCH_CONCURRENCY_JSON`).
-//! Env knobs: `OCELOTL_CONCURRENCY_EVENTS` (warm-trace target, default
-//! 200 000; the cold trace is 4× that), `OCELOTL_CONCURRENCY_SLICES`
-//! (default 64).
+//! `BENCH_concurrency.json` (path override: `BENCH_CONCURRENCY_JSON`),
+//! every row with the box's `available_parallelism`, before either bar is
+//! checked, so a run that misses one still reports its figures. Env knobs:
+//! `OCELOTL_CONCURRENCY_EVENTS` (warm-trace target, default 200 000; the
+//! cold trace is 4× that), `OCELOTL_CONCURRENCY_SLICES` (default 64).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocelotl::core::query::AnalysisRequest;
@@ -103,50 +109,66 @@ fn bench_concurrency(_c: &mut Criterion) {
     let warm_trace = warm_path.display().to_string();
 
     // The mixed warm stream: aggregates at three p values, a level sweep
-    // and a (no-op resolution) reslice — reads plus one brief writer.
+    // and a (no-op resolution) reslice.
     let agg = |p: f64| AnalysisRequest::Aggregate {
         p,
         coarse: false,
         compare: false,
         diff_p: None,
     };
-    let mix: Vec<String> = [
-        agg(0.2),
-        agg(0.5),
-        agg(0.8),
-        AnalysisRequest::Sweep {
-            resolution: 1e-2,
-            steps: 4,
-        },
-        AnalysisRequest::Reslice {
+    let mix_at = |n_slices: usize| -> Vec<String> {
+        let config = SessionConfig {
             n_slices,
-            range: None,
-        },
-    ]
-    .iter()
-    .map(|r| ocelotl::format::encode_wire_request(&warm_trace, &config, r))
-    .collect();
+            ..SessionConfig::default()
+        };
+        [
+            agg(0.2),
+            agg(0.5),
+            agg(0.8),
+            AnalysisRequest::Sweep {
+                resolution: 1e-2,
+                steps: 4,
+            },
+            AnalysisRequest::Reslice {
+                n_slices,
+                range: None,
+            },
+        ]
+        .iter()
+        .map(|r| ocelotl::format::encode_wire_request(&warm_trace, &config, r))
+        .collect()
+    };
+    let mix = mix_at(n_slices);
+    // The same stream with every other request at twice the resolution:
+    // consecutive entries (wrap-around included) alternate.
+    let alternating: Vec<String> = mix
+        .iter()
+        .cloned()
+        .zip(mix_at(2 * n_slices))
+        .flat_map(|(one, twice)| [one, twice])
+        .collect();
 
-    // Warm the session (cold build + every memo the mix touches) and pin
+    // Warm the session (cold build + every memo the streams touch) and pin
     // the expected bytes — concurrency must not change a single one.
     let mut warm_client = Client::connect(&addr);
     let expected: Vec<String> = mix.iter().map(|w| warm_client.call(w)).collect();
-    for r in &expected {
+    let alternating_expected: Vec<String> =
+        alternating.iter().map(|w| warm_client.call(w)).collect();
+    for r in expected.iter().chain(&alternating_expected) {
         assert!(r.contains("\"reply\""), "{r}");
     }
 
-    // ---- Throughput phase -------------------------------------------
-    let mut throughput = Vec::new();
-    for &n_clients in &CLIENT_COUNTS {
+    // ---- Throughput phases ------------------------------------------
+    let run_clients = |n_clients: usize, stream: &[String], expected: &[String]| {
         let t0 = Instant::now();
         std::thread::scope(|scope| {
             for c in 0..n_clients {
-                let (addr, mix, expected) = (&addr, &mix, &expected);
+                let addr = &addr;
                 scope.spawn(move || {
                     let mut client = Client::connect(addr);
                     for k in 0..REQUESTS_PER_CLIENT {
-                        let i = (c + k) % mix.len();
-                        let got = client.call(&mix[i]);
+                        let i = (c + k) % stream.len();
+                        let got = client.call(&stream[i]);
                         assert_eq!(got, expected[i], "client {c} request {k}");
                         std::thread::sleep(THINK);
                     }
@@ -160,16 +182,17 @@ fn bench_concurrency(_c: &mut Criterion) {
             n_clients * REQUESTS_PER_CLIENT,
             wall.as_secs_f64() * 1e3
         );
-        throughput.push((n_clients, tput));
-    }
+        tput
+    };
+    let throughput: Vec<(usize, f64)> = CLIENT_COUNTS
+        .iter()
+        .map(|&n| (n, run_clients(n, &mix, &expected)))
+        .collect();
     let tput1 = throughput[0].1;
     let tput4 = throughput[2].1;
     let scaling = tput4 / tput1.max(1e-9);
-    assert!(
-        scaling >= 3.0,
-        "4 warm clients must deliver >=3x the throughput of 1 (got {scaling:.2}x: \
-         {tput1:.0} -> {tput4:.0} req/s); warm reads are serializing somewhere"
-    );
+    println!("alternating {n_slices} and {} slices:", 2 * n_slices);
+    let alternating_tput = run_clients(4, &alternating, &alternating_expected);
 
     // ---- Head-of-line phase -----------------------------------------
     // Uncontended p95 of a warm aggregate read…
@@ -226,38 +249,39 @@ fn bench_concurrency(_c: &mut Criterion) {
         base_p95.as_secs_f64() * 1e3,
         cont_p95.as_secs_f64() * 1e3,
     );
-    assert!(
-        ratio <= 2.0,
-        "a cold ingest must not block warm reads: contended p95 {:.3} ms \
-         vs baseline {:.3} ms ({ratio:.2}x > 2x)",
-        cont_p95.as_secs_f64() * 1e3,
-        base_p95.as_secs_f64() * 1e3,
-    );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let row = |fields: String| {
+        format!(
+            "{{\"bench\":\"serve_concurrency\",{fields},\"target_events\":{target},\
+             \"slices\":{n_slices},\"available_parallelism\":{cores}}}"
+        )
+    };
     let mut entries: Vec<String> = throughput
         .iter()
         .map(|(n, tput)| {
-            format!(
-                "{{\"bench\":\"serve_concurrency\",\"phase\":\"throughput\",\
-                 \"target_events\":{target},\"slices\":{n_slices},\
-                 \"clients\":{n},\"requests\":{},\"throughput_rps\":{tput:.1}}}",
+            row(format!(
+                "\"phase\":\"throughput\",\"clients\":{n},\"requests\":{},\
+                 \"throughput_rps\":{tput:.1}",
                 n * REQUESTS_PER_CLIENT
-            )
+            ))
         })
         .collect();
-    entries.push(format!(
-        "{{\"bench\":\"serve_concurrency\",\"phase\":\"scaling\",\
-         \"target_events\":{target},\"slices\":{n_slices},\
-         \"clients\":4,\"vs_clients\":1,\"speedup\":{scaling:.2}}}"
-    ));
-    entries.push(format!(
-        "{{\"bench\":\"serve_concurrency\",\"phase\":\"head_of_line\",\
-         \"target_events\":{target},\"slices\":{n_slices},\
-         \"baseline_p95_ms\":{:.4},\"contended_p95_ms\":{:.4},\
-         \"ratio\":{ratio:.2},\"overlapped_reads\":{overlapped}}}",
+    entries.push(row(format!(
+        "\"phase\":\"throughput_alternating\",\"alternate_slices\":{},\"clients\":4,\
+         \"requests\":{},\"throughput_rps\":{alternating_tput:.1}",
+        2 * n_slices,
+        4 * REQUESTS_PER_CLIENT
+    )));
+    entries.push(row(format!(
+        "\"phase\":\"scaling\",\"clients\":4,\"vs_clients\":1,\"speedup\":{scaling:.2}"
+    )));
+    entries.push(row(format!(
+        "\"phase\":\"head_of_line\",\"baseline_p95_ms\":{:.4},\
+         \"contended_p95_ms\":{:.4},\"ratio\":{ratio:.2},\"overlapped_reads\":{overlapped}",
         base_p95.as_secs_f64() * 1e3,
         cont_p95.as_secs_f64() * 1e3,
-    ));
+    )));
     for e in &entries {
         println!("BENCH {e}");
     }
@@ -271,6 +295,20 @@ fn bench_concurrency(_c: &mut Criterion) {
     }
     std::fs::remove_file(&warm_path).ok();
     std::fs::remove_file(&cold_path).ok();
+
+    // The bars, checked once every row is out.
+    assert!(
+        scaling >= 3.0,
+        "4 warm clients must deliver >=3x the throughput of 1 (got {scaling:.2}x: \
+         {tput1:.0} -> {tput4:.0} req/s); warm reads are serializing somewhere"
+    );
+    assert!(
+        ratio <= 2.0,
+        "a cold ingest must not block warm reads: contended p95 {:.3} ms \
+         vs baseline {:.3} ms ({ratio:.2}x > 2x)",
+        cont_p95.as_secs_f64() * 1e3,
+        base_p95.as_secs_f64() * 1e3,
+    );
 }
 
 criterion_group!(benches, bench_concurrency);

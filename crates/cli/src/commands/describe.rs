@@ -55,7 +55,7 @@ pub fn run(tokens: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         Some(o) => std::path::PathBuf::from(o),
         None => path.with_extension("omm"),
     };
-    ocelotl::format::save_micro(engine.session_mut().model()?, &out_path)?;
+    ocelotl::format::save_micro(engine.session().model()?, &out_path)?;
     let size = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
 
     if args.has("json") {

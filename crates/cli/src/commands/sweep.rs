@@ -88,7 +88,7 @@ pub fn run(tokens: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     let elapsed = t0.elapsed();
-    let dp_runs = engine.session_mut().dp_runs();
+    let dp_runs = engine.session().dp_runs();
 
     if args.has("json") {
         // Each resolution emits its reslice reply line (identifying the

@@ -18,8 +18,8 @@ feed, e.g. `ocelotl simulate --live`) and print a refreshed reply every
 time the model advances, until the feed completes. <addr> is host:port
 (TCP) or unix:/path/to.sock; <name> is the live session's advertised
 name (default `live`); <kind> and its options are the same request kinds
-`ocelotl query` accepts, except `reslice` (a subscription cannot mutate
-the session it watches).
+`ocelotl query` accepts, except `reslice` (a subscription answers at
+the live session's published resolution).
 
 The session parameters (--slices, --metric) must match the live
 session's pinned parameters; mismatches are refused up front.

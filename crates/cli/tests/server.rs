@@ -1059,3 +1059,117 @@ fn live_subscribers_match_a_fresh_session_fed_the_same_events() {
     eventually("subscribers done", || feeder.subscribers() == 0);
     server.stop();
 }
+
+/// A one-shot request at a resolution the live grid cannot serve is
+/// refused, typed, and changes nothing the feeder relies on: the growth
+/// quantum stays the publish resolution, every later feed lands and is
+/// announced, and the publish resolution keeps answering the same bytes
+/// as a live session that never saw the request.
+#[test]
+fn a_refused_one_shot_resolution_leaves_the_live_feed_intact() {
+    use ocelotl::core::query::QueryError;
+    use ocelotl::trace::{LeafId, StateId};
+
+    let batches = [
+        vec![(LeafId(0), StateId(0), 0.0, 2.0)],
+        vec![(LeafId(1), StateId(1), 2.0, 3.0)],
+        // Past the [0, 8) horizon: the grid grows.
+        vec![(LeafId(1), StateId(1), 9.0, 10.0)],
+    ];
+    let aggregate = |n_slices| {
+        ocelotl::format::encode_wire_request(
+            "live",
+            &SessionConfig {
+                n_slices,
+                ..SessionConfig::default()
+            },
+            &AnalysisRequest::Aggregate {
+                p: 0.5,
+                coarse: false,
+                compare: false,
+                diff_p: None,
+            },
+        )
+    };
+
+    let state = ServerState::new(ServeOptions::default());
+    let feeder = state.publish_live("live", live_engine(4));
+    feeder.feed(&batches[0]).unwrap();
+    let refused = ocelotl::format::decode_reply(&state.handle_line(&aggregate(7))).unwrap();
+    assert_eq!(
+        refused,
+        Err(QueryError::InvalidRequest(
+            "--slices 7 does not divide the live grid's 4096 periods".into()
+        ))
+    );
+    feeder
+        .feed(&batches[1])
+        .expect("the feed after the one-shot");
+    feeder.feed(&batches[2]).expect("the growing feed");
+    assert_eq!(feeder.events(), 3, "every batch is announced");
+
+    let untouched = ServerState::new(ServeOptions::default());
+    let reference = untouched.publish_live("live", live_engine(4));
+    for batch in &batches {
+        reference.feed(batch).unwrap();
+    }
+    let expected = untouched.handle_line(&aggregate(4));
+    assert!(expected.contains("\"reply\""), "{expected}");
+    assert_eq!(state.handle_line(&aggregate(4)), expected);
+}
+
+/// A reader holding the published live snapshot blocks no feed: the feed
+/// lands while the snapshot is held, the held snapshot keeps answering for
+/// the events it was taken at, and a one-shot request sees the new ones.
+#[test]
+fn a_held_live_snapshot_blocks_no_feed() {
+    use ocelotl::core::LiveEvent;
+    use ocelotl::format::encode_reply;
+    use ocelotl::trace::{LeafId, StateId};
+    use std::time::Duration;
+
+    let first: [LiveEvent; 1] = [(LeafId(0), StateId(0), 0.0, 2.0)];
+    let second: [LiveEvent; 1] = [(LeafId(1), StateId(1), 2.0, 4.0)];
+    let aggregate = AnalysisRequest::Aggregate {
+        p: 0.5,
+        coarse: false,
+        compare: false,
+        diff_p: None,
+    };
+    let fresh = |batches: &[&[LiveEvent]]| {
+        let mut engine = live_engine(4);
+        for batch in batches {
+            engine.session_mut().advance(batch).unwrap();
+        }
+        encode_reply(&engine.execute(&aggregate))
+    };
+    let (before, after) = (fresh(&[&first]), fresh(&[&first, &second]));
+    assert_ne!(before, after);
+
+    let state = ServerState::new(ServeOptions::default());
+    let feeder = state.publish_live("live", live_engine(4));
+    feeder.feed(&first).unwrap();
+    std::thread::scope(|scope| {
+        feeder.with_engine(|held| {
+            let (fed_tx, fed) = std::sync::mpsc::channel();
+            let feeder = &feeder;
+            let second = &second;
+            scope.spawn(move || fed_tx.send(feeder.feed(second)).unwrap());
+            let fed = fed
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a held snapshot must not block the feed");
+            fed.unwrap();
+            assert_eq!(encode_reply(&held.answer(&aggregate)), before);
+        });
+    });
+    assert_eq!(feeder.events(), 2);
+    let line = ocelotl::format::encode_wire_request(
+        "live",
+        &SessionConfig {
+            n_slices: 4,
+            ..SessionConfig::default()
+        },
+        &aggregate,
+    );
+    assert_eq!(state.handle_line(&line), after);
+}

@@ -30,7 +30,7 @@ use crate::pvalues::{significant_partitions, PEntry};
 use crate::tri::TriMatrix;
 use ocelotl_trace::{Hierarchy, LeafId, MicroModel, NodeId, StateId, StateRegistry, TimeGrid};
 use rayon::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Uniform query interface over the aggregation inputs.
 ///
@@ -719,30 +719,34 @@ pub fn backend_footprint(n_nodes: usize, n_slices: usize, n_states: usize) -> (&
 
 /// The quality cube of an [`AnalysisSession`](crate::AnalysisSession): the
 /// prefix sums answer every cell query, and the first DP materializes the
-/// paper's dense matrices exactly once — when they fit under the size
-/// bound ([`DENSE_LIMIT_BYTES`]); above it the DP runs on the prefix sums.
+/// paper's dense matrices — when they fit under the size bound
+/// ([`DENSE_LIMIT_BYTES`]); above it the DP runs on the prefix sums.
 /// Memoized answers, dimension queries and renders of stored partitions
 /// therefore never pay the `O(|S|·|T|²)` build.
 ///
-/// The matrices sit behind a [`OnceLock`], so concurrent `&self` readers
-/// need no extra lock: racing first DPs block on the one initializer.
-/// Both kernels evaluate cells bit-identically, so which one ran is
-/// invisible in the answers.
+/// The matrices sit behind a mutex that guards only an `Arc`: racing first
+/// DPs block on the one build, every DP runs on its own handle, and the
+/// session releases the cube's handle through `&self` when another
+/// pipeline takes over — the memory goes when the last DP still running
+/// on it lets go. Both kernels evaluate cells bit-identically, so which
+/// one ran is invisible in the answers.
 #[derive(Debug)]
 pub struct SessionCube {
     lazy: LazyCube,
-    dense: OnceLock<Option<DenseCube>>,
-    dense_limit: usize,
+    dense: Mutex<Option<Arc<DenseCube>>>,
+    /// Whether the matrices fit the size bound the cube was built under.
+    fits: bool,
 }
 
 impl SessionCube {
     /// Wrap prefix sums; matrices within `dense_limit` bytes are built by
     /// the first DP.
     pub(crate) fn new(core: CubeCore, dense_limit: usize) -> Self {
+        let fits = dense_fits(core.hierarchy().len(), core.n_slices(), dense_limit);
         Self {
             lazy: LazyCube::from_core(core),
-            dense: OnceLock::new(),
-            dense_limit,
+            dense: Mutex::new(None),
+            fits,
         }
     }
 
@@ -751,10 +755,14 @@ impl SessionCube {
         self.lazy.core()
     }
 
+    fn slot(&self) -> std::sync::MutexGuard<'_, Option<Arc<DenseCube>>> {
+        self.dense.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The dense matrices, if a DP already materialized them (never
     /// builds).
-    pub(crate) fn dense_if_built(&self) -> Option<&DenseCube> {
-        self.dense.get().and_then(Option::as_ref)
+    pub(crate) fn dense_if_built(&self) -> Option<Arc<DenseCube>> {
+        self.slot().clone()
     }
 
     /// The DP kernel: the dense matrices (built on first use) while they
@@ -762,21 +770,20 @@ impl SessionCube {
     /// The kernel takes its own copy of the prefix sums, `O(|S|·|T|·|X|)`
     /// next to the `O(|S|·|T|²)` matrices, so it stays a plain
     /// [`DenseCube`].
-    fn dense(&self) -> Option<&DenseCube> {
-        self.dense
-            .get_or_init(|| {
-                let core = self.lazy.core();
-                dense_fits(core.hierarchy().len(), core.n_slices(), self.dense_limit)
-                    .then(|| DenseCube::from_core(core.clone()))
-            })
-            .as_ref()
+    fn dense(&self) -> Option<Arc<DenseCube>> {
+        if !self.fits {
+            return None;
+        }
+        let mut slot = self.slot();
+        let dense = slot.get_or_insert_with(|| Arc::new(DenseCube::from_core(self.core().clone())));
+        Some(Arc::clone(dense))
     }
 
     /// Algorithm 1 at trade-off `p`, monomorphized on whichever kernel the
     /// size bound picks.
     pub(crate) fn aggregate(&self, p: f64, config: &DpConfig) -> CutTree {
         match self.dense() {
-            Some(dense) => aggregate(dense, p, config),
+            Some(dense) => aggregate(&*dense, p, config),
             None => aggregate(&self.lazy, p, config),
         }
     }
@@ -788,7 +795,7 @@ impl SessionCube {
     /// prefix sums it saves.
     pub(crate) fn aggregate_reusing(&self, p: f64, config: &DpConfig, reuse: Reuse<'_>) -> CutTree {
         match self.dense_if_built() {
-            Some(dense) => aggregate_reusing(dense, p, config, reuse),
+            Some(dense) => aggregate_reusing(&*dense, p, config, reuse),
             None => aggregate_reusing(&self.lazy, p, config, reuse),
         }
     }
@@ -797,15 +804,17 @@ impl SessionCube {
     /// [`SessionCube::aggregate`].
     pub(crate) fn significant_partitions(&self, config: &DpConfig, resolution: f64) -> Vec<PEntry> {
         match self.dense() {
-            Some(dense) => significant_partitions(dense, config, resolution),
+            Some(dense) => significant_partitions(&*dense, config, resolution),
             None => significant_partitions(&self.lazy, config, resolution),
         }
     }
 
-    /// Drop the dense matrices, keeping the prefix sums (a parked
-    /// pipeline's cube; the next DP rebuilds them).
-    pub(crate) fn release_dense(&mut self) {
-        self.dense = OnceLock::new();
+    /// Drop the cube's handle on the dense matrices, keeping the prefix
+    /// sums (the next DP rebuilds them). A DP still running on them keeps
+    /// its own handle until it ends.
+    pub(crate) fn release_dense(&self) {
+        let released = self.slot().take();
+        drop(released);
     }
 }
 
@@ -836,7 +845,7 @@ impl QualityCube for SessionCube {
     }
     /// Resident bytes: the prefix sums plus the matrices once built.
     fn memory_bytes(&self) -> usize {
-        self.lazy.memory_bytes() + self.dense_if_built().map_or(0, DenseCube::memory_bytes)
+        self.lazy.memory_bytes() + self.dense_if_built().map_or(0, |d| d.memory_bytes())
     }
 }
 

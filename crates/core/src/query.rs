@@ -147,13 +147,14 @@ pub enum AnalysisRequest {
     /// **zero trace disk reads** whenever the target resolution lies in
     /// the hi-res grid's dyadic family (or a warm artifact covers it).
     ///
-    /// In-process, subsequent requests on the engine answer at the new
-    /// resolution/window. Over `ocelotl serve`, wire requests are
-    /// self-contained: every request pins the pooled session to its own
-    /// config's (full-grid) resolution first, so a remote `--slices`
-    /// change takes effect through the config while a zoom window
-    /// applies to the carrying `Reslice` request only (its reply
-    /// describes the zoomed model).
+    /// In-process, [`QueryEngine::execute`] moves the engine to the new
+    /// resolution/window, so subsequent requests answer there;
+    /// [`QueryEngine::answer`] answers on a sibling snapshot and leaves
+    /// the engine where it was. Over `ocelotl serve`, wire requests are
+    /// self-contained: every request answers at its own config's
+    /// (full-grid) resolution, so a remote `--slices` change takes effect
+    /// through the config while a zoom window applies to the carrying
+    /// `Reslice` request only (its reply describes the zoomed model).
     Reslice {
         /// The new `|T|`.
         n_slices: usize,
@@ -170,8 +171,8 @@ pub enum AnalysisRequest {
     /// there is no connection to stream over.
     Subscribe {
         /// The request to re-answer on every refresh. `Reslice` and
-        /// nested `Subscribe` are rejected (they mutate the session or
-        /// recurse).
+        /// nested `Subscribe` are rejected (a subscription answers at the
+        /// published resolution, and must not recurse).
         inner: Box<AnalysisRequest>,
     },
 }
@@ -208,8 +209,8 @@ impl AnalysisRequest {
     ];
 
     /// Validate a `Subscribe` payload: the inner request must be
-    /// re-answerable through a shared session on every refresh, so
-    /// `Reslice` (mutates the session) and nested `Subscribe` (recursive
+    /// re-answerable on the published snapshot on every refresh, so
+    /// `Reslice` (another resolution) and nested `Subscribe` (recursive
     /// stream) are rejected. Shared by the engine and the server.
     pub fn validate_subscribe_inner(inner: &AnalysisRequest) -> Result<(), QueryError> {
         match inner {
@@ -796,21 +797,24 @@ pub struct WatchReply {
 
 /// Executes any [`AnalysisRequest`] against an [`AnalysisSession`].
 ///
-/// The engine owns the session, so all of the session's memoization
-/// carries across requests: the first query pays the trace read and cube
-/// build, every later query is served from memory (or from `.omicro` /
-/// `.ocube` / `.opart` artifacts when the session has a store).
+/// The engine holds a session snapshot, so all of the session's
+/// memoization carries across requests: the first query pays the trace
+/// read and cube build, every later query is served from memory (or from
+/// `.omicro` / `.ocube` / `.opart` artifacts when the session has a
+/// store). Cloning an engine clones the snapshot: two handles, no stage.
 ///
 /// ## One query path
 ///
 /// Each request kind has one reply builder, and it takes `&self`: the
 /// session builds every stage a request needs on first use through a
-/// shared reference. [`QueryEngine::execute_shared`] answers any request
-/// but `Reslice` from `&self`; [`QueryEngine::execute`] (`&mut self`)
-/// first re-slices the session for a `Reslice` request and otherwise runs
-/// the same builder. A reply is therefore the same bytes whichever entry
-/// point served it and whatever ran before, and a server keeps warm
-/// engines behind an `RwLock` whose write side only re-slicing needs.
+/// shared reference. [`QueryEngine::answer`] answers any request from
+/// `&self` — a `Reslice` on a sibling snapshot at the requested
+/// resolution, leaving the engine where it was; [`QueryEngine::execute`]
+/// (`&mut self`) first re-slices the engine's own snapshot for a `Reslice`
+/// and otherwise runs the same builder. A reply is therefore the same
+/// bytes whichever entry point served it and whatever ran before, and a
+/// server shares one engine among its clients without a lock.
+#[derive(Clone)]
 pub struct QueryEngine {
     session: AnalysisSession,
 }
@@ -834,9 +838,8 @@ impl QueryEngine {
         &self.session
     }
 
-    /// The underlying session (escape hatch for host-side work the
-    /// protocol does not cover, like re-slicing a pooled session to a
-    /// request's resolution).
+    /// The underlying session, mutably: to re-slice or advance the
+    /// engine's snapshot in place.
     pub fn session_mut(&mut self) -> &mut AnalysisSession {
         &mut self.session
     }
@@ -856,28 +859,31 @@ impl QueryEngine {
     }
 
     /// Execute one request; the reply variant always matches the request
-    /// kind.
+    /// kind. A `Reslice` moves this engine to the new resolution first.
     pub fn execute(&mut self, request: &AnalysisRequest) -> Result<AnalysisReply, QueryError> {
         if let AnalysisRequest::Reslice { n_slices, range } = request {
             self.session.reslice(*n_slices, *range)?;
+            return self.reslice_reply(*n_slices);
         }
-        self.reply(request)
+        self.answer(request)
     }
 
-    /// Execute one request through a shared reference: `None` only for
-    /// `Reslice`, which mutates the session (use
-    /// [`QueryEngine::execute`]). Every other reply is byte-identical to
-    /// the one `execute` returns, and concurrent callers share each
-    /// stage's one build.
+    /// [`QueryEngine::answer`], always `Some`: kept only for perfbench,
+    /// until the next change to the benchmark.
     pub fn execute_shared(
         &self,
         request: &AnalysisRequest,
     ) -> Option<Result<AnalysisReply, QueryError>> {
-        (!matches!(request, AnalysisRequest::Reslice { .. })).then(|| self.reply(request))
+        Some(self.answer(request))
     }
 
-    /// One reply builder per request kind.
-    fn reply(&self, request: &AnalysisRequest) -> Result<AnalysisReply, QueryError> {
+    /// Answer one request through a shared reference, with one reply
+    /// builder per request kind: byte-identical to what
+    /// [`QueryEngine::execute`] returns, with concurrent callers sharing
+    /// each stage's one build. A `Reslice` is answered on a sibling
+    /// snapshot at the requested `(n_slices, range)`; this engine stays
+    /// where it was.
+    pub fn answer(&self, request: &AnalysisRequest) -> Result<AnalysisReply, QueryError> {
         match request {
             AnalysisRequest::Describe => self.describe().map(AnalysisReply::Describe),
             AnalysisRequest::Aggregate {
@@ -920,20 +926,8 @@ impl QueryEngine {
                 .overview(*p, *coarse, *min_rows, *level_resolution)
                 .map(AnalysisReply::Overview),
             AnalysisRequest::Stats => self.stats().map(AnalysisReply::Stats),
-            // `execute` already re-sliced the session: report where it
-            // now sits.
-            AnalysisRequest::Reslice { n_slices, .. } => {
-                let shape = self.shape(&self.dims()?);
-                Ok(AnalysisReply::Reslice(ResliceReply {
-                    n_slices: *n_slices,
-                    hi_slices: crate::hires::hi_res_slices(
-                        *n_slices,
-                        shape.n_leaves,
-                        shape.n_states,
-                    ),
-                    window: self.session.window(),
-                    shape,
-                }))
+            AnalysisRequest::Reslice { n_slices, range } => {
+                Self::new(self.session.resliced(*n_slices, *range)?).reslice_reply(*n_slices)
             }
             // A subscription needs a connection to stream over; only
             // `ocelotl serve` (which intercepts the kind before execution)
@@ -947,6 +941,17 @@ impl QueryEngine {
                 ))
             }
         }
+    }
+
+    /// The `Reslice` reply of an engine the re-slice moved to `n_slices`.
+    fn reslice_reply(&self, n_slices: usize) -> Result<AnalysisReply, QueryError> {
+        let shape = self.shape(&self.dims()?);
+        Ok(AnalysisReply::Reslice(ResliceReply {
+            n_slices,
+            hi_slices: crate::hires::hi_res_slices(n_slices, shape.n_leaves, shape.n_states),
+            window: self.session.window(),
+            shape,
+        }))
     }
 
     /// The dimensions from the cube when it is built or warm in the store

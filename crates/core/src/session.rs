@@ -43,34 +43,46 @@
 //! partitions exactly; cached partitions are only served for *exactly* the
 //! `(p, tie-breaking)` query that produced them.
 //!
+//! ## Snapshots
+//!
+//! An [`AnalysisSession`] is an immutable snapshot at one `(n_slices,
+//! window)` resolution, cheap to clone. Everything that does not depend on
+//! the resolution (the source, the store, the resident hi-res grid, the
+//! counters and a cache of recent pipelines) is shared by every snapshot
+//! of a session; [`AnalysisSession::resliced`] and
+//! [`AnalysisSession::advanced`] build a sibling through `&self`. A reader
+//! holding a snapshot therefore never waits for a writer, and a writer
+//! never changes what a held snapshot answers at its own resolution.
+//!
 //! ## Live refresh
 //!
 //! A live session ([`AnalysisSession::live`]) grows by
-//! [`AnalysisSession::advance`], and every batch that lands replaces the
-//! active full-grid pipeline. A refresh costs what its batch touched, not
-//! what the model holds: [`HiResModel::append`] reports the hi-res slices
-//! the batch touched, which make a band of coarse slices at the active
-//! resolution, and the replaced pipeline passes two things on.
+//! [`AnalysisSession::advanced`], and every batch that lands yields the
+//! next snapshot. A refresh costs what its batch touched, not what the
+//! model holds: [`HiResModel::append`] reports the hi-res slices the batch
+//! touched, which make a band of coarse slices at the publish resolution
+//! (the one the session was opened at), and the replaced pipeline passes
+//! two things on.
 //!
 //! - Its model. The next model re-derives only the band's coarse slices
 //!   through the one rebin kernel; a coarse slice is the left-to-right sum
-//!   of its own hi-res cells, so the others are already right.
-//! - The cut tree of each DP it ran, one per `(p, tie rule)`. The next DP
-//!   at that `(p, tie rule)` copies every cell that cannot have changed and
-//!   solves the others on the prefix sums: a cell `(i, j)` is copied when
-//!   `j < a` or `i > z`, where `a` is the first coarse slice touched since
-//!   the tree was computed and `z` the last coarse slice any append of the
-//!   session ever reported (see `dp::aggregate_reusing` for why this is
-//!   exact).
+//!   of its own hi-res cells, so the others are already right. The next
+//!   model is derived while the batch is appended, under the grid's lock,
+//!   so it is exactly that batch's.
+//! - The cut tree of each DP it ran, one per `(p, tie rule)`, shared, not
+//!   copied. The next DP at that `(p, tie rule)` copies every cell that
+//!   cannot have changed and solves the others on the prefix sums: a cell
+//!   `(i, j)` is copied when `j < a` or `i > z`, where `a` is the first
+//!   coarse slice touched since the tree was computed and `z` the last
+//!   coarse slice any append of the session ever reported (see
+//!   `dp::aggregate_reusing` for why this is exact).
 //!
-//! Advances with no query between them widen the band: the model
-//! re-derives from the smallest first slice to the largest last one, and a
-//! pipeline that ran no DP passes on the trees it inherited. Nothing passes
-//! on, and the refresh takes the full path, when the batch grew the grid
-//! (that widens every coarse slice), on the density metric (its peak
-//! normalization can rescale every cell), from a windowed pipeline, on the
-//! first refresh, and for a `(p, tie rule)` the previous pipeline did not
-//! run. The replies are the same bytes either way.
+//! A pipeline that ran no DP passes on the trees it inherited. Nothing
+//! passes on, and the refresh takes the full path, when the batch grew the
+//! grid (that widens every coarse slice), on the density metric (its peak
+//! normalization can rescale every cell), at any other resolution or
+//! window, on the first refresh, and for a `(p, tie rule)` the previous
+//! pipeline did not run. The replies are the same bytes either way.
 
 use crate::cube::{
     dp_table_bytes, CubeCore, QualityCube, SessionCube, DENSE_LIMIT_BYTES, DP_LIMIT_BYTES,
@@ -83,7 +95,7 @@ use ocelotl_trace::{event_density_auto, MicroModel, TimeGrid, Trace};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, Weak};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -725,23 +737,23 @@ enum Telemetry {
 }
 
 /// One derived pipeline: the stages downstream of the hi-res intermediate
-/// for a single `(n_slices, window)` resolution. A session keeps the
-/// active one plus a few recently used ones parked, so alternating
-/// `--slices` queries never recompute. The partition table is the one
-/// stage that grows after its build: new DP results memoize into it
-/// under its lock.
+/// for a single `(n_slices, window)` resolution, shared by the snapshots
+/// at that resolution. The partition table is the one stage that grows
+/// after its build: new DP results memoize into it under its lock.
 #[derive(Default)]
 struct Derived {
-    key: OnceLock<u64>,
     model: Stage<(MicroModel, Telemetry)>,
     cube: Stage<(SessionCube, CubeSource)>,
     table: Stage<RwLock<PartitionTable>>,
     stats: Stage<Option<IngestStats>>,
     /// The cut trees of the DPs run on this pipeline, one per `(p, tie
-    /// rule)`: kept by live full-grid pipelines only, for the next refresh.
-    trees: Mutex<Vec<KeptTree>>,
-    /// What the pipeline inherited from the one an advance replaced.
-    carry: Carry,
+    /// rule)`: kept by live pipelines at the publish resolution only, for
+    /// the next refresh.
+    trees: Mutex<Vec<Arc<KeptTree>>>,
+    /// The trees inherited from the pipeline a batch replaced (shared,
+    /// never copied), and `a`: the first coarse slice any batch touched
+    /// since they were computed.
+    carry: (Vec<Arc<KeptTree>>, usize),
 }
 
 /// The cut tree of one `(p, tie rule)` DP.
@@ -757,118 +769,137 @@ impl KeptTree {
     }
 }
 
-/// What a live full-grid pipeline inherits when
-/// [`AnalysisSession::advance`] replaces the active one; empty on every
-/// other pipeline.
+/// Full-grid pipelines the session keeps cached (models, prefix sums and
+/// partition tables; artifacts also persist in the store when one is
+/// attached). Windowed pipelines are never cached.
+const PIPELINES_KEPT: usize = 4;
+
+/// The session's hi-res grid and, on a live session, the interval events
+/// folded into it.
 #[derive(Default)]
-struct Carry {
-    /// An earlier model and the coarse slices `(lo, hi)` that changed since
-    /// it was derived. The model build takes it and re-derives the band.
-    model: Mutex<Option<(MicroModel, (usize, usize))>>,
-    /// Cut trees computed on an earlier model.
-    trees: Vec<KeptTree>,
-    /// `a`: the first coarse slice any advance touched since `trees` were
-    /// computed.
-    first_changed: usize,
+struct Grid {
+    /// `None` until built; `Some(None)`: the source cannot build one.
+    hi: Option<Option<(HiResModel, Telemetry)>>,
+    folded: u64,
 }
 
-/// Recently used derived pipelines kept parked besides the active one
-/// (models, cubes and tables under older `--slices` values; artifacts
-/// also persist in the store when one is attached).
-const PARKED_KEEP: usize = 3;
+/// What a live snapshot reflects of its session's grid (zeros on a session
+/// that is not live): events folded, batches that changed a cell or grew
+/// the grid, the grid's periods `H`, and the last hi-res slice any append
+/// reported or that held data when the session opened (every later slice
+/// holds only zeros).
+#[derive(Debug, Clone, Copy, Default)]
+struct LiveMark {
+    events: u64,
+    generation: u64,
+    h: usize,
+    last_data: Option<usize>,
+}
 
-/// Identity of one derived pipeline: `(n_slices, window)` where the
-/// window is its hi-res slice span.
-type DerivedKey = (usize, Option<(usize, usize)>);
-
-/// The memoized pipeline: every stage computed at most once, expensive
-/// artifacts persisted through an optional [`ArtifactStore`]. See the
-/// module docs for the full economy.
-///
-/// ## One query path
-///
-/// Every stage — the hi-res intermediate, the model, the cube, the
-/// partition table and the ingest stats — is built on first use by a
-/// `&self` accessor, so any number of threads can query one session
-/// through a shared reference and get the same answer whatever ran
-/// before. Only [`AnalysisSession::reslice`] and
-/// [`AnalysisSession::advance`] take `&mut self`: they switch or
-/// invalidate the pipeline itself.
-///
-/// ## Incremental re-slicing
-///
-/// The first trace read slices into the [`HiResModel`] super-resolution
-/// intermediate, which stays resident; the model at the session's
-/// `n_slices` is derived from it by pure rebinning. A later
-/// [`AnalysisSession::reslice`] to any resolution the resident grid
-/// [`serves`](HiResModel::serves) — or any resolution with a warm
-/// `.omicro`/`.ocube` artifact — therefore performs **zero trace disk
-/// reads**, and is bit-identical to a fresh ingest at that resolution
-/// (see the `hires` module docs for why).
-pub struct AnalysisSession {
-    config: SessionConfig,
+/// Everything the snapshots of one session share, whatever their
+/// resolution.
+struct Shared {
     source: Box<dyn ModelSource>,
     store: Option<Box<dyn ArtifactStore>>,
     fingerprint: OnceLock<u64>,
-    /// The resident hi-res intermediate (`None` inside: the source cannot
-    /// build one). [`AnalysisSession::reslice`] drops a grid that does not
-    /// serve the new resolution, so the next build ingests that
-    /// resolution's own grid.
-    hi_res: Stage<Option<(HiResModel, Telemetry)>>,
-    window: Option<ResliceWindow>,
-    active: Derived,
-    parked: Vec<(DerivedKey, Derived)>,
+    /// The resident hi-res grid. Its lock is held to build it, to derive a
+    /// model from it and to append to a live one.
+    grid: Mutex<Grid>,
+    /// A live session's publish resolution: appends grow the grid in
+    /// multiples of it, so it keeps dividing the grid.
+    live: Option<usize>,
+    /// Recently used full-grid pipelines by `n_slices`, most recent first.
+    /// A live batch that changes a cell empties it.
+    pipelines: Mutex<Vec<(usize, Arc<Derived>)>>,
+    /// The one pipeline allowed to keep its dense matrices.
+    dense_holder: Mutex<Weak<Derived>>,
     source_reads: AtomicUsize,
     dp_runs: AtomicUsize,
     /// Size bound for the dense matrices of every cube this session
     /// builds ([`DENSE_LIMIT_BYTES`]; tests lower it to force the
     /// prefix-sum DP).
     dense_limit: usize,
-    /// Live sessions own their (appendable) hi-res grid and never fall
-    /// back to a trace read; see [`AnalysisSession::live`].
-    live: bool,
-    /// Interval events appended so far ([`AnalysisSession::advance`]).
-    live_events: u64,
-    /// Bumped on every [`AnalysisSession::advance`] that changed a cell
-    /// or grew the grid.
-    generation: u64,
-    /// The last hi-res slice any append reported, or that held data when
-    /// the live session opened: every later slice holds only zeros.
-    last_data: Option<usize>,
+}
+
+/// An immutable snapshot of the memoized pipeline at one `(n_slices,
+/// window)` resolution, cheap to clone (see the module docs). Every stage
+/// is computed at most once, on first use, by a `&self` accessor, and
+/// expensive artifacts persist through an optional [`ArtifactStore`].
+/// [`AnalysisSession::resliced`] and [`AnalysisSession::advanced`] build a
+/// new snapshot through `&self`; [`AnalysisSession::reslice`] and
+/// [`AnalysisSession::advance`] replace this one with it.
+///
+/// The first trace read slices into the [`HiResModel`] super-resolution
+/// intermediate, which stays resident; the model at the snapshot's
+/// `n_slices` is derived from it by pure rebinning. A re-slice to any
+/// resolution the resident grid [`serves`](HiResModel::serves) — or any
+/// resolution with a warm `.omicro`/`.ocube` artifact — therefore performs
+/// **zero trace disk reads**, and is bit-identical to a fresh ingest at
+/// that resolution (see the `hires` module docs for why). Of all the
+/// session's pipelines, only the one that last ran a DP or was re-sliced
+/// to keeps its dense matrices.
+#[derive(Clone)]
+pub struct AnalysisSession {
+    shared: Arc<Shared>,
+    derived: Arc<Derived>,
+    config: SessionConfig,
+    window: Option<ResliceWindow>,
+    mark: LiveMark,
+}
+
+fn misaligned() -> SessionError {
+    SessionError::InvalidParam(
+        "re-slice window no longer aligns with the resident hi-res grid".into(),
+    )
+}
+
+fn cannot_window() -> SessionError {
+    SessionError::InvalidParam("this model source cannot re-slice into a time window".into())
+}
+
+fn undivided(n: usize, hi: &HiResModel) -> SessionError {
+    SessionError::InvalidParam(format!(
+        "--slices {n} does not divide the live grid's {} periods",
+        hi.n_slices()
+    ))
 }
 
 impl AnalysisSession {
     /// A session over `source` with the given pipeline parameters and no
     /// persistence (in-memory memoization only).
     pub fn new(source: impl ModelSource + 'static, config: SessionConfig) -> Self {
-        Self {
-            config,
+        let derived = Arc::new(Derived::default());
+        let shared = Shared {
             source: Box::new(source),
             store: None,
             fingerprint: OnceLock::new(),
-            hi_res: Stage::default(),
-            window: None,
-            active: Derived::default(),
-            parked: Vec::new(),
+            grid: Mutex::default(),
+            live: None,
+            pipelines: Mutex::new(vec![(config.n_slices, Arc::clone(&derived))]),
+            dense_holder: Mutex::default(),
             source_reads: AtomicUsize::new(0),
             dp_runs: AtomicUsize::new(0),
             dense_limit: DENSE_LIMIT_BYTES,
-            live: false,
-            live_events: 0,
-            generation: 0,
-            last_data: None,
+        };
+        Self {
+            shared: Arc::new(shared),
+            derived,
+            config,
+            window: None,
+            mark: LiveMark::default(),
         }
     }
 
     /// A **live** session over an appendable resident grid: `hi_res` is an
     /// (initially empty) [`HiResModel`] whose grid declares the expected
-    /// horizon, and [`AnalysisSession::advance`] feeds it interval events
-    /// as they happen. Live sessions have no trace and no artifact store;
-    /// every model is derived from the resident grid by
-    /// [`HiResModel::derive_at`], so any `n_slices` dividing the (possibly
-    /// grown) grid is servable — and on an ungrown grid the derived model
-    /// is bit-identical to what a post-mortem ingest of the same events
-    /// over the same declared range would produce.
+    /// horizon, and [`AnalysisSession::advanced`] feeds it interval events
+    /// as they happen. `config.n_slices` is the publish resolution. Live
+    /// sessions have no trace and no artifact store; every model is
+    /// derived from the resident grid by [`HiResModel::derive_at`], so any
+    /// `n_slices` dividing the (possibly grown) grid is servable — and on
+    /// an ungrown grid the derived model is bit-identical to what a
+    /// post-mortem ingest of the same events over the same declared range
+    /// would produce.
     pub fn live(config: SessionConfig, hi_res: HiResModel) -> Result<Self, SessionError> {
         if hi_res.metric() != config.metric {
             return Err(SessionError::InvalidParam(
@@ -876,49 +907,51 @@ impl AnalysisSession {
             ));
         }
         if !hi_res.n_slices().is_multiple_of(config.n_slices.max(1)) || config.n_slices < 1 {
-            return Err(SessionError::InvalidParam(format!(
-                "--slices {} does not divide the live grid's {} periods",
-                config.n_slices,
-                hi_res.n_slices()
-            )));
+            return Err(undivided(config.n_slices, &hi_res));
         }
-        let mut s = Self::new(LiveSource, config);
-        s.last_data = hi_res.last_data_slice();
-        s.hi_res.value = OnceLock::from(Some((hi_res, Telemetry::Unread)));
-        s.live = true;
-        Ok(s)
+        let mut live = Self::new(LiveSource, config);
+        live.mark.h = hi_res.n_slices();
+        live.mark.last_data = hi_res.last_data_slice();
+        // A session just built shares its state with no sibling yet.
+        if let Some(shared) = Arc::get_mut(&mut live.shared) {
+            shared.live = Some(config.n_slices);
+            shared.grid = Mutex::new(Grid {
+                hi: Some(Some((hi_res, Telemetry::Unread))),
+                folded: 0,
+            });
+        }
+        Ok(live)
     }
 
-    /// Attach an artifact store (builder style).
+    /// Attach an artifact store (builder style, before the session is
+    /// cloned or re-sliced: a session whose state a sibling already shares
+    /// keeps the store it has).
     pub fn with_store(mut self, store: impl ArtifactStore + 'static) -> Self {
-        self.store = Some(Box::new(store));
+        if let Some(shared) = Arc::get_mut(&mut self.shared) {
+            shared.store = Some(Box::new(store));
+        }
         self
     }
 
-    /// The pipeline parameters (the `n_slices` field tracks the *active*
-    /// resolution across [`AnalysisSession::reslice`] calls).
+    /// The pipeline parameters (`n_slices` is this snapshot's resolution).
     pub fn config(&self) -> &SessionConfig {
         &self.config
     }
 
-    /// The content-addressed artifact key of the active resolution
+    /// The content-addressed artifact key of this snapshot's resolution
     /// (fingerprint computed once per session, shared across threads).
     pub fn key(&self) -> Result<u64, SessionError> {
-        if let Some(k) = self.active.key.get() {
-            return Ok(*k);
-        }
-        let fp = self.fingerprint()?;
-        Ok(*self.active.key.get_or_init(|| self.config.key(fp)))
+        Ok(self.config.key(self.fingerprint()?))
     }
 
     /// The source's content fingerprint, memoized for the session and
     /// shared across threads.
     pub fn fingerprint(&self) -> Result<u64, SessionError> {
-        if let Some(fp) = self.fingerprint.get() {
+        if let Some(fp) = self.shared.fingerprint.get() {
             return Ok(*fp);
         }
-        let fp = self.source.fingerprint()?;
-        Ok(*self.fingerprint.get_or_init(|| fp))
+        let fp = self.shared.source.fingerprint()?;
+        Ok(*self.shared.fingerprint.get_or_init(|| fp))
     }
 
     /// Key of the `.omicro` hi-res artifact: hashes the trace fingerprint
@@ -935,158 +968,194 @@ impl AnalysisSession {
 
     /// How the cube was obtained, once [`AnalysisSession::cube`] ran.
     pub fn cube_source(&self) -> Option<CubeSource> {
-        self.active.cube.get().map(|(_, source)| *source)
+        self.derived.cube.get().map(|(_, source)| *source)
     }
 
-    /// Number of DP (Algorithm 1 / dichotomy) invocations this session —
-    /// zero for a fully warm session answering cached queries.
+    /// Number of DP (Algorithm 1 / dichotomy) invocations this session,
+    /// across all its snapshots — zero for a fully warm session answering
+    /// cached queries.
     pub fn dp_runs(&self) -> usize {
-        self.dp_runs.load(Ordering::Relaxed)
+        self.shared.dp_runs.load(Ordering::Relaxed)
     }
 
-    /// Number of times the session asked its [`ModelSource`] to read the
-    /// underlying trace (hi-res or direct). Stays at its pre-`reslice`
-    /// value across any `--slices` change the resident hi-res model or a
-    /// warm artifact can serve — the property the re-slice test suite
+    /// Number of times the session, across all its snapshots, asked its
+    /// [`ModelSource`] to read the underlying trace (hi-res or direct).
+    /// Stays put across any `--slices` change the resident hi-res model or
+    /// a warm artifact can serve — the property the re-slice test suite
     /// pins.
     pub fn source_reads(&self) -> usize {
-        self.source_reads.load(Ordering::Relaxed)
+        self.shared.source_reads.load(Ordering::Relaxed)
     }
 
-    /// The resident hi-res intermediate's slice count, when one was
-    /// materialized this session.
+    /// The hi-res grid's slice count: the live grid's as this snapshot saw
+    /// it, or the resident intermediate's when one was materialized.
     pub fn hi_res_slices(&self) -> Option<usize> {
-        self.resident().map(|(h, _)| h.n_slices())
+        match self.shared.live {
+            Some(_) => Some(self.mark.h),
+            None => self.resident_slices(),
+        }
     }
 
-    /// The active zoom window (snapped to the hi-res grid), if any.
+    fn resident_slices(&self) -> Option<usize> {
+        let grid = self.grid().ok()?;
+        grid.hi.as_ref()?.as_ref().map(|(h, _)| h.n_slices())
+    }
+
+    /// The hi-res grid, locked. A live grid that a panic left mid-append
+    /// is refused from then on; any other grid is replaced whole or not at
+    /// all, so it stays usable.
+    fn grid(&self) -> Result<MutexGuard<'_, Grid>, SessionError> {
+        match self.shared.grid.lock() {
+            Err(_) if self.is_live() => Err(SessionError::source(
+                "live grid poisoned by a panic during an append",
+            )),
+            locked => Ok(locked.unwrap_or_else(PoisonError::into_inner)),
+        }
+    }
+
+    /// The snapshot's zoom window (snapped to the hi-res grid), if any.
     pub fn window(&self) -> Option<(f64, f64)> {
         self.window.map(|w| (w.t0, w.t1))
     }
 
     /// Whether this is a live (appendable) session.
     pub fn is_live(&self) -> bool {
-        self.live
+        self.shared.live.is_some()
     }
 
-    /// Interval events appended so far (live sessions only).
+    /// Interval events this snapshot reflects (live sessions only).
     pub fn live_events(&self) -> u64 {
-        self.live_events
+        self.mark.events
     }
 
-    /// Monotonic change counter: bumped by every
-    /// [`AnalysisSession::advance`] that touched a cell or grew the grid.
+    /// Monotonic change counter: bumped by every batch that touched a cell
+    /// or grew the grid.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.mark.generation
     }
 
-    /// Append a batch of interval events to the live grid and invalidate
-    /// exactly the derived pipelines whose hi-res windows the new
-    /// contributions touch: full-grid pipelines whenever anything landed,
-    /// windowed pipelines only when the batch's touched slice range
-    /// intersects theirs. Growth appends whole periods of the same slice
-    /// width (in multiples of the session's `n_slices`, so the active
-    /// resolution keeps dividing the grid), which leaves every untouched
-    /// window's time range — and therefore its derived cells — unchanged.
-    ///
-    /// A replaced full-grid pipeline passes its built model and its cut
-    /// trees on to the next one, so a refresh recomputes only what the
-    /// batch touched: the next model re-derives only the coarse slices of
-    /// the batch's band, and the next DP at a carried `(p, tie rule)`
-    /// solves only the cells that band can change. See the module docs.
+    /// [`AnalysisSession::advanced`], replacing this snapshot with the
+    /// next one.
     pub fn advance(&mut self, events: &[LiveEvent]) -> Result<AppendOutcome, SessionError> {
-        if !self.live {
+        self.advanced(events).map(|(next, outcome)| {
+            *self = next;
+            outcome
+        })
+    }
+
+    /// Append a batch of interval events to the live grid and return the
+    /// snapshot that reflects it; this one stays as it was. Only the
+    /// session's latest snapshot can advance, so batches land in order.
+    ///
+    /// The next snapshot replaces exactly the pipeline the batch touches: a
+    /// full-grid one whenever anything landed, a windowed one only when the
+    /// batch's touched slice range intersects its window. Growth appends
+    /// whole periods of the same slice width, in multiples of the publish
+    /// resolution, which leaves every untouched window's time range — and
+    /// therefore its derived cells — unchanged. At the publish resolution
+    /// the next model is derived here, under the grid lock, so it is
+    /// exactly this batch's (see the module docs for what it reuses). Any
+    /// other replaced pipeline derives on first use from the grid as it
+    /// then stands.
+    pub fn advanced(&self, events: &[LiveEvent]) -> Result<(Self, AppendOutcome), SessionError> {
+        let Some(quantum) = self.shared.live else {
             return Err(SessionError::InvalidParam(
                 "advance is only valid on a live session".into(),
             ));
-        }
-        let Some(Some((hi, _))) = self.hi_res.value.get_mut() else {
+        };
+        let mut grid = self.grid()?;
+        let Grid {
+            hi: Some(Some((hi, _))),
+            folded,
+        } = &mut *grid
+        else {
             return Err(SessionError::source("live session lost its resident grid"));
         };
+        if *folded != self.mark.events {
+            return Err(SessionError::InvalidParam(
+                "this live snapshot is stale: a later batch already advanced its session".into(),
+            ));
+        }
         let outcome = hi
-            .append(events, self.config.n_slices)
+            .append(events, quantum)
             .map_err(|e| SessionError::Source(format!("append refused: {e}")))?;
-        let h = hi.n_slices();
-        self.live_events += events.len() as u64;
-        let Some((lo, hi_slice)) = outcome.touched else {
-            return Ok(outcome);
+        *folded += events.len() as u64;
+        let mut next = self.clone();
+        next.mark.events = *folded;
+        let Some((lo, last)) = outcome.touched else {
+            return Ok((next, outcome));
         };
-        self.generation += 1;
-        self.last_data = self.last_data.max(Some(hi_slice));
-        let stale = |win: Option<(usize, usize)>| match win {
-            // Full-grid pipelines see every new contribution.
-            None => true,
-            Some((first, count)) => first <= hi_slice && lo < first + count,
-        };
-        if stale(self.window.map(|w| (w.first, w.count))) {
-            let old = std::mem::take(&mut self.active);
-            self.active.carry = self.carry_over(old, (lo, hi_slice), outcome.grown, h);
+        next.mark.generation += 1;
+        next.mark.last_data = self.mark.last_data.max(Some(last));
+        next.mark.h = hi.n_slices();
+        match self.window {
+            None if self.config.n_slices == quantum => {
+                next.derived = Arc::new(self.refreshed(hi, (lo, last), outcome.grown)?);
+            }
+            Some(w) if last < w.first || lo >= w.first + w.count => {}
+            _ => next.derived = Arc::default(),
         }
-        self.parked.retain(|((_, win), _)| !stale(*win));
-        Ok(outcome)
+        drop(grid);
+        lock(&self.shared.pipelines).clear();
+        Ok((next, outcome))
     }
 
-    /// What the pipeline an advance replaces passes on to the next one,
-    /// given the hi-res slices `(lo, hi)` the batch touched and the grid's
-    /// `h` periods after it:
-    /// - its model (or, if it built none, the model it inherited), with
-    ///   the coarse slices to re-derive widened to the batch's band;
-    /// - the cut trees of the DPs it ran, stale from the band's first
-    ///   slice on. A pipeline that ran no DP passes on the trees it
-    ///   inherited, stale from the smaller first slice.
-    ///
-    /// Nothing passes when the batch grew the grid (that changes the width
-    /// of every coarse slice) or from a pipeline that keeps no trees.
-    fn carry_over(&self, old: Derived, (lo, hi): (usize, usize), grown: usize, h: usize) -> Carry {
+    /// The pipeline at the publish resolution after a batch that touched
+    /// the hi-res slices `(lo, last)` of `hi` and grew it by `grown`
+    /// periods. Unless the grid grew (that widens every coarse slice) or
+    /// the metric is density (its peak normalization can rescale every
+    /// cell), it re-derives only the batch's band of coarse slices on a
+    /// copy of this pipeline's model, and inherits the trees of the DPs
+    /// this pipeline ran, stale from the band on — or, if it ran none, the
+    /// trees it inherited, stale from the smaller first slice.
+    fn refreshed(
+        &self,
+        hi: &HiResModel,
+        (lo, last): (usize, usize),
+        grown: usize,
+    ) -> Result<Derived, SessionError> {
         let n = self.config.n_slices;
-        if grown > 0 || !self.keeps_trees() || !h.is_multiple_of(n) {
-            return Carry::default();
-        }
-        let band = (lo / (h / n), hi / (h / n));
-        let Derived {
-            model,
-            trees,
+        let band = (lo / (hi.n_slices() / n), last / (hi.n_slices() / n));
+        let old = &self.derived;
+        let carries = grown == 0 && self.keeps_trees();
+        let model = match old.model.get() {
+            Some((model, _)) if carries => {
+                let mut model = model.clone();
+                hi.rederive_band(&mut model, band);
+                model
+            }
+            _ => hi.derive_at(n).ok_or_else(|| undivided(n, hi))?,
+        };
+        let own = lock(&old.trees).clone();
+        let carry = match (carries, own.is_empty()) {
+            (false, _) => Default::default(),
+            (true, false) => (own, band.0),
+            (true, true) => (old.carry.0.clone(), old.carry.1.min(band.0)),
+        };
+        Ok(Derived {
+            model: Stage {
+                value: OnceLock::from((model, Telemetry::Unread)),
+                build: Mutex::default(),
+            },
             carry,
-            ..
-        } = old;
-        let inherited = carry
-            .model
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let model = match (model.value.into_inner(), inherited) {
-            (Some((model, _)), _) => Some((model, band)),
-            (None, Some((model, (a, b)))) => Some((model, (a.min(band.0), b.max(band.1)))),
-            (None, None) => None,
-        };
-        let own = trees.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let (trees, first_changed) = if own.is_empty() {
-            (carry.trees, carry.first_changed.min(band.0))
-        } else {
-            (own, band.0)
-        };
-        Carry {
-            model: Mutex::new(model),
-            trees,
-            first_changed,
-        }
+            ..Derived::default()
+        })
     }
 
-    /// The artifact store, when it applies to the active derived pipeline:
-    /// zoomed windows are in-memory only (their grids are not addressed
-    /// by the `(trace, n_slices)` key space).
+    /// The artifact store, when it applies to this snapshot's pipeline:
+    /// zoomed windows are in-memory only (their grids are not addressed by
+    /// the `(trace, n_slices)` key space).
     fn active_store(&self) -> Option<&dyn ArtifactStore> {
-        self.store.as_deref().filter(|_| self.window.is_none())
-    }
-
-    /// The resident hi-res intermediate, if one is built.
-    fn resident(&self) -> Option<&(HiResModel, Telemetry)> {
-        self.hi_res.get().and_then(Option::as_ref)
+        self.shared
+            .store
+            .as_deref()
+            .filter(|_| self.window.is_none())
     }
 
     /// A warm `.omicro` intermediate able to serve `n`, if the store holds
     /// one.
     fn stored_hi_res(&self, n: usize) -> Result<Option<HiResModel>, SessionError> {
-        let Some(store) = self.store.as_deref() else {
+        let Some(store) = self.shared.store.as_deref() else {
             return Ok(None);
         };
         Ok(store
@@ -1094,69 +1163,83 @@ impl AnalysisSession {
             .filter(|h| h.metric() == self.config.metric && h.serves(n)))
     }
 
-    /// The hi-res intermediate, built on first use for resolution `n`: a
-    /// warm `.omicro` first, else a hi-res ingest (persisted when it serves
-    /// `n`). `None` when the source cannot build one.
-    fn hi_res(&self, n: usize) -> Result<Option<&(HiResModel, Telemetry)>, SessionError> {
-        let built = self.hi_res.get_or_build(|| {
-            if let Some(h) = self.stored_hi_res(n)? {
-                return Ok(Some((h, Telemetry::Unread)));
-            }
-            let Some((h, stats)) = self.source.hi_res_with_stats(n, self.config.metric)? else {
-                return Ok(None);
-            };
-            self.source_reads.fetch_add(1, Ordering::Relaxed);
-            if h.serves(n) {
-                if let Some(store) = self.store.as_deref() {
-                    store.store_hi_res(self.hi_key()?, &h);
-                }
-            }
-            Ok(Some((h, Telemetry::Read(stats))))
-        })?;
-        Ok(built.as_ref())
+    /// Run `f` on the hi-res grid under its lock, building the grid first
+    /// for resolution `n` when none is resident: a warm `.omicro` first,
+    /// else a hi-res ingest (persisted when it serves `n`). `f` sees `None`
+    /// when the source cannot build one.
+    fn with_grid<T>(
+        &self,
+        n: usize,
+        f: impl FnOnce(Option<&(HiResModel, Telemetry)>) -> Result<T, SessionError>,
+    ) -> Result<T, SessionError> {
+        let mut grid = self.grid()?;
+        if grid.hi.is_none() {
+            grid.hi = Some(match self.stored_hi_res(n)? {
+                Some(h) => Some((h, Telemetry::Unread)),
+                None => self.ingest_hi_res(n)?,
+            });
+        }
+        f(grid.hi.as_ref().and_then(Option::as_ref))
+    }
+
+    fn ingest_hi_res(&self, n: usize) -> Result<Option<(HiResModel, Telemetry)>, SessionError> {
+        let metric = self.config.metric;
+        let Some((h, stats)) = self.shared.source.hi_res_with_stats(n, metric)? else {
+            return Ok(None);
+        };
+        self.shared.source_reads.fetch_add(1, Ordering::Relaxed);
+        if let Some(store) = self.shared.store.as_deref().filter(|_| h.serves(n)) {
+            store.store_hi_res(self.hi_key()?, &h);
+        }
+        Ok(Some((h, Telemetry::Read(stats))))
     }
 
     /// Drop a resident grid that cannot serve resolution `n`, so the next
-    /// hi-res build ingests `n`'s own grid. A live grid always stays:
-    /// there is no trace to re-ingest, and any divisor of it derives.
-    fn retarget_hi_res(&mut self, n: usize) {
-        if !self.live && self.resident().is_some_and(|(h, _)| !h.serves(n)) {
-            self.hi_res = Stage::default();
+    /// hi-res build ingests `n`'s own grid. A live grid always stays: there
+    /// is no trace to re-ingest, and any divisor of it derives.
+    fn retarget(&self, n: usize) {
+        if self.is_live() {
+            return;
+        }
+        let mut grid = lock(&self.shared.grid);
+        if grid
+            .hi
+            .as_ref()
+            .and_then(Option::as_ref)
+            .is_some_and(|(h, _)| !h.serves(n))
+        {
+            grid.hi = None;
         }
     }
 
-    /// The microscopic model at the active resolution, built on first use:
-    /// rebinned from the resident hi-res intermediate whenever it (or a
-    /// warm `.omicro` artifact) serves the resolution, read from the trace
-    /// otherwise. Commands should prefer [`AnalysisSession::cube`]
+    /// The microscopic model at this snapshot's resolution, built on first
+    /// use: rebinned from the resident hi-res intermediate whenever it (or
+    /// a warm `.omicro` artifact) serves the resolution, read from the
+    /// trace otherwise. Commands should prefer [`AnalysisSession::cube`]
     /// whenever the query can be answered from the cube alone.
     pub fn model(&self) -> Result<&MicroModel, SessionError> {
         Ok(&self.built_model()?.0)
     }
 
     fn built_model(&self) -> Result<&(MicroModel, Telemetry), SessionError> {
-        self.active.model.get_or_build(|| self.build_model())
+        self.derived.model.get_or_build(|| self.build_model())
     }
 
     fn build_model(&self) -> Result<(MicroModel, Telemetry), SessionError> {
         let n = self.config.n_slices;
         let metric = self.config.metric;
         if let Some(w) = self.window {
-            let misaligned = || {
-                SessionError::InvalidParam(
-                    "re-slice window no longer aligns with the resident hi-res grid".into(),
-                )
-            };
             // Windowed pipelines: the resident grid serves for free; a
             // source that can push the window down to the trace format
             // (columnar chunk skipping) reads only the overlapping
             // chunks; otherwise the full hi-res ingest.
-            if self.resident().is_none() {
+            if self.resident_slices().is_none() {
                 if let Some((h, stats)) = self
+                    .shared
                     .source
                     .hi_res_window_with_stats(n, metric, w.first, w.count)?
                 {
-                    self.source_reads.fetch_add(1, Ordering::Relaxed);
+                    self.shared.source_reads.fetch_add(1, Ordering::Relaxed);
                     // The pushdown model's cells outside the window are
                     // zeros, so it only ever backs this derivation —
                     // deliberately NOT installed as the resident grid.
@@ -1166,156 +1249,144 @@ impl AnalysisSession {
                     return Ok((model, Telemetry::Read(stats)));
                 }
             }
-            let (hi, telemetry) = self.hi_res(n)?.ok_or_else(|| {
-                SessionError::InvalidParam(
-                    "this model source cannot re-slice into a time window".into(),
-                )
-            })?;
-            let model = hi
-                .derive_window(w.first, w.count, n)
-                .ok_or_else(misaligned)?;
-            return Ok((model, telemetry.clone()));
+            return self.with_grid(n, |grid| {
+                let (hi, telemetry) = grid.ok_or_else(cannot_window)?;
+                let model = hi
+                    .derive_window(w.first, w.count, n)
+                    .ok_or_else(misaligned)?;
+                Ok((model, telemetry.clone()))
+            });
         }
-        if let Some((hi, telemetry)) = self.hi_res(n)? {
-            if let Some((mut model, band)) = lock(&self.active.carry.model).take() {
-                hi.rederive_band(&mut model, band);
-                return Ok((model, telemetry.clone()));
+        let derived = self.with_grid(n, |grid| match grid {
+            // Live sessions own their grid: once it has grown past the
+            // declared horizon, `H` leaves the dyadic fresh-ingest family,
+            // but any divisor of the live grid is still the exact
+            // left-to-right rebin — and there is no trace to fall back to.
+            Some((hi, telemetry)) if self.is_live() => {
+                let model = hi.derive_at(n).ok_or_else(|| undivided(n, hi))?;
+                Ok(Some((model, telemetry.clone())))
             }
-            if let Some(model) = hi.derive(n) {
-                return Ok((model, telemetry.clone()));
-            }
-            if self.live {
-                // Live sessions own their grid: once it has grown past the
-                // declared horizon, `H` leaves the dyadic fresh-ingest
-                // family, but any divisor of the live grid is still the
-                // exact left-to-right rebin — and there is no trace to
-                // fall back to.
-                let model = hi.derive_at(n).ok_or_else(|| {
-                    SessionError::InvalidParam(format!(
-                        "--slices {n} does not divide the live grid's {} periods",
-                        hi.n_slices()
-                    ))
-                })?;
-                return Ok((model, telemetry.clone()));
-            }
+            Some((hi, telemetry)) => Ok(hi.derive(n).map(|m| (m, telemetry.clone()))),
+            None => Ok(None),
+        })?;
+        if let Some(derived) = derived {
+            return Ok(derived);
         }
         // Sources without a hi-res intermediate (already-sliced models,
         // `.omm` caches): the classic per-resolution direct build.
-        let (model, stats) = self.source.model_with_stats(n, metric)?;
-        self.source_reads.fetch_add(1, Ordering::Relaxed);
+        let (model, stats) = self.shared.source.model_with_stats(n, metric)?;
+        self.shared.source_reads.fetch_add(1, Ordering::Relaxed);
         Ok((model, Telemetry::Read(stats)))
     }
 
-    /// Ingestion telemetry of the active pipeline, when the source reports
-    /// it: what the source read behind the model reported. A model derived
-    /// without a read (a warm `.omicro`, a live feed) runs the
+    /// Ingestion telemetry of this snapshot's pipeline, when the source
+    /// reports it: what the source read behind the model reported. A model
+    /// derived without a read (a warm `.omicro`, a live feed) runs the
     /// deterministic hi-res ingest once to measure it, so warm and cold
     /// sessions report identical stats. Memoized — including the "this
     /// source reports no telemetry" answer, so a stats-less source is
     /// never re-read.
     pub fn ingest_stats(&self) -> Result<Option<&IngestStats>, SessionError> {
         let stats = self
-            .active
+            .derived
             .stats
             .get_or_build(|| match &self.built_model()?.1 {
                 Telemetry::Read(stats) => Ok(stats.clone()),
                 Telemetry::Unread => Ok(self
+                    .shared
                     .source
                     .hi_res_with_stats(self.config.n_slices, self.config.metric)?
                     .and_then(|(_, stats)| {
-                        self.source_reads.fetch_add(1, Ordering::Relaxed);
+                        self.shared.source_reads.fetch_add(1, Ordering::Relaxed);
                         stats
                     })),
             })?;
         Ok(stats.as_ref())
     }
 
-    /// Switch the session to a new slicing resolution, optionally zooming
-    /// into a time window (snapped to the hi-res grid).
-    ///
-    /// The old resolution's derived model, cube prefix sums and
-    /// partition-table memos are parked, not discarded: switching back
-    /// re-serves cached partitions with zero DP runs, zero reads and no
-    /// cube rebuild (only the dense matrices — the memory-heavy part — are
-    /// released on park; the next DP rebuilds them). The
-    /// new resolution's model is derived from the resident [`HiResModel`]
-    /// with **zero trace reads** whenever the hi-res grid
-    /// [`serves`](HiResModel::serves) it (or a warm `.omicro`/`.ocube`
-    /// artifact covers it); otherwise the resident grid is dropped and the
-    /// next query re-ingests at the new resolution's own hi-res grid.
-    ///
-    /// Windowed re-slices are eagerly materialized (pinning them to the
-    /// hi-res grid they were snapped against), bypass the artifact store,
-    /// and are not parked — revisiting a window re-snaps it against the
-    /// *current* hi-res grid, so a replaced grid can never serve a stale
-    /// time range.
+    /// [`AnalysisSession::resliced`], replacing this snapshot with the
+    /// sibling.
     pub fn reslice(
         &mut self,
         n_slices: usize,
         window: Option<(f64, f64)>,
     ) -> Result<(), SessionError> {
-        let switched = self.switch_to(n_slices, window);
-        // A failed switch may have ingested the target's grid: the active
-        // resolution must still find a grid that serves it.
-        self.retarget_hi_res(self.config.n_slices);
-        switched
+        self.resliced(n_slices, window)
+            .map(|sibling| *self = sibling)
     }
 
-    fn switch_to(
-        &mut self,
+    /// A sibling snapshot at a new slicing resolution, optionally zoomed
+    /// into a time window (snapped to the hi-res grid); this snapshot stays
+    /// as it is.
+    ///
+    /// The session caches recent full-grid pipelines: going back to one
+    /// re-serves cached partitions with zero DP runs, zero reads and no
+    /// cube rebuild. The sibling's model is derived from the resident
+    /// [`HiResModel`] with **zero trace reads** whenever the hi-res grid
+    /// [`serves`](HiResModel::serves) it (or a warm `.omicro`/`.ocube`
+    /// artifact covers it); otherwise the resident grid is dropped and the
+    /// sibling's first query re-ingests at its own hi-res grid.
+    ///
+    /// Windowed siblings are eagerly materialized (pinning them to the
+    /// hi-res grid they were snapped against), bypass the artifact store,
+    /// and are not cached — revisiting a window re-snaps it against the
+    /// *current* hi-res grid, so a replaced grid can never serve a stale
+    /// time range.
+    pub fn resliced(
+        &self,
         n_slices: usize,
         window: Option<(f64, f64)>,
-    ) -> Result<(), SessionError> {
+    ) -> Result<Self, SessionError> {
+        let sibling = self.sibling(n_slices, window);
+        if sibling.is_err() {
+            // A failed re-slice may have ingested the target's grid: this
+            // snapshot must still find a grid that serves it.
+            self.retarget(self.config.n_slices);
+        }
+        sibling
+    }
+
+    fn sibling(&self, n_slices: usize, window: Option<(f64, f64)>) -> Result<Self, SessionError> {
         validate_slices(n_slices)?;
         let win = window
             .map(|(t0, t1)| self.snap_window(n_slices, t0, t1))
             .transpose()?;
-        let win_key = win.map(|w| (w.first, w.count));
-        let active_key = (
-            self.config.n_slices,
-            self.window.map(|w| (w.first, w.count)),
-        );
-        let new_key = (n_slices, win_key);
-        if new_key != active_key {
-            let target = self
-                .parked
-                .iter()
-                .position(|(k, _)| *k == new_key)
-                .map(|i| self.parked.remove(i).1)
-                .unwrap_or_default();
-            let mut old = std::mem::replace(&mut self.active, target);
-            // Only full-grid pipelines are parked for reuse. A windowed
-            // pipeline's identity includes the hi-res grid it was snapped
-            // against, and a later re-slice may have replaced that grid —
-            // restoring it could silently serve a different time range, so
-            // windowed pipelines are re-derived (cheap, in-memory) instead.
-            if self.window.is_none() {
-                // The dense matrices are the memory-heavy part (up to a
-                // GiB): parked pipelines keep the model, the prefix sums
-                // and the partition-table memos (so cached queries stay
-                // zero-DP and rebuild nothing) but release the matrices.
-                if let Some((cube, _)) = old.cube.value.get_mut() {
-                    cube.release_dense();
-                }
-                self.parked.push((active_key, old));
-                if self.parked.len() > PARKED_KEEP {
-                    self.parked.remove(0);
-                }
-            }
-            self.config.n_slices = n_slices;
-            self.window = win;
+        let span = |w: Option<ResliceWindow>| w.map(|w| (w.first, w.count));
+        let mut next = self.clone();
+        if (n_slices, span(win)) != (self.config.n_slices, span(self.window)) {
+            next.config.n_slices = n_slices;
+            next.window = win;
+            next.derived = match win {
+                Some(_) => Arc::default(),
+                None => self.cached(n_slices),
+            };
         }
-        if self.window.is_some() {
+        self.retarget(n_slices);
+        next.hold_dense();
+        if next.window.is_some() {
             // Pin the windowed model to the grid it was snapped against.
-            self.model()?;
+            next.model()?;
         }
-        Ok(())
+        Ok(next)
+    }
+
+    /// The cached full-grid pipeline at `n_slices`, made the most recent,
+    /// or a new one cached in its place.
+    fn cached(&self, n_slices: usize) -> Arc<Derived> {
+        let mut cached = lock(&self.shared.pipelines);
+        let derived = match cached.iter().position(|(n, _)| *n == n_slices) {
+            Some(i) => cached.remove(i).1,
+            None => Arc::default(),
+        };
+        cached.insert(0, (n_slices, Arc::clone(&derived)));
+        cached.truncate(PIPELINES_KEPT);
+        derived
     }
 
     /// Snap the zoom window `[t0, t1]` to hi-res slice edges for a
     /// re-slice at `n_slices`.
     fn snap_window(
-        &mut self,
+        &self,
         n_slices: usize,
         t0: f64,
         t1: f64,
@@ -1331,26 +1402,27 @@ impl AnalysisSession {
         // single event; only a source with neither pays the full hi-res
         // ingest here. A resident grid from another resolution's family
         // is replaced by `n_slices`'s own, never probed around.
-        let had_grid = self.resident().is_some();
-        self.retarget_hi_res(n_slices);
+        let had_grid = self.resident_slices().is_some();
+        self.retarget(n_slices);
         let mut probe = None;
         if !had_grid {
             match self.stored_hi_res(n_slices)? {
-                Some(h) => self.hi_res.value = OnceLock::from(Some((h, Telemetry::Unread))),
-                None => probe = self.source.pushdown_probe(n_slices, self.config.metric)?,
+                Some(h) => lock(&self.shared.grid).hi = Some(Some((h, Telemetry::Unread))),
+                None => {
+                    probe = self
+                        .shared
+                        .source
+                        .pushdown_probe(n_slices, self.config.metric)?
+                }
             }
         }
         let (range, h) = match probe {
             Some(pb) => (pb.range, pb.hi_slices),
-            None => {
-                let (hi, _) = self.hi_res(n_slices)?.ok_or_else(|| {
-                    SessionError::InvalidParam(
-                        "this model source cannot re-slice into a time window".into(),
-                    )
-                })?;
+            None => self.with_grid(n_slices, |grid| {
+                let (hi, _) = grid.ok_or_else(cannot_window)?;
                 let grid = hi.raw().grid();
-                ((grid.start(), grid.end()), hi.n_slices())
-            }
+                Ok(((grid.start(), grid.end()), hi.n_slices()))
+            })?,
         };
         let (first, count) = crate::hires::snap_to_grid(range, h, t0, t1).ok_or_else(|| {
             SessionError::InvalidParam(format!(
@@ -1378,7 +1450,7 @@ impl AnalysisSession {
     /// from the store, else the prefix sums of the model. The dense
     /// matrices wait for the first DP.
     pub fn cube(&self) -> Result<&SessionCube, SessionError> {
-        let (cube, _) = self.active.cube.get_or_build(|| {
+        let (cube, _) = self.derived.cube.get_or_build(|| {
             if let Some(core) = self.stored_cube()? {
                 return Ok(self.session_cube(core, CubeSource::Warm));
             }
@@ -1395,13 +1467,13 @@ impl AnalysisSession {
     /// triggers a build or a store lookup. An observation peek for tests
     /// and benchmarks.
     pub fn cube_if_built(&self) -> Option<&SessionCube> {
-        self.active.cube.get().map(|(cube, _)| cube)
+        self.derived.cube.get().map(|(cube, _)| cube)
     }
 
     /// The model, only if a previous call already built it (an
     /// observation peek, like [`AnalysisSession::cube_if_built`]).
     pub fn model_if_built(&self) -> Option<&MicroModel> {
-        self.active.model.get().map(|(model, _)| model)
+        self.derived.model.get().map(|(model, _)| model)
     }
 
     /// The cube if it is built or a warm `.ocube` exists in the store —
@@ -1410,7 +1482,7 @@ impl AnalysisSession {
     /// without a trace read and cold without paying for a cube they do
     /// not need.
     pub fn try_warm_cube(&self) -> Result<Option<&SessionCube>, SessionError> {
-        let loaded = self.active.cube.get_or_load(|| {
+        let loaded = self.derived.cube.get_or_load(|| {
             Ok(self
                 .stored_cube()?
                 .map(|core| self.session_cube(core, CubeSource::Warm)))
@@ -1418,9 +1490,9 @@ impl AnalysisSession {
         Ok(loaded.map(|(cube, _)| cube))
     }
 
-    /// The active pipeline's `.ocube`, if the store holds one. The key
-    /// hashes the trace bytes, so it is only computed when a store could
-    /// actually serve the cube — a store-less session goes straight to the
+    /// This snapshot's `.ocube`, if the store holds one. The key hashes the
+    /// trace bytes, so it is only computed when a store could actually
+    /// serve the cube — a store-less session goes straight to the
     /// (single-pass) model build without a separate fingerprint read.
     fn stored_cube(&self) -> Result<Option<CubeCore>, SessionError> {
         match self.active_store() {
@@ -1430,13 +1502,13 @@ impl AnalysisSession {
     }
 
     fn session_cube(&self, core: CubeCore, source: CubeSource) -> (SessionCube, CubeSource) {
-        (SessionCube::new(core, self.dense_limit), source)
+        (SessionCube::new(core, self.shared.dense_limit), source)
     }
 
     /// The partition table, built on first use: the store's `.opart`, or
     /// empty.
     fn table(&self) -> Result<&RwLock<PartitionTable>, SessionError> {
-        self.active.table.get_or_build(|| {
+        self.derived.table.get_or_build(|| {
             let loaded = match self.active_store() {
                 Some(store) => store.load_partitions(self.key()?).unwrap_or_default(),
                 None => PartitionTable::default(),
@@ -1456,6 +1528,21 @@ impl AnalysisSession {
             store.store_partitions(key, &table.read().unwrap_or_else(PoisonError::into_inner));
         }
         Ok(())
+    }
+
+    /// Make this snapshot's pipeline the one that keeps its dense matrices
+    /// (before a DP, or on a re-slice to it), releasing those of the
+    /// pipeline that held them before; a DP still running on them keeps
+    /// them until it ends.
+    fn hold_dense(&self) {
+        let holder = Arc::downgrade(&self.derived);
+        let previous = std::mem::replace(&mut *lock(&self.shared.dense_holder), holder);
+        let previous = previous
+            .upgrade()
+            .filter(|d| !Arc::ptr_eq(d, &self.derived));
+        if let Some((cube, _)) = previous.as_deref().and_then(|d| d.cube.get()) {
+            cube.release_dense();
+        }
     }
 
     /// The optimal partition at trade-off `p` (Algorithm 1), memoized.
@@ -1483,12 +1570,13 @@ impl AnalysisSession {
         } else {
             DpConfig::default()
         };
+        self.hold_dense();
         let tree = match self.reuse(p, coarse) {
             Some(reuse) => cube.aggregate_reusing(p, &config, reuse),
             None => cube.aggregate(p, &config),
         };
         let partition = tree.partition(cube);
-        self.dp_runs.fetch_add(1, Ordering::Relaxed);
+        self.shared.dp_runs.fetch_add(1, Ordering::Relaxed);
         self.keep_tree(p, coarse, tree);
         self.record(|t| t.insert_point(p, coarse, partition.clone()))?;
         Ok(partition)
@@ -1497,44 +1585,47 @@ impl AnalysisSession {
     /// The inherited tree a DP at `(p, coarse)` may reuse, with the band
     /// it is stale in: from the first slice touched since it was computed
     /// to the last slice that ever held data (see
-    /// [`AnalysisSession::advance`]).
+    /// [`AnalysisSession::advanced`]).
     fn reuse(&self, p: f64, coarse: bool) -> Option<Reuse<'_>> {
-        let carry = &self.active.carry;
-        let kept = carry.trees.iter().find(|t| t.is(p, coarse))?;
-        let f = self.hi_res_slices()? / self.config.n_slices;
+        let (trees, first_changed) = &self.derived.carry;
+        let kept = trees.iter().find(|t| t.is(p, coarse))?;
         Some(Reuse {
             tree: &kept.tree,
-            first_changed: carry.first_changed,
-            last_data: self.last_data? / f,
+            first_changed: *first_changed,
+            last_data: self.mark.last_data? / (self.mark.h / self.config.n_slices),
         })
     }
 
-    /// Whether the active pipeline keeps its cut trees and passes them on:
-    /// live full-grid pipelines only, and not on the density metric, whose
-    /// peak normalization can rescale every cell.
+    /// Whether this snapshot's pipeline keeps its cut trees and passes
+    /// them on: live full-grid pipelines at the publish resolution only,
+    /// and not on the density metric, whose peak normalization can rescale
+    /// every cell.
     fn keeps_trees(&self) -> bool {
-        self.live && self.window.is_none() && self.config.metric == Metric::States
+        self.window.is_none()
+            && self.shared.live == Some(self.config.n_slices)
+            && self.config.metric == Metric::States
     }
 
-    /// Keep a live full-grid pipeline's cut tree for the next refresh,
-    /// once per `(p, tie rule)`: a racing reader's identical tree is
-    /// dropped.
+    /// Keep a live publish-resolution pipeline's cut tree for the next
+    /// refresh, once per `(p, tie rule)`: a racing reader's identical tree
+    /// is dropped.
     fn keep_tree(&self, p: f64, coarse: bool, tree: CutTree) {
         if !self.keeps_trees() {
             return;
         }
-        let mut trees = lock(&self.active.trees);
+        let mut trees = lock(&self.derived.trees);
         if !trees.iter().any(|t| t.is(p, coarse)) {
             // The DP's worker threads allocated the tree in their own
             // malloc arenas, where a tree kept across refreshes pins freed
             // memory: on perfbench live-refresh it raised the peak RSS by
             // ~15 MB in about one run in six. The kept copy is made here.
             let tree = tree.clone();
-            trees.push(KeptTree { p, coarse, tree });
+            trees.push(Arc::new(KeptTree { p, coarse, tree }));
         }
     }
 
-    /// Alias of [`AnalysisSession::partition_at`].
+    /// Alias of [`AnalysisSession::partition_at`], kept only for
+    /// perfbench, until the next change to the benchmark.
     pub fn partition_shared(&self, p: f64, coarse: bool) -> Result<Partition, SessionError> {
         self.partition_at(p, coarse)
     }
@@ -1554,8 +1645,9 @@ impl AnalysisSession {
         }
         let cube = self.cube()?;
         check_dp_size(cube)?;
+        self.hold_dense();
         let entries = cube.significant_partitions(&DpConfig::default(), resolution);
-        self.dp_runs.fetch_add(1, Ordering::Relaxed);
+        self.shared.dp_runs.fetch_add(1, Ordering::Relaxed);
         self.record(|t| {
             t.significant = Some(SignificantSet {
                 resolution,
@@ -1885,7 +1977,7 @@ mod tests {
         let dense = session.cube_if_built().unwrap().dense_if_built().unwrap();
         session.partition_at(0.7, false).unwrap();
         let again = session.cube_if_built().unwrap().dense_if_built().unwrap();
-        assert!(std::ptr::eq(dense, again), "the matrices are built once");
+        assert!(Arc::ptr_eq(&dense, &again), "the matrices are built once");
         assert_eq!(session.dp_runs(), 2);
 
         // Above the size bound the DP runs on the prefix sums: same bits.
@@ -1896,7 +1988,7 @@ mod tests {
                 ..SessionConfig::default()
             },
         );
-        bounded.dense_limit = 0;
+        Arc::get_mut(&mut bounded.shared).unwrap().dense_limit = 0;
         assert_eq!(bounded.partition_at(0.5, false).unwrap(), at_64);
         assert_eq!(bounded.partition_at(0.3, false).unwrap(), fresh);
         assert_eq!(bounded.significant(1e-2).unwrap(), levels);
@@ -2171,7 +2263,7 @@ mod tests {
                     let partition = live.partition_at(p, coarse).unwrap();
                     let what = format!("{what}, p {p}, coarse {coarse}");
                     assert_eq!(partition, expected.partition(fresh.cube().unwrap()), "{what}");
-                    if let Some(kept) = lock(&live.active.trees).iter().find(|t| t.is(p, coarse)) {
+                    if let Some(kept) = lock(&live.derived.trees).iter().find(|t| t.is(p, coarse)) {
                         assert_same_trees(&kept.tree, &expected, model, &what);
                     }
                 }

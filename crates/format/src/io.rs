@@ -355,8 +355,8 @@ pub struct ShardTiming {
     /// Time spent planning (detection, header parses, split points).
     pub plan_nanos: u64,
     /// Always 0: an ingest does not hash. Kept only because perfbench
-    /// reads it; it goes with `LAST_TIMING` when ingest timing moves to
-    /// explicit stage spans.
+    /// reads it, until the next change to the benchmark (or with
+    /// `LAST_TIMING`, when ingest timing moves to explicit stage spans).
     pub hash_nanos: u64,
     /// Per-unit decode times (a unit's extent scan included), in unit
     /// order.

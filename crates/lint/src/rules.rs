@@ -106,17 +106,23 @@ const LIBRARY_CRATES: [&str; 6] = [
 ];
 
 /// Mutex-guard bindings are recognized when the initializer mentions one
-/// of these pool identifiers together with a lock call.
-const GUARDED_MUTEXES: [&str; 2] = ["pool", "builds"];
+/// of these identifiers together with a lock call: the pool and build
+/// admission mutexes, and a live session's snapshot mutex (`gen`).
+const GUARDED_MUTEXES: [&str; 3] = ["pool", "builds", "gen"];
 
-/// Calls that must never run under a pool/builds mutex guard: execution,
-/// warm-up and ingest belong outside the admission lock.
-const HEAVY_CALLS: [&str; 8] = [
+/// Calls that must never run under a pool, builds or live-snapshot mutex
+/// guard: answering, building a snapshot, feeding, warm-up and ingest
+/// belong outside those locks.
+const HEAVY_CALLS: [&str; 12] = [
     "answer",
+    "answer_at",
     "execute",
     "execute_shared",
     "warm_up",
     "reslice",
+    "resliced",
+    "advanced",
+    "feed",
     "ingest",
     "read_model",
     "open",
@@ -571,8 +577,8 @@ fn lock_scope_rule(ctx: &Ctx, out: &mut Vec<Finding>) {
                 i,
                 "lock-scope",
                 format!(
-                    "`{call}()` called while pool/builds mutex guard `{held}` is held; \
-                     the admission mutex must cover bookkeeping only"
+                    "`{call}()` called while pool/builds/live mutex guard `{held}` is held; \
+                     those mutexes must cover bookkeeping only"
                 ),
             );
         }
@@ -886,6 +892,31 @@ mod tests {
         ";
         let f = run("crates/cli/src/commands/serve.rs", src);
         assert!(f.iter().any(|f| f.rule == "lock-scope"), "{f:?}");
+    }
+
+    #[test]
+    fn lock_scope_flags_snapshot_work_under_the_live_guard() {
+        for call in [
+            "gen.engine.session().advanced(events)",
+            "gen.engine.session().resliced(8, None)",
+            "feeder.feed(events)",
+            "answer_at(&gen.engine, 8, &request)",
+        ] {
+            let src = format!(
+                "fn f(&self) {{ let mut gen = lock_clean(&self.live.gen); let x = {call}; }}"
+            );
+            let f = run("crates/cli/src/commands/serve.rs", &src);
+            assert!(f.iter().any(|f| f.rule == "lock-scope"), "{call}: {f:?}");
+        }
+        // A handle cloned out under the lock and used after it is fine.
+        let src = "
+            fn f(&self) {
+                let current = self.live.current();
+                let next = current.session().advanced(events);
+            }
+        ";
+        let f = run("crates/cli/src/commands/serve.rs", src);
+        assert!(!f.iter().any(|f| f.rule == "lock-scope"), "{f:?}");
     }
 
     #[test]
