@@ -9,7 +9,7 @@
 //! justifying the design choice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ocelotl::core::{AggregationInput, AreaSums, TriMatrix};
+use ocelotl::core::{AggregationInput, AreaSums, QualityCube, TriMatrix};
 use ocelotl::trace::synthetic::random_model;
 use ocelotl::trace::{LeafId, MicroModel, StateId};
 use std::hint::black_box;

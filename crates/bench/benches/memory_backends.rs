@@ -1,17 +1,17 @@
-//! Dense vs. lazy quality-cube backends: build time, aggregate-at-p
-//! latency, and resident memory, sweeping the slice count |T|.
+//! Dense vs. lazy quality cubes: build time, aggregate-at-p latency, and
+//! resident memory, sweeping the slice count |T|.
 //!
-//! The dense backend precomputes `O(|S|·|T|²)` triangular matrices so a
+//! The dense cube precomputes `O(|S|·|T|²)` triangular matrices so a
 //! `p`-slide re-runs the DP on cached cells (§V.B "instantaneous
-//! interaction"); the lazy backend stores `O(|S|·|T|·|X|)` prefix sums
-//! and pays `O(|X|)` per cell query. This bench quantifies both sides of
+//! interaction"); the lazy one (the `CubeCore` prefix sums) stores
+//! `O(|S|·|T|·|X|)` floats and pays `O(|X|)` per cell query. This bench quantifies both sides of
 //! that trade so the session's 1 GiB size rule has numbers behind it:
 //! build time (where lazy wins by skipping |T|² work), aggregation
 //! latency (where dense wins by a constant factor), and bytes resident
 //! (where lazy's linear growth is the whole point).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ocelotl::core::{aggregate_default, dense_matrix_bytes, DenseCube, LazyCube};
+use ocelotl::core::{aggregate_default, dense_matrix_bytes, CubeCore, DenseCube};
 use ocelotl::mpisim::{scenario, CaseId};
 use ocelotl::prelude::*;
 use std::hint::black_box;
@@ -36,7 +36,7 @@ fn bench_memory_backends(c: &mut Criterion) {
             b.iter(|| black_box(DenseCube::build(m)))
         });
         g.bench_with_input(BenchmarkId::new("build/lazy", slices), &model, |b, m| {
-            b.iter(|| black_box(LazyCube::build(m)))
+            b.iter(|| black_box(CubeCore::build(m)))
         });
 
         // Aggregate-at-p latency (the analyst sliding the strength): for
@@ -44,7 +44,7 @@ fn bench_memory_backends(c: &mut Criterion) {
         // skip it there to keep the bench runnable on a laptop.
         if slices <= 256 {
             let dense = DenseCube::build(&model);
-            let lazy = LazyCube::build(&model);
+            let lazy = CubeCore::build(&model);
             g.bench_with_input(
                 BenchmarkId::new("aggregate/dense", slices),
                 &dense,
@@ -68,7 +68,7 @@ fn bench_memory_backends(c: &mut Criterion) {
     for slices in SLICE_COUNTS {
         let model = MicroModel::from_trace(&trace, slices).unwrap();
         let dense = DenseCube::build(&model).memory_bytes();
-        let lazy = LazyCube::build(&model).memory_bytes();
+        let lazy = CubeCore::build(&model).memory_bytes();
         println!(
             "{:>8} {:>16} {:>16} {:>9.1}x",
             slices,

@@ -81,7 +81,9 @@ read-shared, so concurrent clients never queue behind each other.
 
 OPTIONS:
     --listen ADDR    TCP address to bind, e.g. 127.0.0.1:7733
-    --socket PATH    Unix domain socket to bind instead of TCP
+    --socket PATH    Unix domain socket to bind instead of TCP (a stale
+                     socket at PATH is replaced; any other file there is
+                     kept, and the bind fails)
     --sessions N     warm sessions kept (LRU-evicted beyond, default 8)
     --workers N      cold session builds allowed in flight (default
                      min(cores, sessions)); beyond the budget a request
@@ -819,11 +821,8 @@ pub fn spawn_unix_with_state(
     path: impl Into<PathBuf>,
     state: Arc<ServerState>,
 ) -> std::io::Result<ServerHandle> {
-    use std::os::unix::net::UnixListener;
     let path = path.into();
-    // A stale socket file from a previous run would make bind fail.
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path)?;
+    let listener = bind_unix(&path)?;
     let stop = Arc::new(AtomicBool::new(false));
     let (state2, stop2) = (state.clone(), stop.clone());
     let join = std::thread::spawn(move || accept_loop_unix(listener, state2, stop2));
@@ -833,6 +832,18 @@ pub fn spawn_unix_with_state(
         stop,
         join: Some(join),
     })
+}
+
+/// Bind a Unix domain socket at `path`. A stale socket file a previous
+/// run left there would make the bind fail, so it is removed first; any
+/// other file at `path` is left alone, and the bind fails on it.
+#[cfg(unix)]
+fn bind_unix(path: &Path) -> std::io::Result<std::os::unix::net::UnixListener> {
+    use std::os::unix::fs::FileTypeExt;
+    if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
+        std::fs::remove_file(path)?;
+    }
+    std::os::unix::net::UnixListener::bind(path)
 }
 
 /// Bind `addr` and serve a freshly published live session: returns the
@@ -1096,10 +1107,7 @@ pub fn run(tokens: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// Serve on a Unix domain socket (Unix only).
 #[cfg(unix)]
 fn serve_unix(path: &str, opts: ServeOptions, out: &mut dyn Write) -> Result<(), CliError> {
-    use std::os::unix::net::UnixListener;
-    // A stale socket file from a previous run would make bind fail.
-    let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)
+    let listener = bind_unix(Path::new(path))
         .map_err(|e| CliError::Invalid(format!("cannot bind {path}: {e}")))?;
     writeln!(
         out,

@@ -40,7 +40,9 @@ LIVE MODE (requires --case; trace output must be .btf):
                      a query server and stream refreshed replies to
                      `ocelotl watch` subscribers as the model grows
     --listen ADDR    TCP address the live server binds (e.g. 127.0.0.1:0)
-    --socket PATH    Unix domain socket to bind instead of TCP
+    --socket PATH    Unix domain socket to bind instead of TCP (a stale
+                     socket at PATH is replaced; any other file there is
+                     kept, and the bind fails)
     --slices N       live session resolution (default 30); subscribers
                      must match it
     --name S         advertised live session name (default `live')

@@ -479,6 +479,26 @@ fn unix_socket_server_serves_and_stops_cleanly() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A Unix server replaces the stale socket a previous run left at its
+/// path, and nothing else: a regular file there makes the bind fail and
+/// keeps its bytes.
+#[cfg(unix)]
+#[test]
+fn a_socket_path_replaces_only_a_stale_socket() {
+    use ocelotl_cli::commands::serve::spawn_unix;
+    let path = std::env::temp_dir().join(format!("ocelotl-test-{}-notes.txt", std::process::id()));
+    std::fs::write(&path, b"14 bytes kept.").unwrap();
+    assert!(spawn_unix(path.clone(), ServeOptions::default()).is_err());
+    assert_eq!(std::fs::read(&path).unwrap(), b"14 bytes kept.");
+    std::fs::remove_file(&path).unwrap();
+
+    // A dropped listener leaves its socket file behind.
+    drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+    let server = spawn_unix(path.clone(), ServeOptions::default()).unwrap();
+    server.stop();
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn busy_error_round_trips_on_the_wire() {
     use ocelotl::core::query::QueryError;
@@ -874,6 +894,26 @@ fn dp_tables_over_the_bound_are_refused_typed() {
     let expected = ocelotl::format::encode_reply(&direct.execute(&aggregate));
     assert_eq!(replies[2], expected);
     server.stop();
+    std::fs::remove_file(&trace).ok();
+}
+
+/// The bound is checked before the prefix sums are built: a refused DP
+/// leaves the session without a cube (at 10^6 slices of a 4-leaf trace
+/// the sums alone took about a gigabyte).
+#[test]
+fn a_refused_dp_builds_no_cube() {
+    use ocelotl::core::{SessionError, DP_LIMIT_BYTES};
+    let trace = fixture("huge-dp-cube");
+    let config = SessionConfig {
+        n_slices: 100_000,
+        ..SessionConfig::default()
+    };
+    let session = build_session(&trace, config, None);
+    let bound = DP_LIMIT_BYTES.to_string();
+    let refused = |r: Result<_, SessionError>| matches!(r, Err(SessionError::InvalidParam(m)) if m.contains(&bound));
+    assert!(refused(session.partition_at(0.4, false).map(|_| ())));
+    assert!(refused(session.significant(1e-2).map(|_| ())));
+    assert!(session.cube_if_built().is_none());
     std::fs::remove_file(&trace).ok();
 }
 

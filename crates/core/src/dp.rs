@@ -1054,7 +1054,7 @@ mod tests {
                 _ => pure_random_blocks(shape, t, n_states, seed),
             };
             let dense = crate::cube::DenseCube::build(&model);
-            let lazy = crate::cube::LazyCube::build(&model);
+            let lazy = crate::cube::CubeCore::build(&model);
 
             let mut ps = vec![0.0, 1.0, random_p.0, random_p.1];
             let levels = crate::pvalues::significant_partitions(&dense, &DpConfig::default(), 0.05);
@@ -1147,7 +1147,7 @@ mod tests {
             let new_model =
                 durations_up_to(shape, t, n_states, z, Some((&old_model, (a, b))), &mut rng);
             let cubes = |m: &ocelotl_trace::MicroModel| {
-                (crate::cube::DenseCube::build(m), crate::cube::LazyCube::build(m))
+                (crate::cube::DenseCube::build(m), crate::cube::CubeCore::build(m))
             };
             let (old_dense, old_lazy) = cubes(&old_model);
             let (new_dense, new_lazy) = cubes(&new_model);

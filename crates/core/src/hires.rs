@@ -277,63 +277,6 @@ impl HiResModel {
         Ok(AppendOutcome { touched, grown })
     }
 
-    /// Snap a time window to the hi-res grid: the nearest slice edges
-    /// enclosing a non-empty window, as `(first, count)` hi-res slice
-    /// indices. `None` when the window collapses or lies outside the
-    /// grid. Delegates to [`snap_to_grid`] so a grid probed from a trace
-    /// file's chunk index (no resident array) snaps to identical edges.
-    pub fn snap_window(&self, t0: f64, t1: f64) -> Option<(usize, usize)> {
-        let grid = self.raw.grid();
-        snap_to_grid((grid.start(), grid.end()), self.raw.n_slices(), t0, t1)
-    }
-
-    /// Merge two hi-res models of the **same stream shape**: identical
-    /// metric, grid, hierarchy dimensions and state registry (same names,
-    /// same order). Every cell of the result is `self + other` — one fixed
-    /// summation order, so folding per-shard models left-to-right in shard
-    /// order is the same computation at any worker count (the argument that
-    /// made re-slicing exact). Both sides must carry **raw** (unnormalized)
-    /// arrays; peak normalization happens once, when a model is derived
-    /// from the merged result.
-    pub fn merge(&self, other: &HiResModel) -> Result<HiResModel, String> {
-        if self.metric != other.metric {
-            return Err("cannot merge hi-res models of different metrics".into());
-        }
-        if self.raw.grid() != other.raw.grid() {
-            return Err("cannot merge hi-res models over different grids".into());
-        }
-        if self.raw.n_leaves() != other.raw.n_leaves() {
-            return Err("cannot merge hi-res models over different hierarchies".into());
-        }
-        let (a, b) = (self.raw.states(), other.raw.states());
-        if a.len() != b.len() || a.iter().zip(b.iter()).any(|((_, x), (_, y))| x != y) {
-            return Err("cannot merge hi-res models with different state registries".into());
-        }
-        let n_leaves = self.raw.n_leaves();
-        let n_states = self.raw.n_states();
-        let h = self.raw.n_slices();
-        let mut data = vec![0.0f64; n_leaves * n_states * h];
-        for leaf in 0..n_leaves {
-            for x in 0..n_states {
-                let sa = self.raw.series(LeafId(leaf as u32), StateId(x as u16));
-                let sb = other.raw.series(LeafId(leaf as u32), StateId(x as u16));
-                let dst = (leaf * n_states + x) * h;
-                for t in 0..h {
-                    data[dst + t] = sa[t] + sb[t];
-                }
-            }
-        }
-        Ok(HiResModel::new(
-            self.metric,
-            MicroModel::from_dense(
-                self.raw.hierarchy().clone(),
-                self.raw.states().clone(),
-                *self.raw.grid(),
-                data,
-            ),
-        ))
-    }
-
     /// Re-derive coarse slices `lo..=hi` of `model` in place, through the
     /// same kernel as [`HiResModel::derive_at`]. `model` is a full-range
     /// states model derived from an earlier version of this grid, at a
@@ -410,11 +353,10 @@ fn rebin_series(series: &[f64], first: usize, f: usize, out: &mut [f64], slices:
 /// `(first, count)` slice indices. `None` when the window collapses, lies
 /// outside the grid, or the grid itself is degenerate.
 ///
-/// This is the one snapping kernel: [`HiResModel::snap_window`] calls it
-/// over the resident array's grid, and the session's pushdown path calls
-/// it over a grid probed from a columnar trace's chunk index — both must
-/// land on bit-identical edges for windowed pushdown ingests to agree
-/// with resident-grid re-slices.
+/// This is the one snapping kernel: the session calls it over the
+/// resident array's grid and over a grid probed from a columnar trace's
+/// chunk index alike, so windowed pushdown ingests land on the edges a
+/// resident-grid re-slice picks.
 pub fn snap_to_grid(range: (f64, f64), h: usize, t0: f64, t1: f64) -> Option<(usize, usize)> {
     let (start, end) = range;
     let degenerate = h == 0 || !(start.is_finite() && end.is_finite() && end > start);
@@ -498,28 +440,19 @@ mod tests {
 
     #[test]
     fn snap_window_rounds_to_nearest_edges() {
-        let hi = hi_model(2, 1024); // w = 16/1024 = 1/64
-        let (first, count) = hi.snap_window(4.0, 8.0).unwrap();
-        assert_eq!((first, count), (256, 256));
+        let snap = |t0, t1| snap_to_grid((0.0, 16.0), 1024, t0, t1); // w = 1/64
+        assert_eq!(snap(4.0, 8.0), Some((256, 256)));
         // Slightly-off endpoints snap to the same edges.
         let eps = 1.0 / 512.0;
-        assert_eq!(hi.snap_window(4.0 + eps, 8.0 - eps), Some((256, 256)));
-        assert_eq!(hi.snap_window(5.0, 5.0), None, "empty window");
-        assert_eq!(hi.snap_window(f64::NAN, 8.0), None);
+        assert_eq!(snap(4.0 + eps, 8.0 - eps), Some((256, 256)));
+        assert_eq!(snap(5.0, 5.0), None, "empty window");
+        assert_eq!(snap(f64::NAN, 8.0), None);
         // Windows beyond the grid clamp to it.
-        assert_eq!(hi.snap_window(-5.0, 100.0), Some((0, 1024)));
+        assert_eq!(snap(-5.0, 100.0), Some((0, 1024)));
     }
 
     #[test]
     fn snap_to_grid_matches_the_resident_kernel() {
-        let hi = hi_model(2, 1024);
-        for (t0, t1) in [(4.0, 8.0), (-5.0, 100.0), (0.1, 0.2), (5.0, 5.0)] {
-            assert_eq!(
-                snap_to_grid((0.0, 16.0), 1024, t0, t1),
-                hi.snap_window(t0, t1),
-                "probe and resident snapping must agree at [{t0}, {t1}]"
-            );
-        }
         assert_eq!(snap_to_grid((0.0, 0.0), 1024, 0.0, 1.0), None, "flat grid");
         assert_eq!(snap_to_grid((0.0, 16.0), 0, 0.0, 1.0), None, "no slices");
         assert_eq!(snap_to_grid((f64::NAN, 16.0), 8, 0.0, 1.0), None);
@@ -550,33 +483,6 @@ mod tests {
     fn memory_bytes_counts_the_raw_array() {
         let hi = hi_model(2, 1024);
         assert_eq!(hi.memory_bytes(), 2 * 2 * 1024 * 8);
-    }
-
-    #[test]
-    fn merge_sums_every_cell_in_fixed_order() {
-        let a = hi_model(2, 1024);
-        let b = hi_model(2, 1024);
-        let m = a.merge(&b).unwrap();
-        assert_eq!(m.metric(), a.metric());
-        assert_eq!(m.n_slices(), 1024);
-        for leaf in 0..2u32 {
-            for x in 0..2u16 {
-                let sa = a.raw().series(LeafId(leaf), StateId(x));
-                let sb = b.raw().series(LeafId(leaf), StateId(x));
-                let sm = m.raw().series(LeafId(leaf), StateId(x));
-                for t in 0..1024 {
-                    assert_eq!(sm[t].to_bits(), (sa[t] + sb[t]).to_bits());
-                }
-            }
-        }
-        // Folding three shards left-to-right equals pairwise chaining.
-        let c = hi_model(2, 1024);
-        let fold = a.merge(&b).unwrap().merge(&c).unwrap();
-        let chain = m.merge(&c).unwrap();
-        assert_eq!(
-            fold.raw().series(LeafId(1), StateId(1)),
-            chain.raw().series(LeafId(1), StateId(1))
-        );
     }
 
     fn empty_live(metric: Metric, n_leaves: usize, h: usize, t0: f64, t1: f64) -> HiResModel {
@@ -806,24 +712,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.touched, Some((0, 576)));
-    }
-
-    #[test]
-    fn merge_rejects_shape_mismatches() {
-        let a = hi_model(2, 1024);
-        assert!(a.merge(&hi_model(3, 1024)).is_err(), "leaf count");
-        assert!(a.merge(&hi_model(2, 512)).is_err(), "grid");
-        let diff_metric = HiResModel::new(Metric::Density, hi_model(2, 1024).raw().clone());
-        assert!(a.merge(&diff_metric).is_err(), "metric");
-        let renamed = HiResModel::new(
-            Metric::States,
-            MicroModel::from_dense(
-                Hierarchy::flat(2, "p"),
-                StateRegistry::from_names(["A", "C"]),
-                TimeGrid::new(0.0, 16.0, 1024),
-                vec![0.0; 2 * 2 * 1024],
-            ),
-        );
-        assert!(a.merge(&renamed).is_err(), "state names");
     }
 }

@@ -19,15 +19,16 @@
 //! property (§V.B). At |S| ≈ 1500 nodes and |T| = 4096 slices, however,
 //! those matrices are ~200 GB — a hard wall.
 //!
-//! [`LazyCube`](crate::LazyCube) keeps only the `O(|S|·|T|·|X|)` prefix
+//! [`CubeCore`](crate::CubeCore) keeps only the `O(|S|·|T|·|X|)` prefix
 //! sums and evaluates each queried cell on demand in `O(|X|)`: memory
 //! drops from quadratic to **linear** in `|T|`, at the price of an
 //! `O(|X|)` loop per query. Rule of thumb: stay dense while
 //! [`dense_matrix_bytes`](crate::cube::dense_matrix_bytes) fits your RAM
-//! budget, go lazy beyond — the session's
-//! [`SessionCube`](crate::SessionCube) applies exactly that rule with a
-//! 1 GiB bound. Both backends answer bit-identically — see the
-//! `backend_equivalence` test suite.
+//! budget, stay on the prefix sums beyond — an
+//! [`AnalysisSession`](crate::AnalysisSession) applies exactly that rule
+//! with a 1 GiB bound ([`DENSE_LIMIT_BYTES`](crate::DENSE_LIMIT_BYTES)).
+//! Both cubes answer bit-identically — see the `backend_equivalence` test
+//! suite.
 
 pub use crate::cube::DenseCube;
 
@@ -36,14 +37,15 @@ pub use crate::cube::DenseCube;
 /// Historical name for the dense quality-cube backend; `AggregationInput`
 /// in existing code, docs, and the paper-facing API is exactly
 /// [`DenseCube`]. Prefer writing new consumers against the
-/// [`QualityCube`](crate::QualityCube) trait so they also accept
-/// [`LazyCube`](crate::LazyCube) and [`SessionCube`](crate::SessionCube).
+/// [`QualityCube`](crate::QualityCube) trait so they also accept the
+/// on-demand [`CubeCore`](crate::CubeCore).
 pub type AggregationInput = DenseCube;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measures::AreaSums;
+    use crate::QualityCube;
     use ocelotl_trace::synthetic::{fig3_model, random_model};
     use ocelotl_trace::{Hierarchy, LeafId, MicroModel, NodeId, StateId, StateRegistry, TimeGrid};
 

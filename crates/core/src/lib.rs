@@ -27,10 +27,10 @@
 //! Module map:
 //! - [`measures`] — Eq. 2–4 (loss, gain, pIC);
 //! - [`cube`] — the [`QualityCube`] abstraction over `gain`/`loss` access,
-//!   with the precomputed [`DenseCube`] (`O(|S||T|²)` memory, `O(1)`
-//!   queries) and the on-demand [`LazyCube`] (`O(|S||T||X|)` memory,
-//!   `O(|X|)` queries) backends, and the session's [`SessionCube`] that
-//!   picks between them by size;
+//!   answered by the on-demand [`CubeCore`] prefix sums (`O(|S||T||X|)`
+//!   memory, `O(|X|)` queries) and the precomputed [`DenseCube`]
+//!   (`O(|S||T|²)` memory, `O(1)` queries) a session builds from them
+//!   when they fit;
 //! - [`input`] — the historical [`AggregationInput`] name (= dense cube)
 //!   and the dense/lazy trade-off discussion;
 //! - [`dp`] — Algorithm 1, the `O(|S||T|³)` spatiotemporal optimizer
@@ -77,8 +77,8 @@ pub use analysis::{
     compare_partitions, mutual_information, total_mutual_information, PartitionComparison,
 };
 pub use cube::{
-    backend_footprint, dense_matrix_bytes, CubeCore, DenseCube, LazyCube, QualityCube, SessionCube,
-    DENSE_LIMIT_BYTES, DP_LIMIT_BYTES,
+    backend_footprint, dense_matrix_bytes, CubeCore, DenseCube, QualityCube, DENSE_LIMIT_BYTES,
+    DP_LIMIT_BYTES,
 };
 pub use dp::{aggregate, aggregate_default, Cut, CutTree, DpConfig};
 pub use hires::{

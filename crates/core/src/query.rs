@@ -49,7 +49,7 @@
 //! ```
 
 use crate::analysis::compare_partitions;
-use crate::cube::{backend_footprint, QualityCube, SessionCube};
+use crate::cube::{backend_footprint, CubeCore, QualityCube};
 use crate::inspect::{area_at, inspect_area};
 use crate::onedim::product_aggregation;
 use crate::partition::Partition;
@@ -964,11 +964,11 @@ impl QueryEngine {
         })
     }
 
-    fn cube_dims(cube: &SessionCube) -> Dims<'_> {
+    fn cube_dims(cube: &CubeCore) -> Dims<'_> {
         Dims {
             hierarchy: cube.hierarchy(),
             states: cube.states(),
-            grid: *cube.core().grid(),
+            grid: *cube.grid(),
         }
     }
 
@@ -1049,7 +1049,7 @@ impl QueryEngine {
             None => None,
         };
         let cube = self.session.cube()?;
-        let grid = cube.core().grid();
+        let grid = cube.grid();
 
         // §III.D: spatial-and-temporal is not spatiotemporal — score the
         // unidimensional optima and their product against Algorithm 1.
@@ -1193,7 +1193,7 @@ impl QueryEngine {
             slice,
             p,
             coarse,
-            area: Self::area_row(cube, cube.core().grid(), &area),
+            area: Self::area_row(cube, cube.grid(), &area),
             n_slices_spanned: report.n_slices,
             proportions: report.proportions,
         })
@@ -1222,7 +1222,7 @@ impl QueryEngine {
             None => self.session.partition_at(p, coarse)?,
         };
         let cube = self.session.cube()?;
-        let grid = cube.core().grid();
+        let grid = cube.grid();
         Ok(OverviewReply::from_partition(
             cube,
             &partition,

@@ -25,10 +25,11 @@
 //!    (`.opart`). A session that finds the last two never touches the
 //!    trace at all.
 //!
-//! The prefix sums answer every cell query; the first DP on a pipeline
-//! materializes the paper's dense gain/loss matrices (when they fit the
-//! size bound, see [`SessionCube`]), so memoized answers never pay for
-//! them.
+//! The prefix sums ([`CubeCore`]) answer every cell query; the first DP
+//! on a pipeline materializes the paper's dense gain/loss matrices (when
+//! they fit under [`DENSE_LIMIT_BYTES`]), so memoized answers never pay
+//! for them. Of all the session's pipelines, only the one that last ran a
+//! DP or was re-sliced to keeps its matrices.
 //!
 //! Artifacts are **content-addressed**: the session key is a 64-bit FNV-1a
 //! hash over the trace fingerprint (a hash of the raw trace bytes) and the
@@ -85,13 +86,13 @@
 //! pipeline did not run. The replies are the same bytes either way.
 
 use crate::cube::{
-    dp_table_bytes, CubeCore, QualityCube, SessionCube, DENSE_LIMIT_BYTES, DP_LIMIT_BYTES,
+    dense_fits, dp_table_bytes, CubeCore, DenseCube, QualityCube, DENSE_LIMIT_BYTES, DP_LIMIT_BYTES,
 };
-use crate::dp::{CutTree, DpConfig, Reuse};
+use crate::dp::{aggregate, aggregate_reusing, CutTree, DpConfig, Reuse};
 use crate::hires::{AppendOutcome, HiResModel, LiveEvent};
 use crate::partition::Partition;
-use crate::pvalues::PEntry;
-use ocelotl_trace::{event_density_auto, MicroModel, TimeGrid, Trace};
+use crate::pvalues::{significant_partitions, PEntry};
+use ocelotl_trace::{event_density_auto, Hierarchy, MicroModel, TimeGrid, Trace};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -150,10 +151,10 @@ fn validate_slices(n_slices: usize) -> Result<(), SessionError> {
     Ok(())
 }
 
-/// Refuse a DP whose tables would exceed [`DP_LIMIT_BYTES`], before it
-/// allocates them.
-fn check_dp_size(cube: &SessionCube) -> Result<(), SessionError> {
-    let (nodes, n) = (cube.hierarchy().len(), cube.n_slices());
+/// Refuse a DP over `hierarchy` at `n` slices whose tables would exceed
+/// [`DP_LIMIT_BYTES`], before it allocates them.
+fn check_dp_size(hierarchy: &Hierarchy, n: usize) -> Result<(), SessionError> {
+    let nodes = hierarchy.len();
     let bytes = dp_table_bytes(nodes, n);
     if bytes.is_some_and(|b| b <= DP_LIMIT_BYTES) {
         return Ok(());
@@ -507,8 +508,7 @@ pub struct PointEntry {
 }
 
 /// A complete significant-levels enumeration (see
-/// [`significant_partitions`](crate::pvalues::significant_partitions))
-/// at one dichotomy resolution.
+/// [`significant_partitions`]) at one dichotomy resolution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignificantSet {
     /// The dichotomy resolution the set was computed at.
@@ -743,7 +743,11 @@ enum Telemetry {
 #[derive(Default)]
 struct Derived {
     model: Stage<(MicroModel, Telemetry)>,
-    cube: Stage<(SessionCube, CubeSource)>,
+    cube: Stage<(CubeCore, CubeSource)>,
+    /// The dense matrices the first DP built over `cube`, while this is
+    /// the session's dense holder (see [`AnalysisSession::dense`]). The
+    /// mutex guards only the `Arc`: every DP runs on its own handle.
+    dense: Mutex<Option<Arc<DenseCube>>>,
     table: Stage<RwLock<PartitionTable>>,
     stats: Stage<Option<IngestStats>>,
     /// The cut trees of the DPs run on this pipeline, one per `(p, tie
@@ -811,7 +815,8 @@ struct Shared {
     /// Recently used full-grid pipelines by `n_slices`, most recent first.
     /// A live batch that changes a cell empties it.
     pipelines: Mutex<Vec<(usize, Arc<Derived>)>>,
-    /// The one pipeline allowed to keep its dense matrices.
+    /// The one pipeline allowed to keep its dense matrices (see
+    /// [`AnalysisSession::hold_dense`]).
     dense_holder: Mutex<Weak<Derived>>,
     source_reads: AtomicUsize,
     dp_runs: AtomicUsize,
@@ -1449,16 +1454,37 @@ impl AnalysisSession {
     /// The gain/loss quality cube, built on first use: a warm `.ocube`
     /// from the store, else the prefix sums of the model. The dense
     /// matrices wait for the first DP.
-    pub fn cube(&self) -> Result<&SessionCube, SessionError> {
+    pub fn cube(&self) -> Result<&CubeCore, SessionError> {
+        self.cube_admitting(|_| Ok(()))
+    }
+
+    /// The cube a DP runs on, refused when the DP's tables would exceed
+    /// [`DP_LIMIT_BYTES`]: a cold cube is refused from the dimensions of
+    /// the model (which the DP needs anyway) before its prefix sums are
+    /// built.
+    fn dp_cube(&self) -> Result<&CubeCore, SessionError> {
+        let cube = self.cube_admitting(|m| check_dp_size(m.hierarchy(), m.n_slices()))?;
+        check_dp_size(cube.hierarchy(), cube.n_slices())?;
+        Ok(cube)
+    }
+
+    /// [`AnalysisSession::cube`], where `admit` may refuse the model before
+    /// the prefix sums are built from it.
+    fn cube_admitting(
+        &self,
+        admit: impl FnOnce(&MicroModel) -> Result<(), SessionError>,
+    ) -> Result<&CubeCore, SessionError> {
         let (cube, _) = self.derived.cube.get_or_build(|| {
             if let Some(core) = self.stored_cube()? {
-                return Ok(self.session_cube(core, CubeSource::Warm));
+                return Ok((core, CubeSource::Warm));
             }
-            let core = CubeCore::build(self.model()?);
+            let model = self.model()?;
+            admit(model)?;
+            let core = CubeCore::build(model);
             if let Some(store) = self.active_store() {
                 store.store_cube(self.key()?, &core);
             }
-            Ok(self.session_cube(core, CubeSource::Cold))
+            Ok((core, CubeSource::Cold))
         })?;
         Ok(cube)
     }
@@ -1466,7 +1492,7 @@ impl AnalysisSession {
     /// The cube, only if a previous call already materialized it — never
     /// triggers a build or a store lookup. An observation peek for tests
     /// and benchmarks.
-    pub fn cube_if_built(&self) -> Option<&SessionCube> {
+    pub fn cube_if_built(&self) -> Option<&CubeCore> {
         self.derived.cube.get().map(|(cube, _)| cube)
     }
 
@@ -1481,12 +1507,11 @@ impl AnalysisSession {
     /// session. Lets dimension-only queries (`Describe`) answer warm
     /// without a trace read and cold without paying for a cube they do
     /// not need.
-    pub fn try_warm_cube(&self) -> Result<Option<&SessionCube>, SessionError> {
-        let loaded = self.derived.cube.get_or_load(|| {
-            Ok(self
-                .stored_cube()?
-                .map(|core| self.session_cube(core, CubeSource::Warm)))
-        })?;
+    pub fn try_warm_cube(&self) -> Result<Option<&CubeCore>, SessionError> {
+        let loaded = self
+            .derived
+            .cube
+            .get_or_load(|| Ok(self.stored_cube()?.map(|core| (core, CubeSource::Warm))))?;
         Ok(loaded.map(|(cube, _)| cube))
     }
 
@@ -1499,10 +1524,6 @@ impl AnalysisSession {
             Some(store) => Ok(store.load_cube(self.key()?)),
             None => Ok(None),
         }
-    }
-
-    fn session_cube(&self, core: CubeCore, source: CubeSource) -> (SessionCube, CubeSource) {
-        (SessionCube::new(core, self.shared.dense_limit), source)
     }
 
     /// The partition table, built on first use: the store's `.opart`, or
@@ -1533,16 +1554,34 @@ impl AnalysisSession {
     /// Make this snapshot's pipeline the one that keeps its dense matrices
     /// (before a DP, or on a re-slice to it), releasing those of the
     /// pipeline that held them before; a DP still running on them keeps
-    /// them until it ends.
+    /// its own handle until it ends.
     fn hold_dense(&self) {
         let holder = Arc::downgrade(&self.derived);
         let previous = std::mem::replace(&mut *lock(&self.shared.dense_holder), holder);
-        let previous = previous
+        if let Some(previous) = previous
             .upgrade()
-            .filter(|d| !Arc::ptr_eq(d, &self.derived));
-        if let Some((cube, _)) = previous.as_deref().and_then(|d| d.cube.get()) {
-            cube.release_dense();
+            .filter(|d| !Arc::ptr_eq(d, &self.derived))
+        {
+            let released = lock(&previous.dense).take();
+            drop(released);
         }
+    }
+
+    /// The dense matrices a DP on `cube` runs on, `None` when it runs on
+    /// the prefix sums. A DP that may `build` them does so while they fit
+    /// under the session's size bound ([`DENSE_LIMIT_BYTES`]); racing
+    /// first DPs block on the one build. A DP that may not (one reusing a
+    /// tree reads each cell once, so building them would cost as much as
+    /// the prefix sums it saves) reads them only once built. The matrices
+    /// take their own copy of the prefix sums, `O(|S|·|T|·|X|)` next to
+    /// their `O(|S|·|T|²)`.
+    fn dense(&self, cube: &CubeCore, build: bool) -> Option<Arc<DenseCube>> {
+        let mut slot = lock(&self.derived.dense);
+        let (nodes, n) = (cube.hierarchy().len(), cube.n_slices());
+        if slot.is_none() && build && dense_fits(nodes, n, self.shared.dense_limit) {
+            *slot = Some(Arc::new(DenseCube::from_core(cube.clone())));
+        }
+        slot.clone()
     }
 
     /// The optimal partition at trade-off `p` (Algorithm 1), memoized.
@@ -1563,17 +1602,17 @@ impl AnalysisSession {
         {
             return Ok(part.clone());
         }
-        let cube = self.cube()?;
-        check_dp_size(cube)?;
+        let cube = self.dp_cube()?;
         let config = if coarse {
             DpConfig::coarse_ties()
         } else {
             DpConfig::default()
         };
         self.hold_dense();
-        let tree = match self.reuse(p, coarse) {
-            Some(reuse) => cube.aggregate_reusing(p, &config, reuse),
-            None => cube.aggregate(p, &config),
+        let reuse = self.reuse(p, coarse);
+        let tree = match self.dense(cube, reuse.is_none()) {
+            Some(dense) => run_dp(&*dense, p, &config, reuse),
+            None => run_dp(cube, p, &config, reuse),
         };
         let partition = tree.partition(cube);
         self.shared.dp_runs.fetch_add(1, Ordering::Relaxed);
@@ -1643,10 +1682,13 @@ impl AnalysisSession {
         {
             return Ok(entries.to_vec());
         }
-        let cube = self.cube()?;
-        check_dp_size(cube)?;
+        let cube = self.dp_cube()?;
         self.hold_dense();
-        let entries = cube.significant_partitions(&DpConfig::default(), resolution);
+        let config = DpConfig::default();
+        let entries = match self.dense(cube, true) {
+            Some(dense) => significant_partitions(&*dense, &config, resolution),
+            None => significant_partitions(cube, &config, resolution),
+        };
         self.shared.dp_runs.fetch_add(1, Ordering::Relaxed);
         self.record(|t| {
             t.significant = Some(SignificantSet {
@@ -1655,6 +1697,20 @@ impl AnalysisSession {
             })
         })?;
         Ok(entries)
+    }
+}
+
+/// Algorithm 1 at trade-off `p`, reusing an inherited tree when there is
+/// one (see [`aggregate_reusing`]).
+fn run_dp<C: QualityCube>(
+    cube: &C,
+    p: f64,
+    config: &DpConfig,
+    reuse: Option<Reuse<'_>>,
+) -> CutTree {
+    match reuse {
+        Some(reuse) => aggregate_reusing(cube, p, config, reuse),
+        None => aggregate(cube, p, config),
     }
 }
 
@@ -1932,11 +1988,7 @@ mod tests {
         // A warm engine answers all of them without a DP, so it never
         // builds the matrices — not even across a 64→128→64 reslice.
         let mut warm = QueryEngine::new(open(64));
-        let no_dense = |e: &QueryEngine| {
-            e.session()
-                .cube_if_built()
-                .is_none_or(|c| c.dense_if_built().is_none())
-        };
+        let no_dense = |e: &QueryEngine| dense(e.session()).is_none();
         let aggregate = AnalysisRequest::Aggregate {
             p: 0.5,
             coarse: false,
@@ -1974,10 +2026,10 @@ mod tests {
         // reuses them.
         let session = warm.into_session();
         let fresh = session.partition_at(0.3, false).unwrap();
-        let dense = session.cube_if_built().unwrap().dense_if_built().unwrap();
+        let built = dense(&session).unwrap();
         session.partition_at(0.7, false).unwrap();
-        let again = session.cube_if_built().unwrap().dense_if_built().unwrap();
-        assert!(Arc::ptr_eq(&dense, &again), "the matrices are built once");
+        let again = dense(&session).unwrap();
+        assert!(Arc::ptr_eq(&built, &again), "the matrices are built once");
         assert_eq!(session.dp_runs(), 2);
 
         // Above the size bound the DP runs on the prefix sums: same bits.
@@ -1992,7 +2044,47 @@ mod tests {
         assert_eq!(bounded.partition_at(0.5, false).unwrap(), at_64);
         assert_eq!(bounded.partition_at(0.3, false).unwrap(), fresh);
         assert_eq!(bounded.significant(1e-2).unwrap(), levels);
-        assert!(bounded.cube_if_built().unwrap().dense_if_built().is_none());
+        assert!(bounded.cube_if_built().is_some());
+        assert!(dense(&bounded).is_none());
+    }
+
+    /// The dense matrices of a snapshot's pipeline, if a DP built them.
+    fn dense(s: &AnalysisSession) -> Option<Arc<DenseCube>> {
+        lock(&s.derived.dense).clone()
+    }
+
+    #[test]
+    fn one_pipeline_at_a_time_holds_the_dense_matrices() {
+        let hi = HiResModel::new(Metric::States, random_model(&[2, 3], 4096, 2, 17));
+        let at_64 = AnalysisSession::new(
+            HiResSource(hi),
+            SessionConfig {
+                n_slices: 64,
+                ..SessionConfig::default()
+            },
+        );
+        // A DP at 64 slices builds the matrices.
+        at_64.partition_at(0.5, false).unwrap();
+        assert!(dense(&at_64).is_some());
+        // Re-slicing to 128 releases them for every snapshot at 64; a DP
+        // there builds 128's.
+        let at_128 = at_64.resliced(128, None).unwrap();
+        assert!(dense(&at_64.clone()).is_none(), "64 must let go");
+        at_128.partition_at(0.5, false).unwrap();
+        let held = dense(&at_128).unwrap();
+        assert_eq!(held.n_slices(), 128);
+        // A handle taken before the release outlives it, alone.
+        let back = at_128.resliced(64, None).unwrap();
+        assert!(dense(&at_128).is_none(), "128 must let go");
+        assert_eq!(Arc::strong_count(&held), 1);
+        drop(held);
+        // Back at 64 (the cached pipeline), a memoized p needs no
+        // matrices; a new p rebuilds them.
+        back.partition_at(0.5, false).unwrap();
+        assert!(dense(&back).is_none());
+        back.partition_at(0.3, false).unwrap();
+        assert!(dense(&back).is_some());
+        assert_eq!(back.dp_runs(), 3);
     }
 
     #[test]
@@ -2259,7 +2351,7 @@ mod tests {
                         continue;
                     }
                     let config = if coarse { DpConfig::coarse_ties() } else { DpConfig::default() };
-                    let expected = fresh.cube().unwrap().aggregate(p, &config);
+                    let expected = aggregate(fresh.cube().unwrap(), p, &config);
                     let partition = live.partition_at(p, coarse).unwrap();
                     let what = format!("{what}, p {p}, coarse {coarse}");
                     assert_eq!(partition, expected.partition(fresh.cube().unwrap()), "{what}");

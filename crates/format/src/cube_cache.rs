@@ -1,15 +1,15 @@
 //! OCB — the cached quality-cube format (`.ocube`).
 //!
 //! The second durable artifact of the session pipeline (after `.omm`): the
-//! per-node prefix sums of a [`CubeCore`], i.e. everything any quality-cube
-//! backend (dense or lazy) needs to answer `gain`/`loss` queries. A warm
+//! per-node prefix sums of a [`CubeCore`], i.e. everything either quality
+//! cube (on-demand or dense) needs to answer `gain`/`loss` queries. A warm
 //! analysis session deserializes an `.ocube` and skips trace reading,
 //! microscopic description *and* prefix-sum construction — only the DP
 //! (with the dense matrices it builds on first use) remains.
 //!
 //! Values are stored as raw IEEE-754 bit patterns, so a reloaded cube
 //! answers every query **bit-identically** to the cube it was saved from
-//! (both backends evaluate through the same `CubeCore::eval_cell`).
+//! (both cubes evaluate through the same `CubeCore::eval_cell`).
 //!
 //! Layout (all integers little-endian, strings `u32`-length-prefixed UTF-8):
 //!
@@ -27,7 +27,7 @@ use crate::binary::put_str;
 use crate::error::{FormatError, Result};
 use crate::micro_cache::{read_hierarchy, write_hierarchy};
 use bytes::BufMut;
-use ocelotl_core::CubeCore;
+use ocelotl_core::{CubeCore, QualityCube};
 use ocelotl_trace::{StateRegistry, TimeGrid};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -36,17 +36,7 @@ use std::path::Path;
 const MAGIC: &[u8; 4] = b"OCB1";
 
 /// Serialize a cube core under its artifact key.
-///
-/// Fails if the core's Shannon-information prefix sums were discarded
-/// (which happens once a dense backend consumed it): serialize the core
-/// *before* materializing triangular matrices.
 pub fn write_cube<W: Write>(key: u64, core: &CubeCore, mut w: W) -> Result<()> {
-    if !core.has_info_sums() {
-        return Err(FormatError::parse(
-            "cube core has no info prefix sums left (already fed a dense cube)",
-            None,
-        ));
-    }
     let mut head = Vec::with_capacity(4096);
     head.put_slice(MAGIC);
     head.put_u64_le(key);
@@ -164,7 +154,7 @@ pub fn load_cube(path: &Path) -> Result<(u64, CubeCore)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelotl_core::{DenseCube, LazyCube};
+    use ocelotl_core::DenseCube;
     use ocelotl_trace::synthetic::{fig3_model, random_model};
 
     fn roundtrip(key: u64, core: &CubeCore) -> (u64, CubeCore) {
@@ -200,23 +190,14 @@ mod tests {
         let core = CubeCore::build(&m);
         let (_, back) = roundtrip(1, &core);
         let dense = DenseCube::from_core(core.clone());
-        let lazy = LazyCube::from_core(back);
         for node in m.hierarchy().node_ids() {
             for i in 0..m.n_slices() {
                 for j in i..m.n_slices() {
-                    assert_eq!(dense.gain(node, i, j), lazy.gain(node, i, j));
-                    assert_eq!(dense.loss(node, i, j), lazy.loss(node, i, j));
+                    assert_eq!(dense.gain(node, i, j), back.gain(node, i, j));
+                    assert_eq!(dense.loss(node, i, j), back.loss(node, i, j));
                 }
             }
         }
-    }
-
-    #[test]
-    fn dense_consumed_core_refuses_to_serialize() {
-        let m = fig3_model();
-        let dense = DenseCube::build(&m);
-        let mut buf = Vec::new();
-        assert!(write_cube(0, dense.core(), &mut buf).is_err());
     }
 
     #[test]

@@ -393,7 +393,7 @@ impl ArtifactStore for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelotl_core::CubeCore;
+    use ocelotl_core::{CubeCore, QualityCube};
     use ocelotl_trace::synthetic::random_model;
 
     fn scratch_dir(tag: &str) -> PathBuf {

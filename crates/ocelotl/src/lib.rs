@@ -75,7 +75,7 @@
 //! // Grids too big for the paper's dense O(|S||T|²) matrices evaluate
 //! // cells on demand from O(|S||T||X|) prefix sums — the same bits (an
 //! // `AnalysisSession` picks between the two by size on its own).
-//! let cube = LazyCube::build(&model);
+//! let cube = CubeCore::build(&model);
 //! let same = aggregate_default(&cube, 0.5).partition(&cube);
 //! assert_eq!(partition, same);
 //! ```
@@ -99,9 +99,9 @@ pub mod prelude {
     pub use ocelotl_core::query::{AnalysisReply, AnalysisRequest, QueryEngine, QueryError};
     pub use ocelotl_core::{
         aggregate, aggregate_default, product_aggregation, quality, significant_partitions,
-        AggregationInput, AnalysisSession, Area, ArtifactStore, CubeSource, Cut, CutTree,
-        DenseCube, DpConfig, IngestStats, LazyCube, Metric, ModelSource, OwnedSource, Partition,
-        QualityCube, SessionConfig, SessionCube, SessionError,
+        AggregationInput, AnalysisSession, Area, ArtifactStore, CubeCore, CubeSource, Cut, CutTree,
+        DenseCube, DpConfig, IngestStats, Metric, ModelSource, OwnedSource, Partition, QualityCube,
+        SessionConfig, SessionError,
     };
     pub use ocelotl_mpisim::{CaseId, Platform, Scenario};
     pub use ocelotl_trace::{

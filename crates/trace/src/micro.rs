@@ -222,12 +222,6 @@ impl MicroModel {
         self.durations.iter().sum()
     }
 
-    /// Mutable access for synthetic-model construction.
-    pub fn duration_mut(&mut self, leaf: LeafId, state: StateId, slice: usize) -> &mut f64 {
-        let i = self.idx(leaf.index(), state.index(), slice);
-        &mut self.durations[i]
-    }
-
     /// Mutable time series `d_x(s, ·)` for one (leaf, state): the in-place
     /// accumulation target of the live append path.
     #[inline]

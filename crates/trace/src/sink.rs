@@ -20,8 +20,7 @@
 //!   the `d_x(s,t)` array through a bounded record buffer that is flushed
 //!   with a chunked parallel fold over disjoint resource ranges;
 //! - [`ScanSink`] — O(1) pass collecting the observed time range and event
-//!   counts (the first pass of two-pass ingestion, and `info --stats`);
-//! - [`TeeSink`] — drive two sinks from one decode pass.
+//!   counts (the first pass of two-pass ingestion, and `info --stats`).
 //!
 //! For sharded ingestion, [`ModelSink::finish_partial`] stops before final
 //! assembly and yields a [`PartialModel`] — the mergeable raw accumulator.
@@ -350,16 +349,6 @@ impl ModelSink {
     pub fn hi_res(kind: ModelKind, n_slices: usize) -> Self {
         Self {
             hi_res: true,
-            ..Self::new(kind, n_slices)
-        }
-    }
-
-    /// [`ModelSink::hi_res`] with an injected time range (two-pass
-    /// ingestion of range-less formats).
-    pub fn hi_res_with_range(kind: ModelKind, n_slices: usize, range: (Time, Time)) -> Self {
-        Self {
-            hi_res: true,
-            range_override: Some(range),
             ..Self::new(kind, n_slices)
         }
     }
@@ -909,73 +898,6 @@ fn finish_density(mut acc: Accum, normalize: bool) -> MicroModel {
     MicroModel::from_dense(acc.hierarchy, acc.states, acc.grid, counts)
 }
 
-// ---------------------------------------------------------------------------
-// TeeSink
-// ---------------------------------------------------------------------------
-
-/// Drive two sinks from one decode pass (e.g. build the model *and*
-/// count events, or materialize a trace while aggregating). Each side's
-/// `begin` decision is honored independently; the decode continues while
-/// at least one side wants the events.
-pub struct TeeSink<A, B> {
-    a: A,
-    b: B,
-    on_a: bool,
-    on_b: bool,
-}
-
-impl<A: EventSink, B: EventSink> TeeSink<A, B> {
-    /// Tee into `a` and `b`.
-    pub fn new(a: A, b: B) -> Self {
-        Self {
-            a,
-            b,
-            on_a: false,
-            on_b: false,
-        }
-    }
-
-    /// The two sinks back.
-    pub fn into_inner(self) -> (A, B) {
-        (self.a, self.b)
-    }
-}
-
-impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
-    fn begin(&mut self, header: &StreamHeader) -> bool {
-        self.on_a = self.a.begin(header);
-        self.on_b = self.b.begin(header);
-        self.on_a || self.on_b
-    }
-
-    fn interval(&mut self, resource: LeafId, state: StateId, begin: Time, end: Time) {
-        if self.on_a {
-            self.a.interval(resource, state, begin, end);
-        }
-        if self.on_b {
-            self.b.interval(resource, state, begin, end);
-        }
-    }
-
-    fn point(&mut self, ev: &PointEvent) {
-        if self.on_a {
-            self.a.point(ev);
-        }
-        if self.on_b {
-            self.b.point(ev);
-        }
-    }
-
-    fn end(&mut self) {
-        if self.on_a {
-            self.a.end();
-        }
-        if self.on_b {
-            self.b.end();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1434,27 +1356,5 @@ mod tests {
         let mut scan = ScanSink::new();
         assert!(replay(&t, None, &mut scan));
         assert_eq!(scan.observed_range(), None);
-    }
-
-    #[test]
-    fn tee_sink_feeds_both_sides() {
-        let t = sample_trace();
-        let mut tee = TeeSink::new(ScanSink::new(), ModelSink::new(ModelKind::States, 6));
-        assert!(replay(&t, t.time_range(), &mut tee));
-        let (scan, model) = tee.into_inner();
-        assert_eq!(scan.intervals, 4);
-        let m = model.finish().unwrap();
-        assert_models_bit_identical(&m, &MicroModel::from_trace(&t, 6).unwrap());
-    }
-
-    #[test]
-    fn tee_sink_continues_when_one_side_stops() {
-        let t = sample_trace();
-        // The model side has no range and stops; the scan side continues.
-        let mut tee = TeeSink::new(ModelSink::new(ModelKind::States, 6), ScanSink::new());
-        assert!(replay(&t, None, &mut tee));
-        let (model, scan) = tee.into_inner();
-        assert!(model.needs_range());
-        assert_eq!(scan.observed_range(), t.time_range());
     }
 }

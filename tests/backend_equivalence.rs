@@ -10,7 +10,7 @@
 
 use ocelotl::core::{
     aggregate, aggregate_default, backend_footprint, dense_matrix_bytes, significant_partitions,
-    DenseCube, DpConfig, LazyCube,
+    CubeCore, DenseCube, DpConfig,
 };
 use ocelotl::mpisim::{scenario, CaseId};
 use ocelotl::prelude::*;
@@ -35,7 +35,7 @@ proptest! {
     fn all_cells_bit_identical((fanouts, t, x, seed) in arb_shape()) {
         let m = random_model(&fanouts, t, x, seed);
         let dense = DenseCube::build(&m);
-        let lazy = LazyCube::build(&m);
+        let lazy = CubeCore::build(&m);
         for node in m.hierarchy().node_ids() {
             for i in 0..t {
                 for j in i..t {
@@ -59,7 +59,7 @@ proptest! {
     fn aggregate_partitions_identical((fanouts, t, x, seed) in arb_shape(), p in 0.0f64..=1.0) {
         let m = random_model(&fanouts, t, x, seed);
         let dense = DenseCube::build(&m);
-        let lazy = LazyCube::build(&m);
+        let lazy = CubeCore::build(&m);
         for config in [DpConfig::default(), DpConfig::coarse_ties()] {
             let td = aggregate(&dense, p, &config);
             let tl = aggregate(&lazy, p, &config);
@@ -73,7 +73,7 @@ proptest! {
     fn significant_partitions_identical((fanouts, t, x, seed) in arb_shape()) {
         let m = random_model(&fanouts, t, x, seed);
         let dense = DenseCube::build(&m);
-        let lazy = LazyCube::build(&m);
+        let lazy = CubeCore::build(&m);
         let ed = significant_partitions(&dense, &DpConfig::default(), 1e-2);
         let el = significant_partitions(&lazy, &DpConfig::default(), 1e-2);
         prop_assert_eq!(ed.len(), el.len());
@@ -92,7 +92,7 @@ fn case_a_backends_agree_at_paper_scale() {
     let (trace, _) = scenario(CaseId::A, 0.005).run(42);
     let model = MicroModel::from_trace(&trace, 30).unwrap();
     let dense = DenseCube::build(&model);
-    let lazy = LazyCube::build(&model);
+    let lazy = CubeCore::build(&model);
     for p in [0.25, 0.5] {
         let pd = aggregate_default(&dense, p).partition(&dense);
         let pl = aggregate_default(&lazy, p).partition(&lazy);
@@ -128,7 +128,7 @@ fn lazy_aggregates_at_t2048_without_dense_matrices() {
     );
 
     // …while its own footprint stays linear in |T|.
-    let lazy = LazyCube::build(&model);
+    let lazy = CubeCore::build(&model);
     assert!(
         lazy.memory_bytes() < avoided / 100,
         "lazy cube should be >100x smaller: {} vs {avoided}",

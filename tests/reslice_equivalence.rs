@@ -8,7 +8,7 @@
 //! any `--slices` change in the dyadic family with **zero trace disk
 //! reads**.
 
-use ocelotl::core::{DenseCube, HiResModel, LazyCube, QualityCube};
+use ocelotl::core::{CubeCore, DenseCube, HiResModel, QualityCube};
 use ocelotl::format::{read_hi_res, read_model, write_trace};
 use ocelotl::prelude::*;
 use ocelotl::trace::{PointEvent, PointKind};
@@ -141,7 +141,7 @@ fn check_file(path: &Path, n0: usize, kind: ModelKind, metric: Metric, what: &st
         // The quality cube built on top: dense and lazy backends answer
         // bit-identically from warm and fresh models.
         let cube_w = DenseCube::build(&warm);
-        let cube_f = LazyCube::build(&fresh);
+        let cube_f = CubeCore::build(&fresh);
         let h = warm.hierarchy();
         let t = warm.n_slices();
         for node in [h.root(), h.leaf_node(LeafId(0))] {

@@ -160,7 +160,7 @@ proptest! {
 // after *every* batch, not just at the end.
 // ---------------------------------------------------------------------------
 
-use ocelotl::core::{DenseCube, HiResModel, LazyCube, LiveEvent, Metric};
+use ocelotl::core::{CubeCore, DenseCube, HiResModel, LiveEvent, Metric};
 use ocelotl::trace::{EventSink, ModelSink, StreamHeader};
 
 /// An all-zero appendable model: `n_leaves` flat resources, two states,
@@ -224,7 +224,7 @@ fn assert_derived_and_cubes_identical(live: &HiResModel, fresh: &MicroModel, n_s
         .expect("fresh derive");
     assert_bit_identical(&a, &b, "derived");
     let (da, db) = (DenseCube::build(&a), DenseCube::build(&b));
-    let (la, lb) = (LazyCube::build(&a), LazyCube::build(&b));
+    let (la, lb) = (CubeCore::build(&a), CubeCore::build(&b));
     for node in a.hierarchy().node_ids() {
         for i in 0..n_slices {
             for j in i..n_slices {
