@@ -22,14 +22,22 @@
 //! report's `bytes_read`: the ingest's own reads) and runs
 //! ≥3× faster than the windowed full-pass `.ptf` ingest, and the
 //! full-trace `.octf` ingest stays within 1.5× of the full `.ptf` one.
+//!
+//! Sessions do not call `read_model`: they ingest the hi-res grid
+//! (`read_hi_res`), or for a zoom window only the chunks over its hi-res
+//! slices (`read_hi_res_window`). Each size therefore also gets one row
+//! per route on the `.octf` (the middle sixteenth of the hi-res grid for
+//! the window), with the wall time (best of three), the slowest unit, the
+//! merge (which includes assembling the model) and the core count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocelotl::format::{
-    read_model, read_model_with, read_trace, write_columnar_chunked, write_trace, IngestMode,
-    IngestOptions, IngestReport, Predicate,
+    plan_columnar, read_hi_res_window, read_hi_res_with, read_model, read_model_with, read_trace,
+    take_last_ingest_timing, write_columnar_chunked, write_trace, IngestMode, IngestOptions,
+    IngestReport, Predicate,
 };
 use ocelotl::mpisim::{scenario_with_events, CaseId};
-use ocelotl::trace::ModelKind;
+use ocelotl::trace::{hi_res_slices, ModelKind};
 use ocelotl_bench::scratch;
 use std::path::Path;
 use std::time::Instant;
@@ -81,6 +89,45 @@ struct Point {
     asserted: bool,
 }
 
+/// One hi-res route on the `.octf`: best-of-3 wall time with the stage
+/// timing of that run.
+struct HiResRow {
+    target: u64,
+    route: &'static str,
+    hi_res_slices: usize,
+    units: usize,
+    chunks_read: u64,
+    wall_ms: f64,
+    slowest_unit_ms: f64,
+    merge_ms: f64,
+}
+
+fn hi_res_row(target: u64, route: &'static str, run: impl Fn() -> IngestReport) -> HiResRow {
+    let mut best: Option<HiResRow> = None;
+    for _ in 0..3 {
+        let _ = take_last_ingest_timing();
+        let t0 = Instant::now();
+        let report = run();
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let timing = take_last_ingest_timing().expect("ingest records timing");
+        let ms = |nanos: u64| nanos as f64 / 1e6;
+        let row = HiResRow {
+            target,
+            route,
+            hi_res_slices: report.model.n_slices(),
+            units: timing.shard_nanos.len(),
+            chunks_read: report.chunks_read,
+            wall_ms,
+            slowest_unit_ms: ms(timing.shard_nanos.iter().copied().max().unwrap_or(0)),
+            merge_ms: ms(timing.merge_nanos),
+        };
+        if best.as_ref().is_none_or(|b| row.wall_ms < b.wall_ms) {
+            best = Some(row);
+        }
+    }
+    best.expect("three runs")
+}
+
 fn ingest_full(path: &Path) -> IngestReport {
     read_model(path, SLICES, ModelKind::States).expect("full ingest")
 }
@@ -102,7 +149,11 @@ fn ingest_window(path: &Path, window: (f64, f64)) -> IngestReport {
 }
 
 fn bench_pushdown(_c: &mut Criterion) {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut points: Vec<Point> = Vec::new();
+    let mut hi_res_rows: Vec<HiResRow> = Vec::new();
     println!(
         "{:>12} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>8}",
         "events", "full ptf", "full octf", "win ptf", "win octf", "bytes x", "win x", "chunks"
@@ -186,6 +237,33 @@ fn bench_pushdown(_c: &mut Criterion) {
                  (got {full_ratio:.2}x at {target} events)"
             );
         }
+        // The session's routes: the full hi-res grid, and the middle
+        // sixteenth of it pushed down to the chunk index.
+        let plan = plan_columnar(&octf).expect("octf plan");
+        let (leaves, states) = (plan.header.hierarchy.n_leaves(), plan.header.states.len());
+        let h = hi_res_slices(SLICES, leaves, states);
+        let (first, count) = (h / 2 - h / 32, h / 16);
+        let opts = IngestOptions::default();
+        let kind = ModelKind::States;
+        let full = || read_hi_res_with(&octf, SLICES, kind, &opts).expect("hi-res ingest");
+        let win = || read_hi_res_window(&octf, SLICES, kind, first, count, &opts).expect("window");
+        for row in [
+            hi_res_row(target, "read_hi_res", full),
+            hi_res_row(target, "read_hi_res_window", win),
+        ] {
+            println!(
+                "{:>12} {:<18} {:>9.1} ms, slowest unit {:.1} ms, merge {:.1} ms ({} units, H = {})",
+                full_ptf.events(),
+                row.route,
+                row.wall_ms,
+                row.slowest_unit_ms,
+                row.merge_ms,
+                row.units,
+                row.hi_res_slices,
+            );
+            hi_res_rows.push(row);
+        }
+
         points.push(Point {
             target,
             events: full_ptf.events(),
@@ -237,6 +315,22 @@ fn bench_pushdown(_c: &mut Criterion) {
                 p.asserted,
             )
         })
+        .chain(hi_res_rows.iter().map(|r| {
+            format!(
+                "{{\"bench\":\"columnar_pushdown\",\"route\":\"{}\",\"target_events\":{},\
+                 \"cores\":{},\"hi_res_slices\":{},\"units\":{},\"chunks_read\":{},\
+                 \"wall_ms\":{:.3},\"slowest_unit_ms\":{:.3},\"merge_ms\":{:.3}}}",
+                r.route,
+                r.target,
+                cores,
+                r.hi_res_slices,
+                r.units,
+                r.chunks_read,
+                r.wall_ms,
+                r.slowest_unit_ms,
+                r.merge_ms,
+            )
+        }))
         .collect();
     for e in &entries {
         println!("BENCH {e}");

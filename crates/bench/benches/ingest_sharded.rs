@@ -28,9 +28,17 @@
 //! (elapsed time vs the 1-shard ingest) when the machine has at least as
 //! many cores as shards, `estimate` otherwise. Asserted: ≥2.5× at 4
 //! shards on the largest size.
+//!
+//! `read_model` is a path no session takes: a session ingests the hi-res
+//! grid (`read_hi_res`) and rebins it. So each size also gets one
+//! `"route":"read_hi_res"` row per shard count — wall time on a pool of
+//! `s` threads (best of three), the slowest unit, the merge (which
+//! includes assembling the model) and the core count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ocelotl::format::{read_model_with, take_last_ingest_timing, IngestOptions, ShardMode};
+use ocelotl::format::{
+    read_hi_res_with, read_model_with, take_last_ingest_timing, IngestOptions, ShardMode,
+};
 use ocelotl::mpisim::{scenario_with_events, CaseId};
 use ocelotl::trace::ModelKind;
 use ocelotl_bench::scratch;
@@ -61,6 +69,17 @@ fn makespan(tasks: impl IntoIterator<Item = f64>, workers: usize) -> f64 {
     idle_at.into_iter().fold(0.0, f64::max)
 }
 
+/// One `read_hi_res` ingest at a forced shard count.
+struct HiResPoint {
+    target: u64,
+    events: u64,
+    shards: usize,
+    hi_res_slices: usize,
+    wall_ms: f64,
+    slowest_shard_ms: f64,
+    merge_ms: f64,
+}
+
 struct Point {
     target: u64,
     events: u64,
@@ -80,6 +99,7 @@ fn bench_sharded(_c: &mut Criterion) {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut points: Vec<Point> = Vec::new();
+    let mut hi_res_points: Vec<HiResPoint> = Vec::new();
     println!("cores: {cores}");
     println!(
         "{:>12} {:>7} {:>12} {:>13} {:>10} {:>10} {:>9} {:>9}",
@@ -91,13 +111,14 @@ fn bench_sharded(_c: &mut Criterion) {
             .run_to_file(&path, 42)
             .expect("streamed generation");
         let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let opts = |shards: usize, workers: usize| IngestOptions {
+            shards: ShardMode::Fixed(shards),
+            max_workers: workers,
+            predicate: None,
+        };
         let ingest = |shards: usize, workers: usize| {
-            let opts = IngestOptions {
-                shards: ShardMode::Fixed(shards),
-                max_workers: workers,
-                predicate: None,
-            };
-            read_model_with(&path, SLICES, ModelKind::States, &opts).expect("sharded ingest")
+            read_model_with(&path, SLICES, ModelKind::States, &opts(shards, workers))
+                .expect("sharded ingest")
         };
 
         // (wall, estimate, mass bits) of the 1-shard ingest.
@@ -166,6 +187,38 @@ fn bench_sharded(_c: &mut Criterion) {
                 speedup_kind,
             });
         }
+
+        // The session's path: the hi-res grid, merged shard by shard.
+        for &s in &SHARD_COUNTS {
+            let mut best: Option<HiResPoint> = None;
+            for _ in 0..3 {
+                let _ = take_last_ingest_timing();
+                let t0 = Instant::now();
+                let report = read_hi_res_with(&path, SLICES, ModelKind::States, &opts(s, s))
+                    .expect("hi-res ingest");
+                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let timing = take_last_ingest_timing().expect("ingest records timing");
+                let ms = |nanos: u64| nanos as f64 / 1e6;
+                let point = HiResPoint {
+                    target,
+                    events: report.events(),
+                    shards: s,
+                    hi_res_slices: report.model.n_slices(),
+                    wall_ms,
+                    slowest_shard_ms: ms(timing.shard_nanos.iter().copied().max().unwrap_or(0)),
+                    merge_ms: ms(timing.merge_nanos),
+                };
+                if best.as_ref().is_none_or(|b| point.wall_ms < b.wall_ms) {
+                    best = Some(point);
+                }
+            }
+            let p = best.expect("three runs");
+            println!(
+                "{:>12} {:>7} {:>9.1} ms {:>13} {:>7.1} ms {:>7.1} ms  read_hi_res (H = {})",
+                p.events, s, p.wall_ms, "", p.slowest_shard_ms, p.merge_ms, p.hi_res_slices
+            );
+            hi_res_points.push(p);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -184,6 +237,21 @@ fn bench_sharded(_c: &mut Criterion) {
         at4.events
     );
 
+    let hi_res_entries = hi_res_points.iter().map(|p| {
+        format!(
+            "{{\"bench\":\"ingest_sharded\",\"route\":\"read_hi_res\",\"target_events\":{},\
+             \"events\":{},\"shards\":{},\"cores\":{},\"hi_res_slices\":{},\"wall_ms\":{:.3},\
+             \"slowest_shard_ms\":{:.3},\"merge_ms\":{:.3}}}",
+            p.target,
+            p.events,
+            p.shards,
+            cores,
+            p.hi_res_slices,
+            p.wall_ms,
+            p.slowest_shard_ms,
+            p.merge_ms,
+        )
+    });
     let entries: Vec<String> = points
         .iter()
         .map(|p| {
@@ -207,6 +275,7 @@ fn bench_sharded(_c: &mut Criterion) {
                 p.speedup_kind,
             )
         })
+        .chain(hi_res_entries)
         .collect();
     for e in &entries {
         println!("BENCH {e}");

@@ -836,12 +836,20 @@ pub fn spawn_unix_with_state(
 
 /// Bind a Unix domain socket at `path`. A stale socket file a previous
 /// run left there would make the bind fail, so it is removed first; any
-/// other file at `path` is left alone, and the bind fails on it.
+/// other file at `path` is left alone, and the bind is refused with that
+/// reason.
 #[cfg(unix)]
 fn bind_unix(path: &Path) -> std::io::Result<std::os::unix::net::UnixListener> {
     use std::os::unix::fs::FileTypeExt;
-    if std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket()) {
-        std::fs::remove_file(path)?;
+    match std::fs::symlink_metadata(path) {
+        Ok(m) if m.file_type().is_socket() => std::fs::remove_file(path)?,
+        Ok(_) => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                "the path exists and is not a socket, so it is not replaced",
+            ))
+        }
+        Err(_) => {}
     }
     std::os::unix::net::UnixListener::bind(path)
 }

@@ -234,6 +234,17 @@ impl ModelSource for FileSource {
         Ok((report.model, Some(stats)))
     }
 
+    /// From the header the ingest plans with, for every trace format (a
+    /// directory: its union). `None` for an `.omm` model cache, and when
+    /// the header cannot be read: the ingest then reports why.
+    fn hierarchy_size(&self) -> Option<usize> {
+        if is_micro_cache(&self.path) {
+            return None;
+        }
+        let hierarchy = ocelotl::format::read_hierarchy(&self.path).ok()?;
+        Some(hierarchy.len())
+    }
+
     fn hi_res_with_stats(
         &self,
         n_slices: usize,

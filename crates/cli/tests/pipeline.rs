@@ -162,6 +162,42 @@ fn a_dp_too_large_to_allocate_is_refused_typed() {
     }
 }
 
+/// A time range whose width overflows an `f64`, and a stream whose
+/// intervals could push a cell past `f64::MAX`, are refused typed: both
+/// used to panic on the model's cells.
+#[test]
+fn a_trace_too_wide_for_its_cells_is_refused_typed() {
+    let w = Workdir::new("wide-range");
+    let header = "%PTF 1\n%node 0 - root r\n%node 1 0 p p0\n%state 0 S\n";
+    let wide = w.path("wide.ptf");
+    let interval = "S 0 0 -1e308 1e308\n";
+    std::fs::write(&wide, format!("{header}%range -1e308 1e308\n{interval}")).unwrap();
+    // 5,000 of these overflow a hi-res cell; 1,000 overflow only a cell
+    // rebinned from the grid (the 4-slice model).
+    let cells = |n: usize| {
+        let path = w.path(&format!("cells{n}.ptf"));
+        let intervals = "S 0 0 0 1.7e308\n".repeat(n);
+        std::fs::write(&path, format!("{header}%range 0 1.7e308\n{intervals}")).unwrap();
+        path
+    };
+    for (trace, why) in [
+        (wide, "time range is wider than an f64 can hold"),
+        (cells(5000), "could overflow a model cell"),
+        (cells(1000), "could overflow a model cell"),
+    ] {
+        for line in [
+            format!("aggregate {trace} --slices 4 --p 0.5 --no-cache"),
+            format!("info {trace} --stats --slices 4"),
+        ] {
+            let err = cli(&line).unwrap_err();
+            let message = err.to_string();
+            assert_eq!(err.exit_code(), 1, "{line}: {message}");
+            assert!(message.contains(why), "{line}: {message}");
+            assert!(!message.contains("panicked"), "{line}: {message}");
+        }
+    }
+}
+
 #[test]
 fn density_metric_flows_through_describe() {
     let w = Workdir::new("density");

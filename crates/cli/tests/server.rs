@@ -488,7 +488,12 @@ fn a_socket_path_replaces_only_a_stale_socket() {
     use ocelotl_cli::commands::serve::spawn_unix;
     let path = std::env::temp_dir().join(format!("ocelotl-test-{}-notes.txt", std::process::id()));
     std::fs::write(&path, b"14 bytes kept.").unwrap();
-    assert!(spawn_unix(path.clone(), ServeOptions::default()).is_err());
+    let refused = spawn_unix(path.clone(), ServeOptions::default()).err();
+    let message = refused.map(|e| e.to_string()).unwrap_or_default();
+    assert!(
+        message.contains("exists and is not a socket, so it is not replaced"),
+        "{message}"
+    );
     assert_eq!(std::fs::read(&path).unwrap(), b"14 bytes kept.");
     std::fs::remove_file(&path).unwrap();
 
@@ -845,6 +850,59 @@ fn zero_and_overflowing_slice_counts_are_refused_typed() {
     assert_eq!(replies[2], expected);
     server.stop();
     std::fs::remove_file(&trace).ok();
+}
+
+/// A trace whose time range is wider than an `f64` gets a typed `source`
+/// reply (its build used to panic, and the client waited for a reply that
+/// never came), and the same connection goes on to answer a 30-slice
+/// `aggregate` byte-identical to a direct engine.
+#[test]
+fn a_range_too_wide_for_an_f64_gets_a_typed_reply() {
+    use ocelotl::core::query::QueryError;
+    use ocelotl_cli::commands::query::roundtrip_many;
+    let wide = std::env::temp_dir().join(format!(
+        "ocelotl-server-test-{}-wide.ptf",
+        std::process::id()
+    ));
+    let header = "%PTF 1\n%node 0 - root r\n%node 1 0 p p0\n%state 0 S\n";
+    std::fs::write(
+        &wide,
+        format!("{header}%range -1e308 1e308\nS 0 0 -1e308 1e308\n"),
+    )
+    .unwrap();
+    let trace = fixture("wide-neighbour");
+    let server = spawn_tcp("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let aggregate = AnalysisRequest::Aggregate {
+        p: 0.5,
+        coarse: false,
+        compare: false,
+        diff_p: None,
+    };
+    let wire = |path: &PathBuf, n_slices| {
+        let config = SessionConfig {
+            n_slices,
+            ..SessionConfig::default()
+        };
+        let at = path.display().to_string();
+        ocelotl::format::encode_wire_request(&at, &config, &aggregate)
+    };
+    let replies = roundtrip_many(&server.address(), &[wire(&wide, 4), wire(&trace, 30)]).unwrap();
+    let decoded = ocelotl::format::decode_reply(&replies[0]).unwrap();
+    assert!(
+        matches!(&decoded, Err(QueryError::Source(m)) if m.contains("wider than an f64")),
+        "{}",
+        replies[0]
+    );
+    let config = SessionConfig {
+        n_slices: 30,
+        ..SessionConfig::default()
+    };
+    let mut direct = QueryEngine::new(build_session(&trace, config, None));
+    let expected = ocelotl::format::encode_reply(&direct.execute(&aggregate));
+    assert_eq!(replies[1], expected);
+    server.stop();
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&wide).ok();
 }
 
 /// A DP whose tables would exceed the bound gets an `invalid-request`

@@ -92,7 +92,7 @@ use crate::dp::{aggregate, aggregate_reusing, CutTree, DpConfig, Reuse};
 use crate::hires::{AppendOutcome, HiResModel, LiveEvent};
 use crate::partition::Partition;
 use crate::pvalues::{significant_partitions, PEntry};
-use ocelotl_trace::{event_density_auto, Hierarchy, MicroModel, TimeGrid, Trace};
+use ocelotl_trace::{event_density_auto, MicroModel, TimeGrid, Trace};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -151,10 +151,9 @@ fn validate_slices(n_slices: usize) -> Result<(), SessionError> {
     Ok(())
 }
 
-/// Refuse a DP over `hierarchy` at `n` slices whose tables would exceed
-/// [`DP_LIMIT_BYTES`], before it allocates them.
-fn check_dp_size(hierarchy: &Hierarchy, n: usize) -> Result<(), SessionError> {
-    let nodes = hierarchy.len();
+/// Refuse a DP over `nodes` hierarchy nodes at `n` slices whose tables
+/// would exceed [`DP_LIMIT_BYTES`], before it allocates them.
+fn check_dp_size(nodes: usize, n: usize) -> Result<(), SessionError> {
     let bytes = dp_table_bytes(nodes, n);
     if bytes.is_some_and(|b| b <= DP_LIMIT_BYTES) {
         return Ok(());
@@ -394,6 +393,15 @@ pub trait ModelSource: Send + Sync {
         metric: Metric,
     ) -> Result<(MicroModel, Option<IngestStats>), SessionError> {
         Ok((self.model(n_slices, metric)?, None))
+    }
+
+    /// The number of nodes of the trace's hierarchy, read without
+    /// ingesting it (file-backed sources answer from the header), so the
+    /// session can refuse a DP too large to run before any read. `None`
+    /// (the default) when the source cannot tell cheaply; the bound is
+    /// then checked on the model.
+    fn hierarchy_size(&self) -> Option<usize> {
+        None
     }
 
     /// Build the **super-resolution** intermediate for a requested
@@ -1459,12 +1467,25 @@ impl AnalysisSession {
     }
 
     /// The cube a DP runs on, refused when the DP's tables would exceed
-    /// [`DP_LIMIT_BYTES`]: a cold cube is refused from the dimensions of
-    /// the model (which the DP needs anyway) before its prefix sums are
+    /// [`DP_LIMIT_BYTES`]: before any read from the source's hierarchy
+    /// size when it reports one, else from the dimensions of the model
+    /// (which the DP needs anyway) before the cube's prefix sums are
     /// built.
+    ///
+    /// A table size too large to count is left to the model build, as
+    /// before: on a trace file those slices also pass the sink's bound
+    /// (`ocelotl_trace::MODEL_LIMIT_BYTES`), which refuses the model as a
+    /// source error before allocating it.
     fn dp_cube(&self) -> Result<&CubeCore, SessionError> {
-        let cube = self.cube_admitting(|m| check_dp_size(m.hierarchy(), m.n_slices()))?;
-        check_dp_size(cube.hierarchy(), cube.n_slices())?;
+        let n = self.config.n_slices;
+        if self.derived.cube.get().is_none() {
+            let nodes = self.shared.source.hierarchy_size();
+            if let Some(nodes) = nodes.filter(|&nodes| dp_table_bytes(nodes, n).is_some()) {
+                check_dp_size(nodes, n)?;
+            }
+        }
+        let cube = self.cube_admitting(|m| check_dp_size(m.hierarchy().len(), m.n_slices()))?;
+        check_dp_size(cube.hierarchy().len(), cube.n_slices())?;
         Ok(cube)
     }
 
@@ -2104,6 +2125,55 @@ mod tests {
         .with_store(store);
         s.cube().unwrap();
         assert_eq!(s.cube_source(), Some(CubeSource::Cold));
+    }
+
+    /// A DP too large to run is refused from the source's hierarchy size
+    /// before any read: at 10^6 slices the case-B hi-res model alone would
+    /// be 32.8 GB. A source that cannot report the size still gets the
+    /// refusal, from the model.
+    #[test]
+    fn a_dp_too_large_is_refused_before_any_read() {
+        struct Counting(Option<usize>);
+        impl ModelSource for Counting {
+            fn fingerprint(&self) -> Result<u64, SessionError> {
+                Ok(7)
+            }
+            fn model(&self, n_slices: usize, _metric: Metric) -> Result<MicroModel, SessionError> {
+                use ocelotl_trace::{Hierarchy, StateRegistry, TimeGrid};
+                let (h, states) = (Hierarchy::flat(2, "p"), StateRegistry::from_names(["S"]));
+                let cells = vec![0.5; 2 * n_slices];
+                Ok(MicroModel::from_dense(
+                    h,
+                    states,
+                    TimeGrid::new(0.0, 1.0, n_slices),
+                    cells,
+                ))
+            }
+            fn hierarchy_size(&self) -> Option<usize> {
+                self.0
+            }
+        }
+        let at = |n_slices| SessionConfig {
+            n_slices,
+            ..SessionConfig::default()
+        };
+        let refused = |r: Result<_, SessionError>| matches!(r, Err(SessionError::InvalidParam(m)) if m.contains(&DP_LIMIT_BYTES.to_string()));
+        // Flat(2): a root and two leaves.
+        let probed = AnalysisSession::new(Counting(Some(3)), at(1_000_000));
+        assert!(refused(probed.partition_at(0.5, false).map(|_| ())));
+        assert!(refused(probed.significant(1e-2).map(|_| ())));
+        assert_eq!(probed.source_reads(), 0);
+        assert!(probed.model_if_built().is_none());
+
+        let unprobed = AnalysisSession::new(Counting(None), at(100_000));
+        assert!(refused(unprobed.partition_at(0.5, false).map(|_| ())));
+        assert_eq!(unprobed.source_reads(), 1);
+        assert!(unprobed.cube_if_built().is_none());
+
+        // Within the bound the probe changes nothing.
+        let small = AnalysisSession::new(Counting(Some(3)), at(8));
+        small.partition_at(0.5, false).unwrap();
+        assert_eq!(small.source_reads(), 1);
     }
 
     #[test]

@@ -30,6 +30,16 @@
 //! exact. The plan is a pure function of the input content (never of the
 //! worker count), so every output bit is the same at any `--threads`.
 //!
+//! A merge costs what the merged-in part touched, not the grid: each part
+//! records the span of slices its records folded into, and `absorb` and
+//! `mount` add only that span of each row (a shard that covers the second
+//! half of a trace adds the second half). The merged model is not
+//! re-scanned, since its cells are finite by construction; what could
+//! break that is refused as [`FormatError::Refused`] — a range too wide
+//! for an `f64`, a grid over `ocelotl_trace::MODEL_LIMIT_BYTES`, or so
+//! many intervals over so wide a range that a cell could overflow (checked
+//! per part, and once more on the shards' sum).
+//!
 //! An ingest does not hash: the content fingerprint is
 //! [`crate::store::hash_trace_input`], computed only where a key is used.
 //!
@@ -46,8 +56,8 @@ use crate::paje;
 use crate::text;
 use ocelotl_trace::{
     hi_res_slices, EventSink, Hierarchy, HierarchyBuilder, LeafId, MicroModel, ModelKind,
-    ModelSink, NodeId, PartialModel, ScanSink, StateId, StateRegistry, StreamHeader, Time,
-    TimeGrid, Trace, TraceSink,
+    ModelSink, ModelSinkError, NodeId, PartialModel, ScanSink, StateId, StateRegistry,
+    StreamHeader, Time, TimeGrid, Trace, TraceSink,
 };
 use rayon::prelude::*;
 use std::fs::File;
@@ -507,6 +517,19 @@ pub fn read_hi_res_window(
     ingest(plan, kind, true, opts, t_plan)
 }
 
+/// The resource hierarchy of the trace at `path` — a file's, or a
+/// directory's union — from the headers and indexes an ingest plans with;
+/// no event is decoded. Lets a caller size a request before any ingest.
+pub fn read_hierarchy(path: &Path) -> Result<Hierarchy> {
+    if path.is_dir() {
+        if let Some((hierarchy, _)) = Plan::dir(path, 1, false, None)?.union {
+            return Ok(hierarchy);
+        }
+    }
+    let input = Input::open(path.to_path_buf(), None)?;
+    Ok(input.layout.header().hierarchy.clone())
+}
+
 /// Stream a trace file into a state-metric microscopic model with
 /// `n_slices` periods (shorthand for [`read_model`]).
 pub fn read_micro(path: &Path, n_slices: usize) -> Result<MicroModel> {
@@ -555,6 +578,14 @@ fn grid_slices(n_slices: usize, hi_res: bool, leaves: usize, states: usize) -> u
         hi_res_slices(n_slices, leaves, states)
     } else {
         n_slices
+    }
+}
+
+/// A sink refusal of the input at `path`.
+fn refused(path: &Path) -> impl Fn(ModelSinkError) -> FormatError + '_ {
+    move |refusal| FormatError::Refused {
+        file: path.display().to_string(),
+        refusal,
     }
 }
 
@@ -957,23 +988,22 @@ fn ingest(
             sink.note_point_kinds(send, recv, marker);
         }
         let peak = sink.peak_bytes();
-        let part = sink
-            .finish_partial()
-            .map_err(|refusal| FormatError::Refused {
-                file: input.path.display().to_string(),
-                refusal,
-            })?;
+        let part = sink.finish_partial().map_err(refused(&input.path))?;
         Ok((part, peak, nanos(t)))
     })?;
 
     // Merge in unit order: the parts of one stream absorb left to right
     // (the canonical summation order); directory files mount at their
-    // leaf offsets.
+    // leaf offsets. Each merge adds only the slices its part touched.
     let t_merge = Instant::now();
     let grid = TimeGrid::new(range.0, range.1, slices);
     let seed = |(h, states)| PartialModel::empty(kind, h, states, grid);
-    let (mut merged, mut peak_bytes) = (plan.union.map(seed), 0);
-    let owners = units.iter().zip(&mut unit_nanos);
+    let mut merged = plan
+        .union
+        .map(seed)
+        .transpose()
+        .map_err(refused(&plan.path))?;
+    let (owners, mut peak_bytes) = (units.iter().zip(&mut unit_nanos), 0);
     for ((part, peak, spent), (&(input, _), total)) in decoded.into_iter().zip(owners) {
         *total += spent;
         peak_bytes += peak;
@@ -984,6 +1014,10 @@ fn ingest(
         }
     }
     let merged = merged.ok_or_else(|| no_events(&plan.path))?;
+    // Each part fit on its own; the shards of one stream sum their cells.
+    if !merged.fits() {
+        return Err(refused(&plan.path)(ModelSinkError::CellOverflow));
+    }
     let (intervals, points) = merged.counts();
     let model = merged.into_model(!hi_res);
     let merge_nanos = nanos(t_merge);
@@ -1294,6 +1328,58 @@ mod tests {
             );
             std::fs::remove_file(&p).ok();
         }
+    }
+
+    #[test]
+    fn read_hierarchy_reads_no_event_and_matches_the_ingest() {
+        let t = richer_sample();
+        let d = multi_dir("hier");
+        for name in ["h.ptf", "h.btf", "h.paje", "h.octf"] {
+            write_trace(&t, &d.join(name)).unwrap();
+        }
+        let gz = gz_file("h.btf.gz", &t, Format::Binary);
+        for path in ["h.ptf", "h.btf", "h.paje", "h.octf"]
+            .map(|name| d.join(name))
+            .into_iter()
+            .chain([gz.clone(), d.clone()])
+        {
+            let hierarchy = read_hierarchy(&path).unwrap();
+            let model = read_model(&path, 4, ModelKind::States).unwrap().model;
+            assert_eq!(
+                hierarchy.len(),
+                model.hierarchy().len(),
+                "{}",
+                path.display()
+            );
+            assert_eq!(hierarchy.n_leaves(), model.n_leaves(), "{}", path.display());
+        }
+        assert_eq!(read_hierarchy(&d).unwrap().n_leaves(), 4 * 3, "the union");
+        assert!(read_hierarchy(&d.join("missing.btf")).is_err());
+        std::fs::remove_file(&gz).ok();
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// A hi-res `.btf` ingest sharded in two, where no hi-res cell gets
+    /// records from both shards: each shard's merge adds only its own
+    /// span, and the result equals the sequential ingest bit for bit for
+    /// both metrics (`x + 0.0 == x`).
+    #[test]
+    fn a_sharded_hi_res_ingest_with_one_shard_per_cell_is_bit_identical() {
+        let mut tb = TraceBuilder::new(Hierarchy::flat(2, "p"));
+        let s = tb.state("S");
+        for i in 0..40u32 {
+            let t0 = i as f64;
+            tb.push_state(LeafId(i % 2), s, t0, t0 + 0.75);
+        }
+        let p = tmpdir().join("stretches.btf");
+        write_trace(&tb.build(), &p).unwrap();
+        for kind in [ModelKind::States, ModelKind::Density] {
+            let seq = read_hi_res(&p, 4, kind).unwrap().model;
+            let sharded = read_hi_res_with(&p, 4, kind, &opts(2, 2)).unwrap();
+            assert_eq!(sharded.shards.len(), 2);
+            assert_bits_equal(&seq, &sharded.model, &format!("{kind:?}"));
+        }
+        std::fs::remove_file(&p).ok();
     }
 
     #[test]

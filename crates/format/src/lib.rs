@@ -65,9 +65,9 @@ pub use error::{FormatError, Result};
 pub use gzip::{gunzip, gzip_stored, write_gzip_stored, GzipReader};
 pub use hires_cache::{load_hi_res, read_hi_res_cache, save_hi_res, write_hi_res};
 pub use io::{
-    decode, read_hi_res, read_hi_res_window, read_hi_res_with, read_micro, read_model,
-    read_model_with, read_trace, take_last_ingest_timing, trace_files, write_trace, Format,
-    IngestMode, IngestOptions, IngestReport, Predicate, ShardMode, ShardTiming, MAX_SHARDS,
+    decode, read_hi_res, read_hi_res_window, read_hi_res_with, read_hierarchy, read_micro,
+    read_model, read_model_with, read_trace, take_last_ingest_timing, trace_files, write_trace,
+    Format, IngestMode, IngestOptions, IngestReport, Predicate, ShardMode, ShardTiming, MAX_SHARDS,
     SHARD_TARGET_BYTES,
 };
 pub use json::{

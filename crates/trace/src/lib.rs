@@ -38,7 +38,7 @@ pub use hierarchy::{Hierarchy, HierarchyBuilder, LeafId, NodeId};
 pub use micro::{MicroBuilder, MicroModel};
 pub use sink::{
     fold_interval, EventSink, ModelKind, ModelSink, ModelSinkError, PartialModel, ScanSink,
-    StreamHeader, TraceSink,
+    StreamHeader, TraceSink, MODEL_LIMIT_BYTES,
 };
 pub use slicing::{hi_res_slices, TimeGrid, HI_RES_CELL_BUDGET, HI_RES_FACTOR, HI_RES_MIN_SLICES};
 pub use state::{StateId, StateRegistry};

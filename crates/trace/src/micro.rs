@@ -115,14 +115,28 @@ impl MicroModel {
         grid: TimeGrid,
         durations: Vec<f64>,
     ) -> Self {
+        let model = Self::from_sink(hierarchy, states, grid, durations);
+        assert!(
+            model.durations.iter().all(|&d| d >= 0.0 && d.is_finite()),
+            "durations must be finite and non-negative"
+        );
+        model
+    }
+
+    /// [`MicroModel::from_dense`] without the per-cell check: the
+    /// streaming sink's cells are finite and non-negative by construction
+    /// (see `PartialModel::into_model`), so re-scanning the array it just
+    /// filled would only cost a pass over the whole grid.
+    pub(crate) fn from_sink(
+        hierarchy: Hierarchy,
+        states: StateRegistry,
+        grid: TimeGrid,
+        durations: Vec<f64>,
+    ) -> Self {
         assert_eq!(
             durations.len(),
             hierarchy.n_leaves() * states.len() * grid.n_slices(),
             "dense data size mismatch"
-        );
-        assert!(
-            durations.iter().all(|&d| d >= 0.0 && d.is_finite()),
-            "durations must be finite and non-negative"
         );
         Self {
             hierarchy,

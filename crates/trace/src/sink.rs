@@ -30,6 +30,25 @@
 //! [`PartialModel::into_model`] then runs pseudo-state interning and peak
 //! normalization exactly once on the merged result.
 //!
+//! ## What a merge and a finish cost
+//!
+//! A partial records the span of slices its records folded into, and a
+//! merge adds only that span of each row: outside it the partial holds
+//! `+0.0`, and no cell here is ever `−0.0`, so `x + 0.0 == x` bit for bit.
+//! A shard that covers one stretch of time costs its stretch, not the
+//! whole grid.
+//!
+//! The finished model is not re-scanned either: every cell is finite and
+//! `≥ 0` by construction, since the sink adds only positive prorated
+//! overlaps or `+1.0` counts, once two O(1) checks have refused the rest
+//! as typed [`ModelSinkError`]s — [`EventSink::begin`] refuses a range
+//! whose width `hi − lo` overflows ([`ModelSinkError::WideRange`]), and
+//! [`ModelSink::finish_partial`] a states stream with so many intervals
+//! over so wide a range that a cell could pass `f64::MAX`
+//! ([`ModelSinkError::CellOverflow`]; see [`PartialModel::fits`]).
+//! `begin` also refuses a grid above [`MODEL_LIMIT_BYTES`] before it
+//! allocates anything ([`ModelSinkError::TooLarge`]).
+//!
 //! ## Determinism
 //!
 //! [`ModelSink`] partitions work by *resource*, so every cell of the model
@@ -225,7 +244,14 @@ pub enum ModelKind {
     Density,
 }
 
-/// Why a [`ModelSink`] refused the stream at `begin`.
+/// Ceiling on the `[leaf][state][slice]` array a [`ModelSink`] allocates:
+/// `begin` refuses a grid of more `f64` bytes with
+/// [`ModelSinkError::TooLarge`] before allocating it. A constant rather
+/// than a probe of free memory, so the refusal is a pure function of the
+/// request, like the DP's own bound (`ocelotl_core::DP_LIMIT_BYTES`).
+pub const MODEL_LIMIT_BYTES: u64 = 4 << 30; // 4 GiB
+
+/// Why a [`ModelSink`] refused the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSinkError {
     /// The header declared no time range and none was injected — run a
@@ -233,11 +259,16 @@ pub enum ModelSinkError {
     MissingRange,
     /// The time range has no extent (`hi ≤ lo`): nothing to slice.
     EmptyRange,
+    /// The time range's width `hi − lo` overflows an `f64`.
+    WideRange,
     /// The decoder never reached `begin` (empty stream).
     NoHeader,
-    /// The model's byte count (`|S|·|X|·|T|` floats) overflows the address
-    /// space; nothing was allocated.
+    /// The model's `|S|·|X|·|T|` floats would pass [`MODEL_LIMIT_BYTES`]
+    /// (or overflow the address space); nothing was allocated.
     TooLarge,
+    /// So many intervals over so wide a range that a cell could pass
+    /// `f64::MAX` (see [`PartialModel::fits`]).
+    CellOverflow,
 }
 
 impl fmt::Display for ModelSinkError {
@@ -247,13 +278,19 @@ impl fmt::Display for ModelSinkError {
                 write!(f, "header declares no time range (two-pass scan required)")
             }
             ModelSinkError::EmptyRange => write!(f, "trace has an empty time range"),
-            ModelSinkError::NoHeader => write!(f, "stream ended before any declarations"),
-            ModelSinkError::TooLarge => {
-                write!(
-                    f,
-                    "the model's size overflows the address space (too many slices)"
-                )
+            ModelSinkError::WideRange => {
+                write!(f, "the trace's time range is wider than an f64 can hold")
             }
+            ModelSinkError::NoHeader => write!(f, "stream ended before any declarations"),
+            ModelSinkError::TooLarge => write!(
+                f,
+                "the model's size overflows its {MODEL_LIMIT_BYTES}-byte bound (too many slices)"
+            ),
+            ModelSinkError::CellOverflow => write!(
+                f,
+                "the trace's durations could overflow a model cell \
+                 (too many intervals over too wide a time range)"
+            ),
         }
     }
 }
@@ -291,6 +328,9 @@ struct Accum {
     /// the trace* (the column stays all-zero when no event lands in a
     /// slice), and bit-identity requires matching that exactly.
     pseudo_seen: [bool; 3],
+    /// Closed span of slices any record folded into (`None`: none did);
+    /// every cell outside it is `+0.0`.
+    touched: Option<(usize, usize)>,
 }
 
 /// Streaming, metric-aware microscopic-model builder: the sink analysis
@@ -454,7 +494,7 @@ impl ModelSink {
             return Err(ModelSinkError::NoHeader);
         };
         flush(&mut acc, self.kind);
-        Ok(PartialModel {
+        let partial = PartialModel {
             kind: self.kind,
             hierarchy: acc.hierarchy,
             states: acc.states,
@@ -462,9 +502,14 @@ impl ModelSink {
             durations: acc.durations,
             pseudo: acc.pseudo,
             pseudo_seen: acc.pseudo_seen,
+            touched: acc.touched,
             intervals: self.intervals,
             points: self.points,
-        })
+        };
+        match partial.fits() {
+            true => Ok(partial),
+            false => Err(ModelSinkError::CellOverflow),
+        }
     }
 }
 
@@ -492,6 +537,9 @@ impl ModelSink {
 /// [`into_model`](PartialModel::into_model) then performs final assembly
 /// once — pseudo-state interning and (density) peak normalization — via the
 /// same code path a sequential [`ModelSink::finish`] uses.
+///
+/// Both merges add only the span of slices the merged-in partial's records
+/// touched (see the module docs), which is exact.
 pub struct PartialModel {
     kind: ModelKind,
     hierarchy: Hierarchy,
@@ -502,6 +550,9 @@ pub struct PartialModel {
     durations: Vec<f64>,
     pseudo: [Option<Vec<f64>>; 3],
     pseudo_seen: [bool; 3],
+    /// Closed span of slices holding every non-zero cell (durations and
+    /// pseudo layers alike); `None` when every cell is `+0.0`.
+    touched: Option<(usize, usize)>,
     intervals: u64,
     points: u64,
 }
@@ -509,15 +560,17 @@ pub struct PartialModel {
 impl PartialModel {
     /// An all-zero partial over the given shape — the seed of a multi-file
     /// union (the registry must already contain every state any mounted
-    /// file declares, interned in the canonical file order).
+    /// file declares, interned in the canonical file order). Refused like
+    /// a sink's grid when its floats would pass [`MODEL_LIMIT_BYTES`].
     pub fn empty(
         kind: ModelKind,
         hierarchy: Hierarchy,
         states: StateRegistry,
         grid: TimeGrid,
-    ) -> Self {
-        let size = hierarchy.n_leaves() * states.len() * grid.n_slices();
-        Self {
+    ) -> Result<Self, ModelSinkError> {
+        let size = grid_cells(hierarchy.n_leaves(), states.len(), grid.n_slices())
+            .ok_or(ModelSinkError::TooLarge)?;
+        Ok(Self {
             kind,
             hierarchy,
             states,
@@ -525,9 +578,10 @@ impl PartialModel {
             durations: vec![0.0; size],
             pseudo: [None, None, None],
             pseudo_seen: [false; 3],
+            touched: None,
             intervals: 0,
             points: 0,
-        }
+        })
     }
 
     /// The metric this partial accumulates.
@@ -557,10 +611,33 @@ impl PartialModel {
         self.durations.len() as u64 * f + pseudo
     }
 
+    /// Whether no cell of this partial — nor of a model rebinned from it,
+    /// nor a prefix sum over one of its rows — can pass `f64::MAX`, so
+    /// [`PartialModel::into_model`] may skip the per-cell check.
+    ///
+    /// A density cell counts events, so it always fits. A states interval
+    /// adds the overlaps of its slices to one `(leaf, state)` row; their
+    /// exact differences telescope (adjacent slices share a computed
+    /// bound) to at most the grid's width `W`. Any sum over a row of `H`
+    /// slices fed by `n` intervals rounds at most `k = n + H + 3` times by
+    /// `ε = 2⁻⁵³`, so it cannot pass `n · W · (1 + ε)^k ≤ n · W · (1 +
+    /// 2kε)`, which is checked with slack for the check's own rounding
+    /// (below 2⁵¹ intervals, where `kε` stays small). The bound uses the
+    /// whole width rather than one slice's because a rebinned cell sums a
+    /// run of the row's slices.
+    pub fn fits(&self) -> bool {
+        let (n, h) = (self.intervals as f64, self.grid.n_slices() as f64);
+        let width = self.grid.end() - self.grid.start();
+        let slack = 1.0 + (n + h + 8.0) * f64::EPSILON;
+        self.kind == ModelKind::Density
+            || (self.intervals < 1 << 51 && n * width * slack <= f64::MAX)
+    }
+
     /// Merge a shard of the **same stream**: `other` must have the same
     /// kind, grid and model shape (shards share one header, so a mismatch
     /// is a caller bug and panics). Cells sum elementwise in a fixed
-    /// order; pseudo layers add slot-wise and the seen flags union.
+    /// order over the span `other` touched; pseudo layers add slot-wise
+    /// and the seen flags union.
     pub fn absorb(&mut self, other: PartialModel) {
         assert_eq!(self.kind, other.kind, "merge across metrics");
         assert_eq!(self.grid, other.grid, "merge across grids");
@@ -575,9 +652,9 @@ impl PartialModel {
             "merge across registries"
         );
         assert_eq!(self.durations.len(), other.durations.len());
-        for (d, s) in self.durations.iter_mut().zip(other.durations) {
-            *d += s;
-        }
+        let n = self.grid.n_slices();
+        let span = other.touched;
+        add_span(&mut self.durations, &other.durations, n, span);
         for slot in 0..3 {
             self.pseudo_seen[slot] |= other.pseudo_seen[slot];
         }
@@ -587,14 +664,11 @@ impl PartialModel {
                     // `x + 0 = x` exactly (counts are never −0.0), so moving
                     // the layer equals adding it to a fresh zero layer.
                     None => *mine = Some(layer),
-                    Some(m) => {
-                        for (d, s) in m.iter_mut().zip(layer) {
-                            *d += s;
-                        }
-                    }
+                    Some(m) => add_span(m, &layer, n, span),
                 }
             }
         }
+        self.touched = hull(self.touched, span);
         self.intervals += other.intervals;
         self.points += other.points;
     }
@@ -626,13 +700,17 @@ impl PartialModel {
                     .index()
             })
             .collect();
+        let span = other.touched;
         for leaf in 0..o_leaves {
             for (st, &mapped) in remap.iter().enumerate() {
                 let src = (leaf * o_states + st) * n_slices;
                 let dst = ((leaf_offset + leaf) * n_states + mapped) * n_slices;
-                for k in 0..n_slices {
-                    self.durations[dst + k] += other.durations[src + k];
-                }
+                add_span(
+                    &mut self.durations[dst..dst + n_slices],
+                    &other.durations[src..src + n_slices],
+                    n_slices,
+                    span,
+                );
             }
         }
         for slot in 0..3 {
@@ -640,13 +718,11 @@ impl PartialModel {
             if let Some(layer) = &other.pseudo[slot] {
                 let mine = self.pseudo[slot]
                     .get_or_insert_with(|| vec![0.0; self.hierarchy.n_leaves() * n_slices]);
-                for leaf in 0..o_leaves {
-                    for k in 0..n_slices {
-                        mine[(leaf_offset + leaf) * n_slices + k] += layer[leaf * n_slices + k];
-                    }
-                }
+                let rows = leaf_offset * n_slices..(leaf_offset + o_leaves) * n_slices;
+                add_span(&mut mine[rows], layer, n_slices, span);
             }
         }
+        self.touched = hull(self.touched, span);
         self.intervals += other.intervals;
         self.points += other.points;
     }
@@ -655,7 +731,16 @@ impl PartialModel {
     /// the density metric, intern the pseudo-states and (when `normalize`)
     /// apply the peak normalization — the same steps, in the same code, a
     /// sequential [`ModelSink::finish`] performs.
+    ///
+    /// The cells are not re-scanned: they are finite and `≥ 0` by
+    /// construction (see the module docs). A merge whose record count
+    /// fails [`PartialModel::fits`] must be refused before this; it
+    /// panics here.
     pub fn into_model(self, normalize: bool) -> MicroModel {
+        assert!(
+            self.fits(),
+            "a model cell could overflow: refuse the partial first"
+        );
         let acc = Accum {
             hierarchy: self.hierarchy,
             states: self.states,
@@ -664,14 +749,47 @@ impl PartialModel {
             pending: Vec::new(),
             pseudo: self.pseudo,
             pseudo_seen: self.pseudo_seen,
+            touched: self.touched,
         };
         match self.kind {
             ModelKind::States => {
-                MicroModel::from_dense(acc.hierarchy, acc.states, acc.grid, acc.durations)
+                MicroModel::from_sink(acc.hierarchy, acc.states, acc.grid, acc.durations)
             }
             ModelKind::Density => finish_density(acc, normalize),
         }
     }
+}
+
+/// The hull of two closed slice spans.
+fn hull(a: Option<(usize, usize)>, b: Option<(usize, usize)>) -> Option<(usize, usize)> {
+    match (a, b) {
+        (Some((a0, a1)), Some((b0, b1))) => Some((a0.min(b0), a1.max(b1))),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Add `src` into `dst` over the slices `span` of every row of `n_slices`
+/// (nothing when `span` is `None`).
+fn add_span(dst: &mut [f64], src: &[f64], n_slices: usize, span: Option<(usize, usize)>) {
+    let Some((lo, hi)) = span else {
+        return;
+    };
+    for (d, s) in dst
+        .chunks_exact_mut(n_slices)
+        .zip(src.chunks_exact(n_slices))
+    {
+        for (d, s) in d[lo..=hi].iter_mut().zip(&s[lo..=hi]) {
+            *d += s;
+        }
+    }
+}
+
+/// Cells of a `[leaf][state][slice]` grid; `None` when its floats would
+/// pass [`MODEL_LIMIT_BYTES`] or the count overflows.
+fn grid_cells(n_leaves: usize, n_states: usize, n_slices: usize) -> Option<usize> {
+    let cells = n_leaves.checked_mul(n_states)?.checked_mul(n_slices)?;
+    let bytes = (cells as u64).checked_mul(std::mem::size_of::<f64>() as u64)?;
+    (bytes <= MODEL_LIMIT_BYTES).then_some(cells)
 }
 
 impl EventSink for ModelSink {
@@ -686,22 +804,17 @@ impl EventSink for ModelSink {
             self.refusal = Some(ModelSinkError::EmptyRange);
             return false;
         }
+        if !(hi - lo).is_finite() {
+            self.refusal = Some(ModelSinkError::WideRange);
+            return false;
+        }
+        let (n_leaves, n_states) = (header.hierarchy.n_leaves(), header.states.len());
         let n_slices = if self.hi_res {
-            crate::slicing::hi_res_slices(
-                self.n_slices,
-                header.hierarchy.n_leaves(),
-                header.states.len(),
-            )
+            crate::slicing::hi_res_slices(self.n_slices, n_leaves, n_states)
         } else {
             self.n_slices
         };
-        let size = header
-            .hierarchy
-            .n_leaves()
-            .checked_mul(header.states.len())
-            .and_then(|cells| cells.checked_mul(n_slices))
-            .filter(|&cells| cells.checked_mul(std::mem::size_of::<f64>()).is_some());
-        let Some(size) = size else {
+        let Some(size) = grid_cells(n_leaves, n_states, n_slices) else {
             self.refusal = Some(ModelSinkError::TooLarge);
             return false;
         };
@@ -714,6 +827,7 @@ impl EventSink for ModelSink {
             pending: Vec::with_capacity(FLUSH_CHUNK),
             pseudo: [None, None, None],
             pseudo_seen: [false; 3],
+            touched: None,
         });
         true
     }
@@ -765,10 +879,11 @@ impl EventSink for ModelSink {
         if ev.time < grid.start() || ev.time > grid.end() {
             return;
         }
-        let n_slices = grid.n_slices();
+        let (n_slices, slice) = (grid.n_slices(), grid.slice_of(ev.time));
         let counts =
             acc.pseudo[slot].get_or_insert_with(|| vec![0.0; acc.hierarchy.n_leaves() * n_slices]);
-        counts[ev.resource.index() * n_slices + grid.slice_of(ev.time)] += 1.0;
+        counts[ev.resource.index() * n_slices + slice] += 1.0;
+        acc.touched = hull(acc.touched, Some((slice, slice)));
     }
 }
 
@@ -777,6 +892,11 @@ impl EventSink for ModelSink {
 /// array and scans the whole buffer for its leaves, so every cell receives
 /// its contributions in stream order — the result is bit-identical to a
 /// sequential fold for any worker count.
+///
+/// The touched span widens to the slices of the records' earliest begin
+/// and latest end: [`fold_interval`] writes only slices of times between
+/// those two (prorated overlaps, or in-grid boundary events), and
+/// [`TimeGrid::slice_of`] is monotone and clamps to the grid.
 fn flush(acc: &mut Accum, kind: ModelKind) {
     if acc.pending.is_empty() {
         return;
@@ -791,9 +911,17 @@ fn flush(acc: &mut Accum, kind: ModelKind) {
         acc.pending.clear();
         return;
     }
+    let grid = acc.grid;
+    let extent = |(lo, hi): (f64, f64), r: &Rec| (lo.min(r.begin), hi.max(r.end));
+    let (lo, hi) = acc
+        .pending
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), extent);
+    if hi >= grid.start() && lo <= grid.end() {
+        acc.touched = hull(acc.touched, Some((grid.slice_of(lo), grid.slice_of(hi))));
+    }
     let workers = rayon::max_threads().clamp(1, n_leaves);
     let leaves_per = n_leaves.div_ceil(workers);
-    let grid = acc.grid;
     let pending = &acc.pending;
     let slabs: Vec<(usize, &mut [f64])> = acc
         .durations
@@ -895,7 +1023,7 @@ fn finish_density(mut acc: Accum, normalize: bool) -> MicroModel {
     if normalize {
         crate::density::peak_normalize(&mut counts, acc.grid.slice_duration());
     }
-    MicroModel::from_dense(acc.hierarchy, acc.states, acc.grid, counts)
+    MicroModel::from_sink(acc.hierarchy, acc.states, acc.grid, counts)
 }
 
 #[cfg(test)]
@@ -1328,13 +1456,215 @@ mod tests {
 
             for order in [[0usize, 1], [1, 0]] {
                 let mut union =
-                    PartialModel::empty(kind, union_h.clone(), union_states.clone(), grid);
+                    PartialModel::empty(kind, union_h.clone(), union_states.clone(), grid).unwrap();
                 for &i in &order {
                     let (f, off) = if i == 0 { (&f0, 0) } else { (&f1, 2) };
                     union.mount(part_of(f), off);
                 }
                 assert_models_bit_identical(&union.into_model(true), &seq);
             }
+        }
+    }
+
+    #[test]
+    fn begin_refuses_a_grid_over_the_byte_bound_before_allocating() {
+        // 512 leaves x 8 states x 10^6 slices: 32.8 GB of floats.
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let mut sink = ModelSink::new(ModelKind::States, 1_000_000);
+        assert!(!sink.begin(&header(512, &names, Some((0.0, 1.0)))));
+        assert_eq!(sink.peak_bytes(), 0, "nothing allocated");
+        assert_eq!(sink.finish().unwrap_err(), ModelSinkError::TooLarge);
+        let limit = MODEL_LIMIT_BYTES / 8;
+        assert_eq!(grid_cells(1, 1, limit as usize), Some(limit as usize));
+        assert_eq!(grid_cells(1, 1, limit as usize + 1), None);
+        assert_eq!(grid_cells(2, 4, usize::MAX / 4), None, "overflow");
+        assert!(ModelSinkError::TooLarge
+            .to_string()
+            .contains(&MODEL_LIMIT_BYTES.to_string()));
+        let union = PartialModel::empty(
+            ModelKind::States,
+            Hierarchy::flat(512, "p"),
+            StateRegistry::from_names(names),
+            TimeGrid::new(0.0, 1.0, 1_000_000),
+        );
+        assert_eq!(union.err(), Some(ModelSinkError::TooLarge));
+    }
+
+    #[test]
+    fn begin_refuses_a_range_wider_than_an_f64() {
+        let mut sink = ModelSink::new(ModelKind::States, 4);
+        assert!(!sink.begin(&header(1, &["S"], Some((-1e308, 1e308)))));
+        assert_eq!(sink.finish().unwrap_err(), ModelSinkError::WideRange);
+        let mut sink = ModelSink::new(ModelKind::Density, 4);
+        assert!(sink.begin(&header(1, &["S"], Some((0.0, 1.7e308)))));
+    }
+
+    /// 5,000 identical full-range intervals over `[0, 1.7e308]`: at 4,096
+    /// slices each cell reaches 2.1e308. Refused, never an `inf` cell; one
+    /// such interval fits, and the density metric only counts.
+    #[test]
+    fn a_stream_that_could_overflow_a_cell_is_refused() {
+        let run = |kind, n: usize| {
+            let mut sink = ModelSink::new(kind, 4096);
+            assert!(sink.begin(&header(1, &["S"], Some((0.0, 1.7e308)))));
+            for _ in 0..n {
+                sink.interval(LeafId(0), StateId(0), 0.0, 1.7e308);
+            }
+            sink.finish()
+        };
+        assert_eq!(
+            run(ModelKind::States, 5000).unwrap_err(),
+            ModelSinkError::CellOverflow
+        );
+        assert_eq!(
+            run(ModelKind::States, 1000).unwrap_err(),
+            ModelSinkError::CellOverflow,
+            "a coarser rebin would sum 1,000 x 1.7e308 / 4"
+        );
+        let one = run(ModelKind::States, 1).unwrap();
+        assert!(one
+            .series(LeafId(0), StateId(0))
+            .iter()
+            .all(|d| d.is_finite()));
+        assert!(run(ModelKind::Density, 5000).is_ok());
+
+        // Two shards that fit alone can overflow together: `fits` on the
+        // merge is what the ingest driver checks.
+        let shard = || {
+            let mut sink = ModelSink::new(ModelKind::States, 4096);
+            assert!(sink.begin(&header(1, &["S"], Some((0.0, 1.0e308)))));
+            sink.interval(LeafId(0), StateId(0), 0.0, 1.0e308);
+            sink.finish_partial().unwrap()
+        };
+        let mut merged = shard();
+        assert!(merged.fits());
+        merged.absorb(shard());
+        assert!(!merged.fits());
+    }
+
+    /// One partial over `[0, 8)` in `n` slices whose records lie in the
+    /// slices `window` (none when `None`; plus one full-range record when
+    /// `full`). Records are `(leaf, state, u, v)` with `u, v` in `[0, 1)`
+    /// placing `[begin, end]` inside the window; points `(leaf, u, kind)`.
+    fn span_partial(
+        kind: ModelKind,
+        n: usize,
+        window: Option<(usize, usize)>,
+        full: bool,
+        records: &[(u32, u16, f64, f64)],
+        points: &[(u32, f64, u8)],
+    ) -> PartialModel {
+        let mut sink = ModelSink::new(kind, n);
+        assert!(sink.begin(&header(3, &["A", "B"], Some((0.0, 8.0)))));
+        let grid = TimeGrid::new(0.0, 8.0, n);
+        if full {
+            sink.interval(LeafId(1), StateId(0), 0.0, 8.0);
+        }
+        if let Some((first, last)) = window {
+            let (t0, t1) = (grid.slice_bounds(first).0, grid.slice_bounds(last).1);
+            for &(leaf, state, u, v) in records {
+                let begin = t0 + u * (t1 - t0);
+                sink.interval(
+                    LeafId(leaf),
+                    StateId(state),
+                    begin,
+                    begin + v * (t1 - begin),
+                );
+            }
+            for &(leaf, u, k) in points {
+                let kind = match k {
+                    0 => PointKind::Marker,
+                    1 => PointKind::MsgSend { peer: LeafId(0) },
+                    _ => PointKind::MsgRecv { peer: LeafId(0) },
+                };
+                let time = t0 + u * (t1 - t0);
+                sink.point(&PointEvent {
+                    resource: LeafId(leaf),
+                    time,
+                    kind,
+                });
+            }
+        }
+        sink.finish_partial().unwrap()
+    }
+
+    /// Every cell outside the recorded span is `+0.0`.
+    fn span_covers_every_nonzero_cell(p: &PartialModel) -> bool {
+        let n = p.grid.n_slices();
+        let layers = std::iter::once(&p.durations).chain(p.pseudo.iter().flatten());
+        layers.flat_map(|l| l.chunks_exact(n)).all(|row| {
+            row.iter().enumerate().all(|(t, c)| {
+                p.touched.is_some_and(|(lo, hi)| (lo..=hi).contains(&t)) || c.to_bits() == 0
+            })
+        })
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `absorb` and `mount` over recorded spans equal the full
+        /// elementwise sum bit for bit, for both metrics and spans that
+        /// are empty, full, disjoint or overlap by one slice.
+        #[test]
+        fn span_merges_equal_the_full_elementwise_sum(
+            density in proptest::prelude::any::<bool>(),
+            n in 3usize..40,
+            shape in 0usize..4,
+            cut in 0.0f64..1.0,
+            records in proptest::collection::vec(
+                (0u32..3, 0u16..2, 0.0f64..1.0, 0.0f64..1.0), 0..24),
+            points in proptest::collection::vec((0u32..3, 0.0f64..1.0, 0u8..3), 0..6),
+        ) {
+            let kind = if density { ModelKind::Density } else { ModelKind::States };
+            let k = 1 + ((n - 2) as f64 * cut) as usize; // 1..=n-2
+            let (half, rest) = records.split_at(records.len() / 2);
+            let ((wa, fa), (wb, fb)) = match shape {
+                0 => ((None, false), (Some((0, k)), false)),
+                1 => ((Some((k, k)), true), (Some((0, n - 1)), false)),
+                2 => ((Some((0, k - 1)), false), (Some((k + 1, n - 1)), false)),
+                _ => ((Some((0, k)), false), (Some((k, n - 1)), false)),
+            };
+            let a = || span_partial(kind, n, wa, fa, half, &points);
+            let b = || span_partial(kind, n, wb, fb, rest, &points);
+            proptest::prop_assert!(span_covers_every_nonzero_cell(&a()));
+            proptest::prop_assert!(span_covers_every_nonzero_cell(&b()));
+
+            // absorb: one stream, cells sum elementwise.
+            let full = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(x, y)| x + y).collect::<Vec<_>>();
+            let layer = |p: &PartialModel, slot: usize| {
+                p.pseudo[slot].clone().unwrap_or_else(|| vec![0.0; p.hierarchy.n_leaves() * n])
+            };
+            let (pa, pb) = (a(), b());
+            let mut merged = a();
+            merged.absorb(b());
+            proptest::prop_assert!(same_bits(&merged.durations, &full(&pa.durations, &pb.durations)));
+            for slot in 0..3 {
+                let want = full(&layer(&pa, slot), &layer(&pb, slot));
+                proptest::prop_assert!(same_bits(&layer(&merged, slot), &want));
+            }
+            proptest::prop_assert!(span_covers_every_nonzero_cell(&merged));
+
+            // mount: `a` over union leaves 0..3, `b` over 3..6.
+            let mut union = PartialModel::empty(
+                kind,
+                Hierarchy::flat(6, "p"),
+                StateRegistry::from_names(["A", "B"]),
+                TimeGrid::new(0.0, 8.0, n),
+            )
+            .unwrap();
+            union.mount(b(), 3);
+            union.mount(a(), 0);
+            let placed = [pa.durations.clone(), pb.durations.clone()].concat();
+            proptest::prop_assert!(same_bits(&union.durations, &placed));
+            for slot in 0..3 {
+                let want = [layer(&pa, slot), layer(&pb, slot)].concat();
+                proptest::prop_assert!(same_bits(&layer(&union, slot), &want));
+            }
+            proptest::prop_assert!(span_covers_every_nonzero_cell(&union));
         }
     }
 
