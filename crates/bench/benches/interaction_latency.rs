@@ -8,10 +8,17 @@
 //! - `dp/A/T{30,60,120,240}/{sequential,parallel}`: median milliseconds of
 //!   one DP at `p = 0.5` on Table II case A at scale 0.05 (64 ranks,
 //!   ~198k events), with [`DpConfig::parallel`] off and on;
+//! - `dp/A/T{30,60}/lazy`: one DP at `p = 0.5` on the prefix sums
+//!   (`CubeCore`), what a live refresh and a cube over the dense bound run;
+//! - `cube/A/T{60,240}/dense`: median milliseconds of
+//!   `DenseCube::from_core`, the dense matrices built from prefix sums;
 //! - `dichotomy/A/T60`: the significant-`p` dichotomy at resolution 1e-3
 //!   on the same trace at 60 slices — what `pvalues --slices 60` runs —
 //!   with its level count and its DP runs, counted by a cube wrapper that
-//!   sees every run score the root's full interval once;
+//!   sees every run score the root's full interval once, and the most DP
+//!   runs it saw in flight at once (`side_by_side`: a run starts when it
+//!   scores the first leaf's last slice and ends at the root's full
+//!   interval);
 //! - `dp/C/T30/{sequential,parallel}`: one DP on a case-C-sized model
 //!   (700 processes × 30 slices).
 //!
@@ -25,10 +32,12 @@
 //! only the public API, so the same file times any revision of the DP.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ocelotl::core::{aggregate, significant_partitions, AggregationInput, DpConfig, QualityCube};
+use ocelotl::core::{
+    aggregate, significant_partitions, AggregationInput, CubeCore, DenseCube, DpConfig, QualityCube,
+};
 use ocelotl::mpisim::{scenario, CaseId};
 use ocelotl::prelude::*;
-use ocelotl::trace::{NodeId, StateId};
+use ocelotl::trace::{LeafId, NodeId, StateId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -39,6 +48,8 @@ const CASE_A_SLICES: [usize; 4] = [30, 60, 120, 240];
 const CASE_C_SCALE: f64 = 0.004;
 const CASE_C_SLICES: usize = 30;
 const DICHOTOMY_SLICES: usize = 60;
+const LAZY_SLICES: [usize; 2] = [30, 60];
+const DENSE_SLICES: [usize; 2] = [60, 240];
 const RESOLUTION: f64 = 1e-3;
 
 /// A timed row takes at least this many runs, and keeps going (up to
@@ -79,8 +90,11 @@ fn time_runs(min_runs: usize, mut f: impl FnMut()) -> (usize, f64, f64) {
 struct CountingCube<'a> {
     inner: &'a AggregationInput,
     root: NodeId,
+    first_leaf: NodeId,
     last: usize,
     runs: AtomicUsize,
+    in_flight: AtomicUsize,
+    most_in_flight: AtomicUsize,
 }
 
 impl QualityCube for CountingCube<'_> {
@@ -103,8 +117,13 @@ impl QualityCube for CountingCube<'_> {
         self.inner.loss(node, i, j)
     }
     fn gain_loss(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
+        if node == self.first_leaf && i == self.last && j == self.last {
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.most_in_flight.fetch_max(now, Ordering::SeqCst);
+        }
         if node == self.root && i == 0 && j == self.last {
             self.runs.fetch_add(1, Ordering::Relaxed);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
         QualityCube::gain_loss(self.inner, node, i, j)
     }
@@ -173,21 +192,69 @@ fn dichotomy_row(
     let counting = CountingCube {
         inner: input,
         root: input.hierarchy().root(),
+        first_leaf: input.hierarchy().leaf_node(LeafId(0)),
         last: input.n_slices() - 1,
         runs: AtomicUsize::new(0),
+        in_flight: AtomicUsize::new(0),
+        most_in_flight: AtomicUsize::new(0),
     };
     let levels = significant_partitions(&counting, &config, RESOLUTION).len();
     let dp_runs = counting.runs.load(Ordering::Relaxed);
+    let side_by_side = counting.most_in_flight.load(Ordering::SeqCst);
     let (runs, median, min) = time_runs(DICHOTOMY_RUNS, || {
         std::hint::black_box(significant_partitions(input, &config, RESOLUTION));
     });
     println!(
         "{id:<24} {median:>10.2} ms median {min:>10.2} ms min ({runs} runs; \
-         {levels} levels, {dp_runs} DP runs)"
+         {levels} levels, {dp_runs} DP runs, {side_by_side} side by side)"
     );
     rows.push(format!(
         "{{\"bench\":\"dichotomy\",{},\"resolution\":{RESOLUTION},\"levels\":{levels},\
-         \"dp_runs\":{dp_runs},\"runs\":{runs},\"median_ms\":{median:.3},\"min_ms\":{min:.3}}}",
+         \"dp_runs\":{dp_runs},\"side_by_side\":{side_by_side},\"runs\":{runs},\
+         \"median_ms\":{median:.3},\"min_ms\":{min:.3}}}",
+        w.json_head(&id)
+    ));
+}
+
+/// One DP at `p` on the prefix sums (`T30`, `T60` only).
+fn lazy_row(w: &Workload, model: &MicroModel, filters: &[String], rows: &mut Vec<String>) {
+    let id = format!("dp/{}/T{}/lazy", w.case, w.slices);
+    if !wanted(filters, &id) {
+        return;
+    }
+    let core = CubeCore::build(model);
+    let config = DpConfig::default();
+    let (runs, median, min) = time_runs(MIN_RUNS, || {
+        std::hint::black_box(aggregate(&core, P, &config));
+    });
+    println!("{id:<24} {median:>10.2} ms median {min:>10.2} ms min ({runs} runs)");
+    rows.push(format!(
+        "{{\"bench\":\"dp\",{},\"mode\":\"lazy\",\"p\":{P},\"runs\":{runs},\
+         \"median_ms\":{median:.3},\"min_ms\":{min:.3}}}",
+        w.json_head(&id)
+    ));
+}
+
+/// `DenseCube::from_core` on a fresh copy of the prefix sums each run.
+fn dense_row(w: &Workload, model: &MicroModel, filters: &[String], rows: &mut Vec<String>) {
+    let id = format!("cube/{}/T{}/dense", w.case, w.slices);
+    if !wanted(filters, &id) {
+        return;
+    }
+    let core = CubeCore::build(model);
+    let started = Instant::now();
+    let mut ms = Vec::new();
+    while ms.len() < MIN_RUNS || (started.elapsed() < MIN_TOTAL && ms.len() < MAX_RUNS) {
+        let fresh = core.clone();
+        let t = Instant::now();
+        std::hint::black_box(DenseCube::from_core(fresh));
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    ms.sort_by(f64::total_cmp);
+    let (runs, median, min) = (ms.len(), ms[ms.len() / 2], ms[0]);
+    println!("{id:<24} {median:>10.2} ms median {min:>10.2} ms min ({runs} runs)");
+    rows.push(format!(
+        "{{\"bench\":\"cube\",{},\"runs\":{runs},\"median_ms\":{median:.3},\"min_ms\":{min:.3}}}",
         w.json_head(&id)
     ));
 }
@@ -206,6 +273,8 @@ fn bench_dp(_c: &mut Criterion) {
             [
                 format!("dp/A/T{t}/sequential"),
                 format!("dp/A/T{t}/parallel"),
+                format!("dp/A/T{t}/lazy"),
+                format!("cube/A/T{t}/dense"),
             ]
         })
         .chain([format!("dichotomy/A/T{DICHOTOMY_SLICES}")]);
@@ -224,6 +293,12 @@ fn bench_dp(_c: &mut Criterion) {
                 cores,
             };
             dp_rows(&w, &input, &filters, &mut rows);
+            if LAZY_SLICES.contains(&slices) {
+                lazy_row(&w, &model, &filters, &mut rows);
+            }
+            if DENSE_SLICES.contains(&slices) {
+                dense_row(&w, &model, &filters, &mut rows);
+            }
             if slices == DICHOTOMY_SLICES {
                 dichotomy_row(&w, &input, &filters, &mut rows);
             }

@@ -966,6 +966,30 @@ impl OrderedWriter<'_> {
     }
 }
 
+/// One pipelined request's worker: answer `line` with `handle`, hand the
+/// reply to the sequencer as number `seq`, and free the request's slot in
+/// the window. A panic in `handle` is answered with a typed `source` error,
+/// so this reply and every later one on the connection still arrive (a
+/// cold build's permit is a drop guard, so a later request builds again).
+fn answer_in_order(
+    seq: usize,
+    line: &str,
+    handle: impl FnOnce(&str) -> String,
+    ordered: &Mutex<OrderedWriter<'_>>,
+    in_flight: &Mutex<usize>,
+    drained: &Condvar,
+) {
+    let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(line)))
+        .unwrap_or_else(|_| {
+            ocelotl::format::encode_reply(&Err(QueryError::Source(
+                "the server failed while answering this request".into(),
+            )))
+        });
+    lock_clean(ordered).complete(seq, reply);
+    *lock_clean(in_flight) -= 1;
+    drained.notify_all();
+}
+
 /// The transport-agnostic request loop (TCP, Unix sockets and tests all
 /// funnel through here), pipelined: up to [`PIPELINE_DEPTH`] request
 /// lines execute concurrently, replies are written strictly in request
@@ -1040,10 +1064,14 @@ pub fn serve_lines(
             let my_seq = seq;
             seq += 1;
             scope.spawn(move || {
-                let reply = state.handle_on(&line, conn);
-                lock_clean(ordered).complete(my_seq, reply);
-                *lock_clean(in_flight) -= 1;
-                drained.notify_all();
+                answer_in_order(
+                    my_seq,
+                    &line,
+                    |l| state.handle_on(l, conn),
+                    ordered,
+                    in_flight,
+                    drained,
+                );
             });
         }
         // Scope exit joins every in-flight worker, flushing all replies.
@@ -1410,6 +1438,69 @@ mod tests {
             assert!(ocelotl::format::decode_reply(line).unwrap().is_ok());
         }
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn a_panicking_request_gets_a_source_reply_and_later_ones_still_arrive() {
+        // Three pipelined lines, the middle one's handler panics. The
+        // replies are collected on this thread with a timeout, so a slot
+        // that is never completed fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        struct Sink(std::sync::mpsc::Sender<Vec<u8>>);
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.send(buf.to_vec()).ok();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let worker = std::thread::spawn(move || {
+            let mut sink = Sink(tx);
+            let ordered = Mutex::new(OrderedWriter {
+                next: 0,
+                pending: BTreeMap::new(),
+                out: &mut sink,
+                err: None,
+            });
+            let (in_flight, drained) = (Mutex::new(3usize), Condvar::new());
+            std::thread::scope(|scope| {
+                for (seq, line) in ["first", "second", "third"].into_iter().enumerate() {
+                    let (ordered, in_flight, drained) = (&ordered, &in_flight, &drained);
+                    scope.spawn(move || {
+                        let handle = |l: &str| {
+                            assert_ne!(l, "second", "a handler that fails");
+                            format!("reply to {l}")
+                        };
+                        answer_in_order(seq, line, handle, ordered, in_flight, drained);
+                    });
+                }
+            });
+            let left = *lock_clean(&in_flight);
+            left
+        });
+        let mut text = String::new();
+        while text.lines().count() < 3 {
+            let bytes = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("replies stopped after {text:?}"));
+            text.push_str(std::str::from_utf8(&bytes).unwrap());
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "reply to first");
+        let middle = ocelotl::format::decode_reply(lines[1]).unwrap();
+        assert!(
+            matches!(middle, Err(QueryError::Source(_))),
+            "the panicking request gets a source error: {}",
+            lines[1]
+        );
+        assert_eq!(lines[2], "reply to third");
+        assert_eq!(
+            worker.join().unwrap(),
+            0,
+            "every slot of the window is freed"
+        );
     }
 
     #[test]

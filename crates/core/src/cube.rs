@@ -19,9 +19,14 @@
 //!   makes re-running the optimizer at a new trade-off `p`
 //!   "instantaneous" (§V.B).
 //!
-//! Every cell either cube serves is evaluated by [`CubeCore::eval_cell`],
-//! the same arithmetic in the same order, so their answers are
-//! **bit-identical** — a property the equivalence test-suite pins down.
+//! Every cell either cube serves is evaluated by one per-state arithmetic,
+//! [`AreaSums::gain_loss`], summed over the states in order: a cell at a
+//! time by [`CubeCore::eval_cell`], or a row at a time by
+//! [`CubeCore::eval_row`], which reads the row's prefix bases once per
+//! state and builds every matrix of a [`DenseCube`]. So cell and row
+//! answers of both cubes are **bit-identical** — a property the
+//! equivalence test-suite pins down. The DP asks for a row's cells
+//! through [`QualityCube::gain_loss_row`].
 //! The session never makes the user choose: an
 //! [`AnalysisSession`](crate::AnalysisSession) keeps the prefix sums and
 //! lets the first DP build the dense matrices when they fit under
@@ -59,6 +64,25 @@ pub trait QualityCube: Sync {
     /// this in a single pass over the states; prefer it in inner loops.
     fn gain_loss(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
         (self.gain(node, i, j), self.loss(node, i, j))
+    }
+
+    /// Both measures of the cells `[i, from..|T|)` of `node`: cell `j`
+    /// lands at `gain[j − from]` and `loss[j − from]`, both slices
+    /// `|T| − from` long, with the bits [`QualityCube::gain_loss`] gives.
+    /// The default asks cell by cell; the cubes read whole rows.
+    fn gain_loss_row(
+        &self,
+        node: NodeId,
+        i: usize,
+        from: usize,
+        gain: &mut [f64],
+        loss: &mut [f64],
+    ) {
+        debug_assert!(i <= from && gain.len() == self.n_slices() - from);
+        debug_assert_eq!(gain.len(), loss.len());
+        for (j, (g, l)) in (from..).zip(gain.iter_mut().zip(loss)) {
+            (*g, *l) = self.gain_loss(node, i, j);
+        }
     }
 
     /// `|X|`: number of states.
@@ -104,6 +128,16 @@ impl<C: QualityCube + ?Sized> QualityCube for &C {
     fn gain_loss(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
         (**self).gain_loss(node, i, j)
     }
+    fn gain_loss_row(
+        &self,
+        node: NodeId,
+        i: usize,
+        from: usize,
+        gain: &mut [f64],
+        loss: &mut [f64],
+    ) {
+        (**self).gain_loss_row(node, i, from, gain, loss)
+    }
     fn n_states(&self) -> usize {
         (**self).n_states()
     }
@@ -126,8 +160,9 @@ impl<C: QualityCube + ?Sized> QualityCube for &C {
 /// sums over time of `Σ_s d_x(s,t)` and `Σ_s ρ_x·log₂ρ_x` (leaves read the
 /// microscopic model, internal nodes sum their children). Any cell
 /// `(node, [i, j])` evaluates from these in `O(|X|)` — see
-/// [`CubeCore::eval_cell`], which answers every [`QualityCube`] query of
-/// this cube and builds every matrix of a [`DenseCube`].
+/// [`CubeCore::eval_cell`] and [`CubeCore::eval_row`], which answer every
+/// [`QualityCube`] query of this cube and build every matrix of a
+/// [`DenseCube`].
 #[derive(Debug, Clone)]
 pub struct CubeCore {
     hierarchy: Hierarchy,
@@ -277,9 +312,10 @@ impl CubeCore {
     }
 
     /// Evaluate `(gain, loss)` of one cell in `O(|X|)` from the prefix
-    /// sums. Every cell either cube ever serves goes through this one
-    /// function, which is what makes dense and on-demand answers
-    /// bit-identical (same operations in the same order).
+    /// sums: [`AreaSums::gain_loss`] per state, summed in state order.
+    /// [`CubeCore::eval_row`] runs the same operations in the same order,
+    /// which is what makes cell and row, dense and on-demand answers
+    /// bit-identical.
     #[inline]
     pub fn eval_cell(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
         let idx = node.index();
@@ -292,16 +328,65 @@ impl CubeCore {
         let mut g = 0.0;
         let mut l = 0.0;
         for x in 0..self.states.len() {
-            let row = x * stride;
-            let sums = AreaSums {
-                sum_duration: pd[row + j + 1] - pd[row + i],
-                sum_rho: (pd[row + j + 1] - pd[row + i]) / slice_duration,
-                sum_rho_log_rho: pi[row + j + 1] - pi[row + i],
-            };
-            g += sums.gain(n_res, period);
-            l += sums.loss(n_res, period);
+            let (start, end) = (x * stride + i, x * stride + j + 1);
+            let sums = area_sums(pd[end] - pd[start], pi[end] - pi[start], slice_duration);
+            let (cg, cl) = sums.gain_loss(n_res, period);
+            g += cg;
+            l += cl;
         }
         (g, l)
+    }
+
+    /// Evaluate the cells `[i, from..|T|)` of `node` into `gain[j − from]`
+    /// and `loss[j − from]` (both slices `|T| − from` long), each with the
+    /// bits [`CubeCore::eval_cell`] gives it. State by state, the row's
+    /// prefix bases at `i` are read once and the row's ends in order.
+    pub fn eval_row(
+        &self,
+        node: NodeId,
+        i: usize,
+        from: usize,
+        gain: &mut [f64],
+        loss: &mut [f64],
+    ) {
+        let n = self.grid.n_slices();
+        assert!(
+            i <= from && gain.len() == n - from && loss.len() == n - from,
+            "row [{i}, {from}..{n}) does not fit buffers of {} and {} cells",
+            gain.len(),
+            loss.len()
+        );
+        let idx = node.index();
+        let n_res = self.hierarchy.n_leaves_under(node);
+        let stride = n + 1;
+        let slice_duration = self.grid.slice_duration();
+        let pd = &self.prefix_duration[idx];
+        let pi = &self.prefix_info[idx];
+        gain.fill(0.0);
+        loss.fill(0.0);
+        for x in 0..self.states.len() {
+            let (base, ends) = (x * stride + i, x * stride + from + 1..x * stride + n + 1);
+            let (d0, info0) = (pd[base], pi[base]);
+            let ends = pd[ends.clone()].iter().zip(&pi[ends]);
+            let cells = gain.iter_mut().zip(loss.iter_mut());
+            for (j, ((&d, &info), (g, l))) in (from..).zip(ends.zip(cells)) {
+                let period = (j - i + 1) as f64 * slice_duration;
+                let (cg, cl) =
+                    area_sums(d - d0, info - info0, slice_duration).gain_loss(n_res, period);
+                *g += cg;
+                *l += cl;
+            }
+        }
+    }
+}
+
+/// One state's sums over an area, from its duration and information sums.
+#[inline]
+fn area_sums(sum_duration: f64, sum_rho_log_rho: f64, slice_duration: f64) -> AreaSums {
+    AreaSums {
+        sum_duration,
+        sum_rho: sum_duration / slice_duration,
+        sum_rho_log_rho,
     }
 }
 
@@ -333,6 +418,16 @@ impl QualityCube for CubeCore {
     #[inline]
     fn gain_loss(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
         self.eval_cell(node, i, j)
+    }
+    fn gain_loss_row(
+        &self,
+        node: NodeId,
+        i: usize,
+        from: usize,
+        gain: &mut [f64],
+        loss: &mut [f64],
+    ) {
+        self.eval_row(node, i, from, gain, loss)
     }
     fn rho_aggregate(&self, node: NodeId, x: StateId, i: usize, j: usize) -> f64 {
         let stride = self.n_slices() + 1;
@@ -385,7 +480,8 @@ impl DenseCube {
         Self::from_core(CubeCore::build(model))
     }
 
-    /// Materialize the matrices over an existing core.
+    /// Materialize the matrices over an existing core, row by row
+    /// (parallel over nodes).
     pub fn from_core(mut core: CubeCore) -> Self {
         let n_nodes = core.hierarchy().len();
         let n_slices = core.n_slices();
@@ -396,11 +492,7 @@ impl DenseCube {
                 let mut gain = TriMatrix::<f64>::new(n_slices);
                 let mut loss = TriMatrix::<f64>::new(n_slices);
                 for i in 0..n_slices {
-                    for j in i..n_slices {
-                        let (g, l) = core.eval_cell(node, i, j);
-                        gain.set(i, j, g);
-                        loss.set(i, j, l);
-                    }
+                    core.eval_row(node, i, i, gain.row_mut(i), loss.row_mut(i));
                 }
                 (gain, loss)
             })
@@ -431,6 +523,18 @@ impl QualityCube for DenseCube {
     #[inline]
     fn loss(&self, node: NodeId, i: usize, j: usize) -> f64 {
         self.loss[node.index()].get(i, j)
+    }
+    fn gain_loss_row(
+        &self,
+        node: NodeId,
+        i: usize,
+        from: usize,
+        gain: &mut [f64],
+        loss: &mut [f64],
+    ) {
+        let k = node.index();
+        gain.copy_from_slice(&self.gain[k].row(i)[from - i..]);
+        loss.copy_from_slice(&self.loss[k].row(i)[from - i..]);
     }
     fn rho_aggregate(&self, node: NodeId, x: StateId, i: usize, j: usize) -> f64 {
         self.core.rho_aggregate(node, x, i, j)
@@ -491,6 +595,7 @@ pub fn backend_footprint(n_nodes: usize, n_slices: usize, n_states: usize) -> (&
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_models::{model_of_kind, CellByCell, SHAPES, SLICE_COUNTS};
     use ocelotl_trace::synthetic::{fig3_model, random_model};
 
     #[test]
@@ -509,6 +614,50 @@ mod tests {
                         lazy.gain_loss(node, i, j),
                         (lazy.gain(node, i, j), lazy.loss(node, i, j))
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Every row `[i, from..|T|)` of every node, read from the core, from
+        /// the dense cube and through the trait's cell-by-cell default, has
+        /// the bits of `eval_cell`; so do the dense matrices `from_core`
+        /// builds by rows.
+        #[test]
+        fn rows_match_cells_bit_for_bit(
+            shape in 0..SHAPES.len(),
+            slices in 0..SLICE_COUNTS.len(),
+            n_states in 1usize..5,
+            kind in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (shape, n) = (SHAPES[shape], SLICE_COUNTS[slices]);
+            let core = CubeCore::build(&model_of_kind(kind, shape, n, n_states, seed));
+            let dense = DenseCube::from_core(core.clone());
+            let by_cells = CellByCell::new(&core);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut gain, mut loss) = (vec![0.0; n], vec![0.0; n]);
+            for node in core.hierarchy().node_ids() {
+                for i in 0..n {
+                    let cells: Vec<(f64, f64)> = (i..n).map(|j| core.eval_cell(node, i, j)).collect();
+                    let (cell_gain, cell_loss): (Vec<f64>, Vec<f64>) = cells.into_iter().unzip();
+                    let dense_cells: Vec<f64> = (i..n).map(|j| dense.gain(node, i, j)).collect();
+                    assert_eq!(bits(&dense_cells), bits(&cell_gain), "dense gain, node {node:?}, row {i}");
+                    let dense_cells: Vec<f64> = (i..n).map(|j| dense.loss(node, i, j)).collect();
+                    assert_eq!(bits(&dense_cells), bits(&cell_loss), "dense loss, node {node:?}, row {i}");
+                    for from in i..n {
+                        let (g, l) = (&mut gain[..n - from], &mut loss[..n - from]);
+                        let want = (bits(&cell_gain[from - i..]), bits(&cell_loss[from - i..]));
+                        core.eval_row(node, i, from, g, l);
+                        assert_eq!((bits(g), bits(l)), want, "core, node {node:?}, row {i} from {from}");
+                        dense.gain_loss_row(node, i, from, g, l);
+                        assert_eq!((bits(g), bits(l)), want, "dense, node {node:?}, row {i} from {from}");
+                        by_cells.gain_loss_row(node, i, from, g, l);
+                        assert_eq!((bits(g), bits(l)), want, "default, node {node:?}, row {i} from {from}");
+                    }
                 }
             }
         }

@@ -53,8 +53,20 @@
 //! property test pins the kernel to that loop.
 //!
 //! The price is scratch memory: per node being solved, the mirror's
-//! `|T|(|T| + 15)/2` floats (~245 KB at `|T| = 240`) and one padded row,
-//! freed when the node returns. Parallel sibling solves hold one set each.
+//! `|T|(|T| + 15)/2` floats (~245 KB at `|T| = 240`), one padded row and
+//! four row buffers (below), freed when the node returns. Parallel sibling
+//! solves hold one set each.
+//!
+//! # Inputs read by rows
+//!
+//! Row `i`'s other inputs are read once, before its first cell is solved:
+//! the keep gain and loss of columns `from..|T|` in one
+//! [`QualityCube::gain_loss_row`] call (a matrix row copy for a dense cube,
+//! the state-by-state row evaluator for the prefix sums), and the spatial
+//! candidates, the children's pIC and count rows summed column by column in
+//! child order. The pIC sums start from `−0.0`, as `f64: Sum` does, so each
+//! has the bits of the per-cell sum it replaces (a keep pIC is `−0.0` where
+//! `p = 0` meets a zero loss).
 //!
 //! # Reusing a tree
 //!
@@ -112,7 +124,11 @@ pub struct DpConfig {
     /// Tie tolerance: a cut is adopted only if it improves the pIC by more
     /// than this amount (biases ties toward coarser aggregates).
     pub epsilon: f64,
-    /// Process hierarchy siblings in parallel with rayon.
+    /// Use the pool: Algorithm 1 solves hierarchy siblings in parallel, and
+    /// [`significant_partitions`](crate::significant_partitions) probes the
+    /// midpoints of one dichotomy level side by side, each DP then on one
+    /// thread. Off, both stay on the caller's thread. Never changes a bit
+    /// of the output.
     pub parallel: bool,
     /// Among pIC-equal choices (within `epsilon`), prefer the cut whose
     /// optimal subpartition uses *fewer aggregates*.
@@ -394,7 +410,8 @@ fn first_exceeding(left: &[[f64; BLOCK]], right: &[[f64; BLOCK]], floor: f64) ->
 /// The temporal cuts of cell `(i, j)` are scanned as two contiguous slices,
 /// the row being solved and column `j` of the `−∞`-padded mirror, in blocks
 /// of [`BLOCK`]; the adoption rule runs only in blocks that could adopt (see
-/// the module docs). With a reused tree (`REUSE`), row `i` copies its cells
+/// the module docs). Row `i`'s keep values and spatial sums are read by rows
+/// before its first cell is solved. With a reused tree (`REUSE`), row `i` copies its cells
 /// before column `max(i, a)` from it, or the whole row when `i > z`; like
 /// the tie rule, this is a const parameter, so a full DP runs a loop free of
 /// the copy.
@@ -424,6 +441,10 @@ fn solve_node<C: QualityCube, const COARSE: bool, const REUSE: bool>(
     let mut cols = ColumnMirror::new(n);
     // Row `i` while it is solved: `pIC[i, i..j]`, then stale cells.
     let mut row = vec![0.0; n + BLOCK - 1];
+    // Row `i`'s inputs at columns `from..n`, cell `j` at `j − from`: the
+    // keep gain and loss, and the children's summed pIC and count.
+    let (mut keep_gain, mut keep_loss) = (vec![0.0; n], vec![0.0; n]);
+    let (mut spatial_pic, mut spatial_cnt) = (vec![0.0; n], vec![0u32; n]);
 
     for i in (0..n).rev() {
         // Row `i` solves columns `from..n`; a reused tree supplies the rest.
@@ -440,18 +461,42 @@ fn solve_node<C: QualityCube, const COARSE: bool, const REUSE: bool>(
                 cols.set(i, j, v);
             }
         }
+        let width = n - from;
+        // No cut: each cell of the row as one aggregate, read in one call
+        // so a cube can evaluate the row state by state.
+        input.gain_loss_row(
+            node,
+            i,
+            from,
+            &mut keep_gain[..width],
+            &mut keep_loss[..width],
+        );
+        // Spatial cut: the children's optimal pICs and counts, summed
+        // column by column in child order from `−0.0`, as `f64: Sum` does
+        // (a keep pIC is `−0.0` where `p = 0` meets a zero loss).
+        if !child_pics.is_empty() {
+            spatial_pic[..width].fill(-0.0);
+            spatial_cnt[..width].fill(0);
+            for (m, c) in child_pics.iter().zip(child_counts) {
+                let cells = spatial_pic[..width]
+                    .iter_mut()
+                    .zip(&mut spatial_cnt[..width]);
+                let child = m.row(i)[from - i..].iter().zip(&c.row(i)[from - i..]);
+                for ((s, n_s), (&v, &n_v)) in cells.zip(child) {
+                    *s += v;
+                    *n_s += n_v;
+                }
+            }
+        }
         for j in from..n {
-            // No cut: the area itself as one aggregate. `gain_loss` lets a
-            // lazy cube evaluate the cell in a single pass over the states.
-            let (g, l) = input.gain_loss(node, i, j);
+            let (g, l) = (keep_gain[j - from], keep_loss[j - from]);
             let mut best_cut = j as i32;
             let mut best = p * g - (1.0 - p) * l;
             let mut best_cnt = 1u32;
 
             // Spatial cut?
             if !child_pics.is_empty() {
-                let pic_s: f64 = child_pics.iter().map(|m| m.get(i, j)).sum();
-                let cnt_s: u32 = child_counts.iter().map(|m| m.get(i, j)).sum();
+                let (pic_s, cnt_s) = (spatial_pic[j - from], spatial_cnt[j - from]);
                 let better = pic_s > best + eps;
                 let coarser_tie = coarse && cnt_s < best_cnt && (pic_s - best).abs() <= eps;
                 if better || coarser_tie {
@@ -501,6 +546,7 @@ fn solve_node<C: QualityCube, const COARSE: bool, const REUSE: bool>(
 mod tests {
     use super::*;
     use crate::input::AggregationInput;
+    use crate::test_models::{pure_random_blocks, random_trace, SHAPES, SLICE_COUNTS};
     use ocelotl_trace::synthetic::{block_model, fig3_model, random_model, Block};
     use ocelotl_trace::{Hierarchy, StateRegistry};
 
@@ -962,67 +1008,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Hierarchy shapes for the kernel property: flat, two levels, and
-    /// single-child chains (whose spatial cut ties with "keep").
-    const SHAPES: [&[usize]; 4] = [&[3], &[2, 3], &[2, 1, 2], &[1, 2, 2]];
-
-    /// `|T|` below, at and around the block width.
-    const SLICE_COUNTS: [usize; 8] = [1, 7, 8, 9, 16, 17, 33, 64];
-
-    /// A random trace: every leaf runs through random states (and idle
-    /// gaps) over `[0, 100)`.
-    fn random_trace(shape: &[usize], n_states: usize, seed: u64) -> ocelotl_trace::Trace {
-        let h = Hierarchy::balanced(shape);
-        let n_leaves = h.n_leaves();
-        let mut b = ocelotl_trace::TraceBuilder::new(h);
-        let states: Vec<_> = (0..n_states).map(|x| b.state(&format!("s{x}"))).collect();
-        let mut rng = ocelotl_trace::synthetic::SplitMix64(seed);
-        for leaf in 0..n_leaves {
-            let mut t = 0.0;
-            while t < 100.0 {
-                let end = (t + rng.range(0.05, 6.0)).min(100.0);
-                if rng.below(5) > 0 {
-                    let x = states[rng.below(n_states)];
-                    b.push_state(ocelotl_trace::LeafId(leaf as u32), x, t, end);
-                }
-                t = end;
-            }
-        }
-        b.build()
-    }
-
-    /// A pure model: every leaf-slice cell is one-hot (or empty) and the
-    /// cells form a few homogeneous blocks, so every zero-loss partition
-    /// ties.
-    fn pure_random_blocks(
-        shape: &[usize],
-        n_slices: usize,
-        n_states: usize,
-        seed: u64,
-    ) -> ocelotl_trace::MicroModel {
-        let h = Hierarchy::balanced(shape);
-        let n_leaves = h.n_leaves();
-        let names: Vec<String> = (0..n_states).map(|x| format!("s{x}")).collect();
-        let mut rng = ocelotl_trace::synthetic::SplitMix64(seed);
-        let one_hot = |x: usize| (0..n_states).map(|y| f64::from(u8::from(x == y))).collect();
-        let mut blocks = vec![Block {
-            leaves: 0..n_leaves,
-            slices: 0..n_slices,
-            rho: one_hot(0),
-        }];
-        for _ in 0..rng.below(4) {
-            let l0 = rng.below(n_leaves);
-            let s0 = rng.below(n_slices);
-            blocks.push(Block {
-                leaves: l0..l0 + 1 + rng.below(n_leaves - l0),
-                slices: s0..s0 + 1 + rng.below(n_slices - s0),
-                // `n_states` selects the empty (all-zero) cell.
-                rho: one_hot(rng.below(n_states + 1)),
-            });
-        }
-        block_model(h, StateRegistry::from_names(names), n_slices, &blocks)
     }
 
     proptest::proptest! {

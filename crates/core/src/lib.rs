@@ -70,6 +70,8 @@ pub mod pvalues;
 pub mod quality;
 pub mod query;
 pub mod session;
+#[cfg(test)]
+mod test_models;
 pub mod tri;
 pub mod visual;
 

@@ -75,6 +75,23 @@ impl AreaSums {
         xlog2x(rho_agg) - self.sum_rho_log_rho
     }
 
+    /// `(gain, loss)` together, with the bits of [`AreaSums::gain`] and
+    /// [`AreaSums::loss`] but one `ρ_x(A)` and one `log₂ ρ_x(A)` between
+    /// them. Every cube cell is evaluated through this.
+    #[inline]
+    pub fn gain_loss(&self, n_resources: usize, period_duration: f64) -> (f64, f64) {
+        let rho_agg = self.rho_aggregate(n_resources, period_duration);
+        if rho_agg > 0.0 {
+            let log = rho_agg.log2();
+            let gain = rho_agg * log - self.sum_rho_log_rho;
+            let loss = (self.sum_rho_log_rho - self.sum_rho * log).max(0.0);
+            (gain, loss)
+        } else {
+            // `0·log₂0 = 0`, and no information to lose.
+            (0.0 - self.sum_rho_log_rho, 0.0)
+        }
+    }
+
     /// Merge with another accumulator (additivity over disjoint cell sets).
     #[inline]
     pub fn merge(&mut self, other: &AreaSums) {
@@ -182,6 +199,35 @@ mod tests {
         assert_eq!(pic(0.0, 3.0, 2.0), -2.0);
         assert_eq!(pic(1.0, 3.0, 2.0), 3.0);
         assert!((pic(0.5, 3.0, 2.0) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gain_loss_has_the_bits_of_gain_and_loss() {
+        let bits = |(g, l): (f64, f64)| (g.to_bits(), l.to_bits());
+        let apart =
+            |s: &AreaSums, n: usize, period: f64| bits((s.gain(n, period), s.loss(n, period)));
+        // Zero duration (an empty cell, also with a `−0.0` information
+        // sum), then a full cell: one resource busy for the whole period.
+        let empty = AreaSums::default();
+        let negative_zero = AreaSums {
+            sum_rho_log_rho: -0.0,
+            ..AreaSums::default()
+        };
+        let full = sums_from_rhos(&[1.0; 3], 2.0);
+        for (s, n, period) in [(empty, 2, 3.0), (negative_zero, 1, 1.0), (full, 1, 6.0)] {
+            assert_eq!(bits(s.gain_loss(n, period)), apart(&s, n, period), "{s:?}");
+        }
+        // Random sums, consistent or not with the cells they summarize.
+        let mut rng = ocelotl_trace::synthetic::SplitMix64(2025);
+        for _ in 0..10_000 {
+            let s = AreaSums {
+                sum_duration: 50.0 * rng.next_f64(),
+                sum_rho: 20.0 * rng.next_f64(),
+                sum_rho_log_rho: -10.0 * rng.next_f64(),
+            };
+            let (n, period) = (1 + rng.below(64), 0.5 + 30.0 * rng.next_f64());
+            assert_eq!(bits(s.gain_loss(n, period)), apart(&s, n, period), "{s:?}");
+        }
     }
 
     #[test]
