@@ -410,11 +410,11 @@ fn first_exceeding(left: &[[f64; BLOCK]], right: &[[f64; BLOCK]], floor: f64) ->
 /// The temporal cuts of cell `(i, j)` are scanned as two contiguous slices,
 /// the row being solved and column `j` of the `−∞`-padded mirror, in blocks
 /// of [`BLOCK`]; the adoption rule runs only in blocks that could adopt (see
-/// the module docs). Row `i`'s keep values and spatial sums are read by rows
-/// before its first cell is solved. With a reused tree (`REUSE`), row `i` copies its cells
-/// before column `max(i, a)` from it, or the whole row when `i > z`; like
-/// the tie rule, this is a const parameter, so a full DP runs a loop free of
-/// the copy.
+/// the module docs). Row `i`'s keep values and spatial sums are read by
+/// rows before its first cell is solved. With a reused tree (`REUSE`), row
+/// `i` copies its cells before column `max(i, a)` from it, or the whole row
+/// when `i > z`; like the tie rule, this is a const parameter, so a full DP
+/// runs a loop free of the copy.
 fn solve_node<C: QualityCube, const COARSE: bool, const REUSE: bool>(
     input: &C,
     node: NodeId,
