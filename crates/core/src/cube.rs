@@ -19,14 +19,15 @@
 //!   makes re-running the optimizer at a new trade-off `p`
 //!   "instantaneous" (§V.B).
 //!
-//! Every cell either cube serves is evaluated by one per-state arithmetic,
-//! [`AreaSums::gain_loss`], summed over the states in order: a cell at a
-//! time by [`CubeCore::eval_cell`], or a row at a time by
-//! [`CubeCore::eval_row`], which reads the row's prefix bases once per
-//! state and builds every matrix of a [`DenseCube`]. So cell and row
-//! answers of both cubes are **bit-identical** — a property the
-//! equivalence test-suite pins down. The DP asks for a row's cells
-//! through [`QualityCube::gain_loss_row`].
+//! Every cell either cube serves is evaluated by one loop,
+//! [`CubeCore::eval_row`]: [`AreaSums::gain_loss`] per state, summed over
+//! the states in order, for a stretch of one row's cells, reading the
+//! row's prefix bases once per state. A cell query
+//! ([`CubeCore::eval_cell`]) is a row of one, the DP's rows
+//! ([`QualityCube::gain_loss_row`]) and every matrix of a [`DenseCube`]
+//! are whole rows. So cell and row answers of both cubes are
+//! **bit-identical** by construction — a property the equivalence
+//! test-suite pins down.
 //! The session never makes the user choose: an
 //! [`AnalysisSession`](crate::AnalysisSession) keeps the prefix sums and
 //! lets the first DP build the dense matrices when they fit under
@@ -36,6 +37,7 @@ use crate::measures::{xlog2x, AreaSums};
 use crate::tri::TriMatrix;
 use ocelotl_trace::{Hierarchy, LeafId, MicroModel, NodeId, StateId, StateRegistry, TimeGrid};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Uniform query interface over the aggregation inputs.
 ///
@@ -160,9 +162,8 @@ impl<C: QualityCube + ?Sized> QualityCube for &C {
 /// sums over time of `Σ_s d_x(s,t)` and `Σ_s ρ_x·log₂ρ_x` (leaves read the
 /// microscopic model, internal nodes sum their children). Any cell
 /// `(node, [i, j])` evaluates from these in `O(|X|)` — see
-/// [`CubeCore::eval_cell`] and [`CubeCore::eval_row`], which answer every
-/// [`QualityCube`] query of this cube and build every matrix of a
-/// [`DenseCube`].
+/// [`CubeCore::eval_row`], which answers every [`QualityCube`] query of
+/// this cube and builds every matrix of a [`DenseCube`].
 #[derive(Debug, Clone)]
 pub struct CubeCore {
     hierarchy: Hierarchy,
@@ -312,47 +313,38 @@ impl CubeCore {
     }
 
     /// Evaluate `(gain, loss)` of one cell in `O(|X|)` from the prefix
-    /// sums: [`AreaSums::gain_loss`] per state, summed in state order.
-    /// [`CubeCore::eval_row`] runs the same operations in the same order,
-    /// which is what makes cell and row, dense and on-demand answers
-    /// bit-identical.
+    /// sums: a row of one cell, so it carries the bits every row
+    /// [`CubeCore::eval_row`] evaluates.
     #[inline]
     pub fn eval_cell(&self, node: NodeId, i: usize, j: usize) -> (f64, f64) {
-        let idx = node.index();
-        let n_res = self.hierarchy.n_leaves_under(node);
-        let stride = self.grid.n_slices() + 1;
-        let slice_duration = self.grid.slice_duration();
-        let pd = &self.prefix_duration[idx];
-        let pi = &self.prefix_info[idx];
-        let period = (j - i + 1) as f64 * slice_duration;
-        let mut g = 0.0;
-        let mut l = 0.0;
-        for x in 0..self.states.len() {
-            let (start, end) = (x * stride + i, x * stride + j + 1);
-            let sums = area_sums(pd[end] - pd[start], pi[end] - pi[start], slice_duration);
-            let (cg, cl) = sums.gain_loss(n_res, period);
-            g += cg;
-            l += cl;
-        }
-        (g, l)
+        let (mut gain, mut loss) = ([0.0], [0.0]);
+        self.eval_row(node, i, j..j + 1, &mut gain, &mut loss);
+        (gain[0], loss[0])
     }
 
-    /// Evaluate the cells `[i, from..|T|)` of `node` into `gain[j − from]`
-    /// and `loss[j − from]` (both slices `|T| − from` long), each with the
-    /// bits [`CubeCore::eval_cell`] gives it. State by state, the row's
-    /// prefix bases at `i` are read once and the row's ends in order.
+    /// Evaluate the cells `[i, j]` of `node` for `j` in `ends` into
+    /// `gain[j − ends.start]` and `loss[j − ends.start]` (both slices
+    /// `ends.len()` long): [`AreaSums::gain_loss`] per state, summed in
+    /// state order. State by state, the row's prefix bases at `i` are read
+    /// once and its ends in order. Cells, the DP's rows and the dense
+    /// matrices all come from here, which is what makes cell and row,
+    /// dense and on-demand answers bit-identical.
+    #[inline]
     pub fn eval_row(
         &self,
         node: NodeId,
         i: usize,
-        from: usize,
+        ends: Range<usize>,
         gain: &mut [f64],
         loss: &mut [f64],
     ) {
         let n = self.grid.n_slices();
         assert!(
-            i <= from && gain.len() == n - from && loss.len() == n - from,
-            "row [{i}, {from}..{n}) does not fit buffers of {} and {} cells",
+            i <= ends.start
+                && ends.end <= n
+                && gain.len() == ends.len()
+                && loss.len() == ends.len(),
+            "cells [{i}, j] for j in {ends:?} of {n} slices do not fit buffers of {} and {} cells",
             gain.len(),
             loss.len()
         );
@@ -365,11 +357,12 @@ impl CubeCore {
         gain.fill(0.0);
         loss.fill(0.0);
         for x in 0..self.states.len() {
-            let (base, ends) = (x * stride + i, x * stride + from + 1..x * stride + n + 1);
+            let base = x * stride + i;
+            let row_ends = x * stride + ends.start + 1..x * stride + ends.end + 1;
             let (d0, info0) = (pd[base], pi[base]);
-            let ends = pd[ends.clone()].iter().zip(&pi[ends]);
+            let sums = pd[row_ends.clone()].iter().zip(&pi[row_ends]);
             let cells = gain.iter_mut().zip(loss.iter_mut());
-            for (j, ((&d, &info), (g, l))) in (from..).zip(ends.zip(cells)) {
+            for (j, ((&d, &info), (g, l))) in ends.clone().zip(sums.zip(cells)) {
                 let period = (j - i + 1) as f64 * slice_duration;
                 let (cg, cl) =
                     area_sums(d - d0, info - info0, slice_duration).gain_loss(n_res, period);
@@ -427,7 +420,7 @@ impl QualityCube for CubeCore {
         gain: &mut [f64],
         loss: &mut [f64],
     ) {
-        self.eval_row(node, i, from, gain, loss)
+        self.eval_row(node, i, from..self.n_slices(), gain, loss)
     }
     fn rho_aggregate(&self, node: NodeId, x: StateId, i: usize, j: usize) -> f64 {
         let stride = self.n_slices() + 1;
@@ -492,7 +485,7 @@ impl DenseCube {
                 let mut gain = TriMatrix::<f64>::new(n_slices);
                 let mut loss = TriMatrix::<f64>::new(n_slices);
                 for i in 0..n_slices {
-                    core.eval_row(node, i, i, gain.row_mut(i), loss.row_mut(i));
+                    core.eval_row(node, i, i..n_slices, gain.row_mut(i), loss.row_mut(i));
                 }
                 (gain, loss)
             })
@@ -651,7 +644,7 @@ mod tests {
                     for from in i..n {
                         let (g, l) = (&mut gain[..n - from], &mut loss[..n - from]);
                         let want = (bits(&cell_gain[from - i..]), bits(&cell_loss[from - i..]));
-                        core.eval_row(node, i, from, g, l);
+                        core.eval_row(node, i, from..n, g, l);
                         assert_eq!((bits(g), bits(l)), want, "core, node {node:?}, row {i} from {from}");
                         dense.gain_loss_row(node, i, from, g, l);
                         assert_eq!((bits(g), bits(l)), want, "dense, node {node:?}, row {i} from {from}");

@@ -55,13 +55,7 @@ impl AreaSums {
     /// Eq. 2 information loss for this state on this area.
     #[inline]
     pub fn loss(&self, n_resources: usize, period_duration: f64) -> f64 {
-        let rho_agg = self.rho_aggregate(n_resources, period_duration);
-        if rho_agg <= 0.0 {
-            // All microscopic proportions are 0 too: no information to lose.
-            return 0.0;
-        }
-        let raw = self.sum_rho_log_rho - self.sum_rho * rho_agg.log2();
-        raw.max(0.0)
+        self.gain_loss(n_resources, period_duration).1
     }
 
     /// Eq. 3 data-reduction gain for this state on this area.
@@ -71,13 +65,11 @@ impl AreaSums {
     /// entropy-maximizing proportion than the originals.
     #[inline]
     pub fn gain(&self, n_resources: usize, period_duration: f64) -> f64 {
-        let rho_agg = self.rho_aggregate(n_resources, period_duration);
-        xlog2x(rho_agg) - self.sum_rho_log_rho
+        self.gain_loss(n_resources, period_duration).0
     }
 
-    /// `(gain, loss)` together, with the bits of [`AreaSums::gain`] and
-    /// [`AreaSums::loss`] but one `ρ_x(A)` and one `log₂ ρ_x(A)` between
-    /// them. Every cube cell is evaluated through this.
+    /// `(gain, loss)` together (Eq. 3 and Eq. 2), from one `ρ_x(A)` and
+    /// one `log₂ ρ_x(A)`. Every cube cell is evaluated through this.
     #[inline]
     pub fn gain_loss(&self, n_resources: usize, period_duration: f64) -> (f64, f64) {
         let rho_agg = self.rho_aggregate(n_resources, period_duration);
@@ -87,7 +79,8 @@ impl AreaSums {
             let loss = (self.sum_rho_log_rho - self.sum_rho * log).max(0.0);
             (gain, loss)
         } else {
-            // `0·log₂0 = 0`, and no information to lose.
+            // `0·log₂0 = 0`, and all microscopic proportions are 0 too: no
+            // information to lose.
             (0.0 - self.sum_rho_log_rho, 0.0)
         }
     }
@@ -202,10 +195,21 @@ mod tests {
     }
 
     #[test]
-    fn gain_loss_has_the_bits_of_gain_and_loss() {
+    fn gain_loss_has_the_bits_of_eq_2_and_3() {
         let bits = |(g, l): (f64, f64)| (g.to_bits(), l.to_bits());
-        let apart =
-            |s: &AreaSums, n: usize, period: f64| bits((s.gain(n, period), s.loss(n, period)));
+        // Eq. 3 and Eq. 2 as written, each from its own `ρ_x(A)` and
+        // `log₂ ρ_x(A)`: the bodies `gain` and `loss` had before they
+        // shared one.
+        let apart = |s: &AreaSums, n: usize, period: f64| {
+            let rho_agg = s.rho_aggregate(n, period);
+            let gain = xlog2x(rho_agg) - s.sum_rho_log_rho;
+            let loss = if rho_agg <= 0.0 {
+                0.0
+            } else {
+                (s.sum_rho_log_rho - s.sum_rho * rho_agg.log2()).max(0.0)
+            };
+            bits((gain, loss))
+        };
         // Zero duration (an empty cell, also with a `−0.0` information
         // sum), then a full cell: one resource busy for the whole period.
         let empty = AreaSums::default();
@@ -216,6 +220,10 @@ mod tests {
         let full = sums_from_rhos(&[1.0; 3], 2.0);
         for (s, n, period) in [(empty, 2, 3.0), (negative_zero, 1, 1.0), (full, 1, 6.0)] {
             assert_eq!(bits(s.gain_loss(n, period)), apart(&s, n, period), "{s:?}");
+            assert_eq!(
+                bits((s.gain(n, period), s.loss(n, period))),
+                apart(&s, n, period)
+            );
         }
         // Random sums, consistent or not with the cells they summarize.
         let mut rng = ocelotl_trace::synthetic::SplitMix64(2025);

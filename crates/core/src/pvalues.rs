@@ -18,10 +18,11 @@
 //! finishes first, so the probes, and with them the sorted and
 //! deduplicated output, are exactly those a depth-first recursion visits.
 //!
-//! - A level is probed in batches whose DP tables together stay under
-//!   [`DENSE_LIMIT_BYTES`]: the whole pool for case A at 60 slices (74
-//!   nodes, ~2 MB of tables per probe), one probe at a time at 2,048
-//!   slices (~2.5 GB).
+//! - A level is probed in batches of at most one probe per core, whose DP
+//!   tables together stay under [`DENSE_LIMIT_BYTES`]: every core for
+//!   case A at 60 slices (74 nodes, ~2 MB of tables per probe), one probe
+//!   at a time at 2,048 slices (~2.5 GB). So a level in flight never holds
+//!   more DP tables than it has cores to fill them.
 //! - A lone probe, a batch or a level of one, runs with the DP's own
 //!   sibling parallelism instead.
 //! - With [`DpConfig::parallel`] off, the whole search stays on the
@@ -67,7 +68,8 @@ pub fn significant_partitions<C: QualityCube>(
     resolution: f64,
 ) -> Vec<PEntry> {
     assert!(resolution > 0.0 && resolution < 1.0);
-    let batch = probes_per_batch(input.hierarchy().len(), input.n_slices());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let batch = probes_per_batch(input.hierarchy().len(), input.n_slices(), cores);
     let probe = |ps: &[f64]| {
         probe_level(input, config, batch, ps)
             .into_iter()
@@ -133,12 +135,13 @@ pub fn significant_partitions<C: QualityCube>(
     entries
 }
 
-/// How many probes of one level may run side by side: as many as keep
-/// their DP tables together under [`DENSE_LIMIT_BYTES`], and at least one.
-fn probes_per_batch(n_nodes: usize, n_slices: usize) -> usize {
+/// How many probes of one level may run side by side: one per core, and
+/// no more than keep their DP tables together under
+/// [`DENSE_LIMIT_BYTES`]; at least one.
+fn probes_per_batch(n_nodes: usize, n_slices: usize, cores: usize) -> usize {
     dp_table_bytes(n_nodes, n_slices).map_or(1, |bytes| {
-        let batch = DENSE_LIMIT_BYTES as u64 / bytes.max(1);
-        usize::try_from(batch).unwrap_or(usize::MAX).max(1)
+        let fit = DENSE_LIMIT_BYTES as u64 / bytes.max(1);
+        usize::try_from(fit).unwrap_or(usize::MAX).min(cores).max(1)
     })
 }
 
@@ -159,15 +162,11 @@ fn probe_level<C: QualityCube>(
     };
     let mut parts = Vec::with_capacity(ps.len());
     for chunk in ps.chunks(batch) {
-        match chunk {
-            [p] => parts.push(part_at(*p, config)),
-            _ if !config.parallel => parts.extend(chunk.iter().map(|&p| part_at(p, config))),
-            _ => parts.extend(
-                chunk
-                    .par_iter()
-                    .map(|&p| part_at(p, &one_thread))
-                    .collect::<Vec<_>>(),
-            ),
+        if chunk.len() == 1 || !config.parallel {
+            parts.extend(chunk.iter().map(|&p| part_at(p, config)));
+        } else {
+            let side_by_side = chunk.par_iter().map(|&p| part_at(p, &one_thread));
+            parts.extend(side_by_side.collect::<Vec<_>>());
         }
     }
     parts
@@ -270,18 +269,25 @@ mod tests {
     }
 
     #[test]
-    fn a_level_runs_on_the_whole_pool_unless_its_tables_outgrow_the_dense_bound() {
+    fn a_level_runs_on_every_core_unless_its_tables_outgrow_the_dense_bound() {
         // Case A's 74 nodes: ~2.2 MB of DP tables per probe at 60 slices,
-        // so far more probes than any pool has threads fit side by side;
-        // ~2.5 GB at 2,048 slices, so one probe at a time.
-        let batch = probes_per_batch(74, 60);
-        assert!(batch >= 256 && batch >= rayon::max_threads(), "{batch}");
-        let tables = dp_table_bytes(74, 60).unwrap();
-        assert!(batch as u64 * tables <= DENSE_LIMIT_BYTES as u64);
-        assert!((batch as u64 + 1) * tables > DENSE_LIMIT_BYTES as u64);
-        assert_eq!(probes_per_batch(74, 2048), 1);
+        // so one probe per core, on any box; ~155 MB at 512 slices, so six
+        // side by side at most; ~2.5 GB at 2,048 slices, so one at a time.
+        for cores in [1, 2, 8, 64, 256] {
+            assert_eq!(probes_per_batch(74, 60, cores), cores);
+        }
+        let tables = dp_table_bytes(74, 512).unwrap();
+        let fit = probes_per_batch(74, 512, 64);
+        assert!(fit as u64 * tables <= DENSE_LIMIT_BYTES as u64, "{fit}");
+        assert!(
+            (fit as u64 + 1) * tables > DENSE_LIMIT_BYTES as u64,
+            "{fit}"
+        );
+        assert_eq!(probes_per_batch(74, 512, 2), 2);
+        assert_eq!(probes_per_batch(74, 2048, 8), 1);
+        assert_eq!(probes_per_batch(74, 60, 0), 1, "no core reported");
         assert_eq!(
-            probes_per_batch(74, usize::MAX),
+            probes_per_batch(74, usize::MAX, 8),
             1,
             "an overflowing table size"
         );
