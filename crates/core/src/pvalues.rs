@@ -28,7 +28,7 @@
 //! - With [`DpConfig::parallel`] off, the whole search stays on the
 //!   caller's thread.
 //! - Each probe's cut tree is dropped as soon as its partition is taken,
-//!   so a level in flight holds partitions, not DP tables.
+//!   so only the probes still running hold DP tables.
 
 use crate::cube::{dp_table_bytes, QualityCube, DENSE_LIMIT_BYTES};
 use crate::dp::{aggregate, DpConfig};
